@@ -2,11 +2,15 @@
 
 Three routes:
 
-* `best_response_shannon` -- the logit fixed point for mutual-information
-  costs, computed by iterating on the decision marginal from a uniform
-  start (deterministic, no randomness);
-* `best_response_capacity` -- wraps the above in a bisection on the
-  capacity dual mu so the cost constraint just binds;
+* `best_response_shannon` -- the logit best response for mutual-information
+  costs: the decision marginal q maximizing sum_s pi_s log sum_d q_d w_ds
+  (Matejka & McKay 2015), found by `_logit_kernel`, an active-set Newton
+  method that starts at the uninformed choice, drops decisions exactly and
+  stops on the logit certificate; the same kernel solves the grid oracle
+  in `contracts` in one batch (deterministic, no randomness);
+* `best_response_capacity` -- wraps the above in a safeguarded secant
+  (Illinois) search on the capacity dual mu so the cost constraint just
+  binds;
 * `best_response_general` -- any posterior-separable cost: concavification
   of the net-utility envelope for two states, entropic mirror ascent per
   state column otherwise.
@@ -18,6 +22,7 @@ decisions at an optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +33,11 @@ from .costs import ShannonCost
 from .errors import BoundaryPointError, NoConvergenceError
 from .model import Contract, Experiment, marginal
 
-MAX_ITER = 100_000
-MARGINAL_TOL = 1e-12
-DROP_TOL = 1e-14
+LOGIT_TOL = 1e-12
+LOGIT_MAX_ITER = 500
+LINE_TOL = 1e-14
+LINE_MAX_ITER = 60
+_SEGMENT = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -46,67 +53,182 @@ class AgentSolution:
     residual: float
 
 
-def _logit_iterate(weights, prior, tol, max_iter):
-    """Marginal iteration q <- sum_theta pi(theta) P(d|theta) for the logit map.
+def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
+    """Logit best responses for a batch of contracts, by active-set Newton.
 
-    Accepts a fixed point when the marginal change either drops below `tol`
-    or stops shrinking at the rounding noise floor (weak contraction
-    amplifies float jitter above `tol` for near-uninformative weights).
+    `logits` has shape (n, n_d, n_s) and holds b(d, theta) / temperature.
+    For each contract, maximizes sum_s pi_s log D_s, D_s = sum_d q_d w_ds,
+    over the decision marginal q in the simplex, with w the per-state
+    shifted exp(logits).  Starts at the decision with the best expected
+    payment.  Each iteration admits the decision with the largest g_d once
+    the current support is solved, takes the Newton direction on the face
+    sum q = 1 of the support, searches along it for the maximum (`_line`),
+    and drops a decision exactly when the step reaches q_d = 0.  Stops on
+    the logit certificate g_d = sum_s pi_s w_ds / D_s: |g_d - 1| <= tol on
+    the support and g_d <= 1 + tol off it.
+
+    Decisions with identical weight rows solve as one and split its
+    marginal equally.  Returns (q, conditionals, iterations), the last
+    the number of Newton steps per contract.
     """
-    n_d = weights.shape[0]
-    q = np.full(n_d, 1.0 / n_d)
-    noise_events = 0
-    prev_delta = np.inf
-    for it in range(1, max_iter + 1):
-        w = q[:, None] * weights
-        p = w / w.sum(axis=0, keepdims=True)
-        q_new = p @ prior
-        delta = np.max(np.abs(q_new - q))
-        q = q_new
-        if delta < tol:
-            return p, q, it
-        # pure geometric decay shrinks every step; a non-shrinking tiny
-        # delta means the iteration is cycling on float rounding noise
-        if delta < 1e-9 and delta >= prev_delta:
-            noise_events += 1
-            if noise_events >= 20:
-                return p, q, it
-        prev_delta = delta
-    if delta < 1e-10:
-        return p, q, max_iter
-    raise NoConvergenceError(
-        f"logit fixed point not converged after {max_iter} iterations "
-        f"(last marginal change {delta:.3e})"
-    )
+    z = np.asarray(logits, float)
+    pi = np.asarray(prior, float)
+    n, n_d, _ = z.shape
+    w = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    same = np.logical_and.reduce(w[:, :, None, :] == w[:, None, :, :], axis=3)
+    group = same.argmax(axis=2)
+    lead = group == np.arange(n_d)
+    q_out = np.zeros((n, n_d))
+    iters = np.zeros(n, dtype=int)
+
+    q = np.zeros((n, n_d))
+    q[np.arange(n), np.where(lead, z @ pi, -np.inf).argmax(axis=1)] = 1.0
+    live = np.arange(n)
+    wl, lead_l, support = w, lead, q > 0
+    for it in range(max_iter + 1):
+        dens = (q[:, None, :] @ wl)[:, 0]
+        ratio = pi / dens
+        gap = (wl @ ratio[:, :, None])[:, :, 0] - 1.0
+        face = np.maximum.reduce(np.abs(gap) * support, axis=1)
+        outside = np.where(support | ~lead_l, -np.inf, gap)
+        enter = outside.argmax(axis=1)
+        rows = np.arange(len(live))
+        solved = (face <= tol) & (outside[rows, enter] <= tol)
+        if solved.all():
+            q_out[live] = q
+            break
+        if solved.any():
+            q_out[live[solved]] = q[solved]
+            keep = ~solved
+            live, q, wl, lead_l, support = (live[keep], q[keep], wl[keep],
+                                            lead_l[keep], support[keep])
+            dens, ratio, gap, face, enter = (dens[keep], ratio[keep], gap[keep],
+                                             face[keep], enter[keep])
+            rows = rows[:len(live)]
+        if it == max_iter:
+            raise NoConvergenceError(
+                f"logit kernel not certified after {max_iter} Newton steps "
+                f"(certificate gap {max(face.max(), gap.max()):.3e})"
+            )
+        iters[live] += 1
+        admit = face <= tol
+        support[rows[admit], enter[admit]] = True
+
+        if n_d == 2:
+            # the face is a segment: its direction, scaled by the line search
+            step = (gap[:, :1] - gap[:, 1:]) * _SEGMENT
+        else:
+            # Newton direction on the face sum q = 1, in the coordinates of
+            # the support less its largest decision r (whose step is minus the
+            # others' sum): M~ step = (g - g_r) with M~_de = M_de - M_dr -
+            # M_re + M_rr and M = sum_s pi_s w_ds w_es / D_s^2.  M~ is scaled
+            # by M's diagonal, since a decision just admitted at a vertex can
+            # have g_d and M_dd many orders larger than the rest, and gets a
+            # 1e-12 ridge: decisions paid almost alike make it singular, and
+            # the step then runs along their difference to the boundary,
+            # where one of them drops.
+            ref = q.argmax(axis=1)
+            hess = (wl * (ratio / dens)[:, None, :]) @ wl.transpose(0, 2, 1)
+            free = support.copy()
+            free[rows, ref] = False
+            unit = free / np.sqrt(np.diagonal(hess, axis1=1, axis2=2))
+            cross = hess[rows, ref]
+            hess = (hess - cross[:, :, None] - cross[:, None, :]
+                    + cross[rows, ref][:, None, None])
+            reduced = 1e-12 * np.eye(n_d) + np.where(
+                free[:, :, None] & free[:, None, :],
+                hess * unit[:, :, None] * unit[:, None, :],
+                np.eye(n_d) * ~free[:, None, :])
+            rhs = (gap - gap[rows, ref][:, None]) * unit
+            step = np.linalg.solve(reduced, rhs[:, :, None])[:, :, 0] * unit
+            step[rows, ref] = -np.add.reduce(step, axis=1)
+
+        shrink = support & (step < 0)
+        limit = np.divide(q, -step, out=np.full_like(q, np.inf), where=shrink)
+        block = limit.argmin(axis=1)
+        t_max = limit[rows, block]
+        t = _line((step[:, None, :] @ wl)[:, 0] / dens, pi, t_max)
+        q = q + t[:, None] * step
+        hit = t == t_max
+        q[rows[hit], block[hit]] = 0.0
+        np.maximum(q, 0.0, out=q)
+        q /= np.add.reduce(q, axis=1, keepdims=True)
+        support &= q > 0
+
+    if not lead.all():
+        q_out = q_out[np.arange(n)[:, None], group] / same.sum(axis=2)
+    joint = q_out[:, :, None] * w
+    return q_out, joint / np.add.reduce(joint, axis=1, keepdims=True), iters
+
+
+def _line(rel, pi, t_max):
+    """Step length maximizing sum_s pi_s log(1 + t rel_s) over [0, t_max].
+
+    With two states the root of the derivative sum_s pi_s rel_s / (1 + t
+    rel_s) is closed form.  Otherwise the derivative P(t) - N(t) splits
+    into the states whose density rises (P, falling in t like a pole at
+    t = -1/rel_s) and falls (N, rising toward a pole at t = 1/|rel_s|);
+    each step solves the model with one pole on each side fitted to P, N
+    and their slopes, bracketed, bisecting when it leaves the bracket.
+    Far steps do not crawl as Newton steps on P - N would.  Returns t_max
+    when the objective still rises there.
+    """
+    if rel.shape[1] == 2:
+        cross = rel[:, 0] * rel[:, 1]
+        root = np.divide(rel @ pi, -cross * pi.sum(), out=np.full_like(t_max, np.inf),
+                         where=cross < 0)
+        return np.minimum(root, t_max)
+    rises = pi * (rel > 0)
+    falls = pi * (rel < 0)
+    lo = np.zeros_like(t_max)
+    hi = t_max
+    top = t_max
+    t = lo
+    f = rel
+    # a state whose density reaches zero at t_max gives inf and nan
+    # values there, which the bracket then excludes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(LINE_MAX_ITER):
+            pf = rises * f
+            nf = falls * f
+            p = np.add.reduce(pf, axis=1)
+            n = -np.add.reduce(nf, axis=1)
+            slope = p - n
+            done = (np.abs(slope) <= LINE_TOL * p) | ((slope >= 0) & (t == t_max))
+            if done.all():
+                return t
+            up = slope > 0
+            lo = np.where(up, t, lo)
+            hi = np.where(up, hi, t)
+            top = np.where(up | (t < top), top, np.inf)
+            # root of P / (1 + d a) = N / (1 - d b), a = -P'/P, b = N'/N
+            dp = np.add.reduce(pf * f, axis=1)
+            dn = np.add.reduce(nf * f, axis=1)
+            den = p * p * dn + n * n * dp
+            guess = t + np.divide(slope * p * n, den, out=np.full_like(t, np.inf),
+                                  where=den > 0)
+            guess = np.where(up & (guess >= top), t_max,
+                             np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi)))
+            t = np.where(done, t, guess)
+            f = rel / (1.0 + t[:, None] * rel)
+    return np.where(slope > 0, t, lo)
 
 
 def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0,
-                          tol=MARGINAL_TOL, max_iter=MAX_ITER) -> AgentSolution:
+                          tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER) -> AgentSolution:
     """Optimal experiment under mutual-information cost and capacity dual mu.
 
     Solves p(d|theta) proportional to p(d) exp(b(d,theta)/(scale (1+mu)))
-    with marginal consistency, starting from the uniform marginal.
-    Decisions whose marginal collapses below 1e-14 are dropped from the
-    consideration set and the iteration restarts once without them.
+    with marginal consistency by the Newton kernel `_logit_kernel`;
+    decisions outside the consideration set get exactly zero.
     """
     if mu < 0:
         raise ValueError("capacity dual mu must be nonnegative")
     pi = np.asarray(prior, float)
     temp = scale * (1.0 + mu)
-    # per-state stabilization: the column softmax is shift invariant
-    z = b.payments / temp
-    weights = np.exp(z - z.max(axis=0, keepdims=True))
-
-    active = np.arange(b.n_decisions)
-    p_act, q_act, iters = _logit_iterate(weights, pi, tol, max_iter)
-    if np.any(q_act < DROP_TOL) and len(active) > 1:
-        keep = q_act >= DROP_TOL
-        active = active[keep]
-        p_act, q_act, extra = _logit_iterate(weights[keep], pi, tol, max_iter)
-        iters += extra
-
-    cond = np.zeros_like(b.payments)
-    cond[active] = p_act
+    q, cond, iters = _logit_kernel(b.payments[None] / temp, pi, tol, max_iter)
+    cond = cond[0]
+    active = np.flatnonzero(q[0] > 0)
     exp = Experiment(cond)
     model = ShannonCost(scale)
     cost = model.value(exp, pi)
@@ -114,7 +236,7 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0,
     residual, rho = _support_residual(b, pi, model, cond, active, mu)
     return AgentSolution(experiment=exp, mu=float(mu), rho=rho,
                          value=e_b - cost, cost=cost,
-                         iterations=iters, residual=residual)
+                         iterations=int(iters[0]), residual=residual)
 
 
 def _support_residual(b, pi, model, cond, active, mu):
@@ -128,12 +250,17 @@ def _support_residual(b, pi, model, cond, active, mu):
 
 
 def best_response_capacity(b: Contract, prior, capacity, model,
-                           cost_tol=1e-8, max_doublings=200) -> AgentSolution:
+                           cost_tol=1e-8, max_doublings=9) -> AgentSolution:
     """Optimal experiment subject to cost <= capacity.
 
-    Returns the unconstrained optimum with mu = 0 when capacity is slack;
-    otherwise bisects the dual mu until the cost meets the capacity.  For
-    non-Shannon posterior-separable models the dual search runs on the
+    Returns the unconstrained optimum with mu = 0 when capacity is slack.
+    Otherwise the cost falls as the dual mu rises: brackets the crossing
+    in x = log(1 + mu) by doubling x from log 2 (at most `max_doublings`
+    times), then runs Illinois regula falsi on log(cost / capacity),
+    bisecting where no information is bought, until the cost is within
+    `cost_tol` of the capacity.  If the bracket closes first, the cost
+    jumps there and the end nearer the capacity is returned.  For
+    non-Shannon posterior-separable models the search runs on the
     penalized problem with the cost scaled by (1 + mu).
     """
     if capacity <= 0:
@@ -141,7 +268,8 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     pi = np.asarray(prior, float)
     shannon = isinstance(model, ShannonCost)
 
-    def solve(mu):
+    def solve(x):
+        mu = math.expm1(x)
         if shannon:
             return best_response_shannon(b, pi, mu=mu, scale=model.scale)
         sol = best_response_general(b, pi, model.scaled(1.0 + mu))
@@ -155,26 +283,46 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     if free.cost <= capacity:
         return free
 
-    lo, hi = 0.0, 1.0
-    sol = solve(hi)
+    def excess(sol):
+        # log(cost / capacity), -inf where no information is bought at all
+        return math.log(sol.cost / capacity) if sol.cost > 0 else -math.inf
+
+    # the cost falls as x rises: bracket the crossing, then close in
+    x_lo, sol_lo, f_lo = 0.0, free, excess(free)
+    x_hi = math.log(2.0)
+    sol_hi = solve(x_hi)
     n = 0
-    while sol.cost >= capacity:
-        lo, hi = hi, 2.0 * hi
-        sol = solve(hi)
+    while sol_hi.cost >= capacity:
+        x_lo, sol_lo, f_lo = x_hi, sol_hi, excess(sol_hi)
+        x_hi *= 2.0
+        sol_hi = solve(x_hi)
         n += 1
         if n > max_doublings:
             raise NoConvergenceError("capacity dual bracket not found")
-    while True:
-        mid = 0.5 * (lo + hi)
-        sol = solve(mid)
-        if abs(sol.cost - capacity) < cost_tol:
-            return sol
-        if sol.cost > capacity:
-            lo = mid
+    f_hi = excess(sol_hi)
+    sol = sol_hi
+    side = 0
+    while abs(sol.cost - capacity) >= cost_tol:
+        if x_hi - x_lo < 1e-15 * (1.0 + x_hi):
+            # the cost jumps across the closed bracket: return the nearer end
+            return min(sol_lo, sol_hi, key=lambda end: abs(end.cost - capacity))
+        x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
+        if not x_lo < x < x_hi:
+            x = 0.5 * (x_lo + x_hi)
+        sol = solve(x)
+        f = excess(sol)
+        # Illinois: halve the value kept at an end that survives twice
+        if f > 0:
+            x_lo, sol_lo, f_lo = x, sol, f
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
         else:
-            hi = mid
-        if hi - lo < 1e-15 * (1.0 + hi):
-            return sol
+            x_hi, sol_hi, f_hi = x, sol, f
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+    return sol
 
 
 def agent_kkt_residual(b: Contract, prior, model, p: Experiment,
@@ -222,7 +370,10 @@ def _polish_contacts(b, model, contacts, labels):
 
     Unknowns are the two contact posteriors; the conditions are equal
     slopes of the two net utilities and a common tangent line.  Falls back
-    to the grid answer when the solve fails.
+    to the grid answer when the solve leaves a residual above 1e-9.  The
+    root finder's own success flag is not the test: with finite-difference
+    slopes it reports slow progress at residuals near 1e-11, and keeping
+    the grid answer there made the solution jump as the cost scale moved.
     """
     d1, d2 = labels
     h = 1e-6
@@ -244,7 +395,7 @@ def _polish_contacts(b, model, contacts, labels):
     except Exception:
         return contacts
     q = np.sort(sol.x)
-    if not sol.success or np.any(q <= 0) or np.any(q >= 1):
+    if np.max(np.abs(eqs(sol.x))) > 1e-9 or np.any(q <= 0) or np.any(q >= 1):
         return contacts
     if np.max(np.abs(q - np.sort(contacts))) > 0.01:
         # polish wandered off the grid solution; distrust it

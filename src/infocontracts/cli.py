@@ -3,9 +3,21 @@
 Subcommands: solve-agent, solve-contract, first-best, alpha-prime,
 alpha-star, geometry, reproduce, oracle.  All numeric output is canonical
 JSON on stdout (sorted keys, floats at 17 significant digits).  Exit
-codes: 0 success, 1 golden mismatch in `reproduce`, 2 usage error,
-65 malformed problem/contract file, 66 missing file.  The CF_LOG
-environment variable (error, info, debug) controls logging verbosity.
+codes:
+
+* 0 success;
+* 1 golden mismatch in `reproduce`;
+* 2 usage error;
+* 3 requested utility outside the achievable range (`OutOfRangeError`);
+* 4 no sign-consistent binding pattern (`NoPatternFoundError`);
+* 5 an iterative solver did not converge (`NoConvergenceError`);
+* 6 problem too large for the grid oracle (`TooLargeError`);
+* 65 malformed problem/contract file;
+* 66 missing file.
+
+Every nonzero code but 1 and 2 comes with a one-line `error:` message on
+stderr.  The CF_LOG environment variable (error, info, debug) controls
+logging verbosity.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ from .contracts import (alpha_prime, alpha_star, brute_force_pareto,
                         first_best_frontier, second_best_solve,
                         solve_for_reservation)
 from .costs import ShannonCost
-from .errors import MalformedProblemError
+from .errors import (MalformedProblemError, NoConvergenceError,
+                     NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .geometry import emit_figure_data
 from .model import evaluate_profile
 from .problem_io import (canonical_json, load_contract, load_problem,
@@ -32,8 +45,20 @@ from .problem_io import (canonical_json, load_contract, load_problem,
 
 EXIT_GOLDEN_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_OUT_OF_RANGE = 3
+EXIT_NO_PATTERN = 4
+EXIT_NO_CONVERGENCE = 5
+EXIT_TOO_LARGE = 6
 EXIT_MALFORMED = 65
 EXIT_NOFILE = 66
+
+# typed solver errors: exit code and the label of their stderr line
+SOLVER_EXITS = {
+    OutOfRangeError: (EXIT_OUT_OF_RANGE, "out of range"),
+    NoPatternFoundError: (EXIT_NO_PATTERN, "no binding pattern"),
+    NoConvergenceError: (EXIT_NO_CONVERGENCE, "no convergence"),
+    TooLargeError: (EXIT_TOO_LARGE, "too large"),
+}
 
 log = logging.getLogger("infocontracts")
 
@@ -251,6 +276,10 @@ def main(argv=None):
     except MalformedProblemError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except tuple(SOLVER_EXITS) as exc:
+        code, label = SOLVER_EXITS[type(exc)]
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

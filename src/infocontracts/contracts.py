@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .agent import (AgentSolution, agent_kkt_residual, best_response_capacity,
-                    best_response_general, best_response_shannon)
+from .agent import (AgentSolution, _logit_kernel, agent_kkt_residual,
+                    best_response_capacity, best_response_general,
+                    best_response_shannon)
 from .costs import BregmanMatrixCost, ShannonCost
 from .errors import (InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
@@ -591,12 +592,13 @@ def alpha_star(inst: ProblemInstance, r, tol=1e-4) -> float:
     return lo
 
 
-def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21,
-                       ba_tol=1e-10, max_iter=20_000):
+def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     """Exhaustive verification oracle on a payment grid.
 
     Every payment b(d, theta) ranges over a grid in [0, y(d, theta)]; the
-    agent responds optimally (no capacity constraint); the best grid
+    agent responds optimally (no capacity constraint), computed for the
+    whole grid in one batch by the agent's logit kernel, with decisions
+    paid identically splitting their marginal equally; the best grid
     contract maximizes the principal's payoff subject to the agent
     clearing utility r.  Only for tiny instances.
     """
@@ -617,30 +619,7 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21,
             axes.append(np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0]))
     mesh = np.meshgrid(*axes, indexing="ij")
     contracts = np.stack([m.ravel() for m in mesh], axis=1).reshape(-1, n_d, n_s)
-
-    z = contracts / s
-    w = np.exp(z - z.max(axis=1, keepdims=True))
-    q = np.full((len(contracts), n_d), 1.0 / n_d)
-    # iterate with active-set compression: contracts whose marginal has
-    # converged drop out, so slowly collapsing ties do not stall the batch
-    active = np.arange(len(contracts))
-    w_act, q_act = w, q
-    for it in range(1, max_iter + 1):
-        wq = q_act[:, :, None] * w_act
-        p_act = wq / wq.sum(axis=1, keepdims=True)
-        q_new = p_act @ pi
-        deltas = np.max(np.abs(q_new - q_act), axis=1)
-        q[active] = q_new
-        q_act = q_new
-        if it % 25 == 0 or np.max(deltas) < ba_tol:
-            keep = deltas >= ba_tol
-            if not np.any(keep):
-                break
-            active = active[keep]
-            w_act = w[active]
-            q_act = q[active]
-    wq = q[:, :, None] * w
-    p = wq / wq.sum(axis=1, keepdims=True)
+    q, p, _ = _logit_kernel(contracts / s, pi)
 
     joint = p * pi[None, None, :]
     e_y = np.sum(joint * inst.output[None], axis=(1, 2))

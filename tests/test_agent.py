@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infocontracts import (BoundaryPointError, Contract, Experiment,
-                           PosteriorSeparableCost, ShannonCost, StateTransfer,
-                           agent_kkt_residual, apply_transfer,
+from infocontracts import (BoundaryPointError, BregmanMatrixCost, Contract,
+                           Experiment, PosteriorSeparableCost, ShannonCost,
+                           StateTransfer, agent_kkt_residual, apply_transfer,
                            best_response_capacity, best_response_general,
                            best_response_shannon, entropy, evaluate_profile,
                            marginal, posterior_matrix)
@@ -233,3 +235,139 @@ def test_consideration_set_can_collapse():
     sol = best_response_shannon(b, PI)
     assert np.allclose(sol.experiment.conditionals[0], 1.0, atol=1e-9)
     assert sol.cost < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the logit Newton kernel: certificate, ties, and the faults it mends
+
+
+def _logit_gap(payments, pi, cond, temp):
+    """Logit certificate from scratch: g_d = sum_s pi_s w_ds / D_s is 1 on
+    the support and at most 1 off it; returns the worst violation."""
+    z = np.asarray(payments, float) / temp
+    w = np.exp(z - z.max(axis=0, keepdims=True))
+    q = np.asarray(cond) @ pi
+    g = (w * (pi / (q @ w))[None, :]).sum(axis=1)
+    on = q > 0
+    return max(np.max(np.abs(g[on] - 1.0)), np.max(g[~on] - 1.0, initial=0.0))
+
+
+STALL_Y = np.array([[3.3535, 0.0143, 0.6285],
+                    [0.7930, 3.5512, 0.7258],
+                    [0.2264, 0.1985, 5.2075]])
+STALL_PI = np.array([0.4055, 0.3111, 0.2834])
+
+
+def test_capacity_certified_where_a_marginal_decays():
+    # once returned with residual 0.275: a decision whose marginal was still
+    # decaying (2.4e-12) stayed in the support
+    b = Contract([[4.6372, 0.6539, 0.4312, 0.8673, 0.6321],
+                  [0.8103, 4.5148, 0.5437, 0.1963, 0.9961],
+                  [0.2432, 0.2569, 4.7526, 0.2578, 0.7631],
+                  [0.6979, 0.1287, 0.3762, 4.8739, 0.665]])
+    pi = np.array([0.0363, 0.5871, 0.0934, 0.1214, 0.1618])
+    sol = best_response_capacity(b, pi, 0.28599, ShannonCost())
+    assert sol.residual <= 1e-9
+    assert abs(sol.cost - 0.28599) <= 1e-8
+
+
+def test_capacity_certified_on_stall_contract():
+    # once raised NoConvergenceError: the marginal iteration stalled at
+    # a change of 3.1e-10 per step
+    sol = best_response_capacity(Contract(STALL_Y), STALL_PI, 0.0024668, ShannonCost())
+    assert sol.mu > 0
+    assert abs(sol.cost - 0.0024668) <= 1e-8
+    assert sol.residual <= 1e-9
+    assert _logit_gap(STALL_Y, STALL_PI, sol.experiment.conditionals, 1.0 + sol.mu) <= 1e-9
+
+
+def test_capacity_tiny_is_certified():
+    sol = best_response_capacity(Y, PI, 1e-7, ShannonCost())
+    assert sol.residual <= 1e-9
+    assert abs(sol.cost - 1e-7) <= 1e-8
+    assert sol.iterations <= 5
+
+
+@pytest.mark.parametrize("model", [BregmanMatrixCost(), PosteriorSeparableCost("entropy")])
+@pytest.mark.parametrize("capacity", [0.5, 0.2])
+def test_capacity_non_shannon_binds_within_tolerance(model, capacity):
+    # the two-state route once kept its grid contacts whenever the tangency
+    # polish reported slow progress, so the cost jumped in mu and the dual
+    # search ended 2.7e-5 above the capacity
+    sol = best_response_capacity(Y, PI, capacity, model)
+    assert abs(sol.cost - capacity) <= 1e-8
+    shannon = best_response_capacity(Y, PI, capacity, ShannonCost())
+    assert abs(sol.mu - shannon.mu) <= 1e-6
+
+
+def test_logit_newton_steps_are_few():
+    # deterministic work bound: from the uninformed choice one Newton step
+    # solves a two-state contract and none is needed when it is optimal
+    assert best_response_shannon(Y, PI).iterations == 1
+    assert best_response_shannon(Contract([[1.0, 1.0], [0.0, 0.0]]), PI).iterations == 0
+    sol = best_response_shannon(Contract(STALL_Y), STALL_PI, mu=1.0)
+    assert sol.iterations <= 10
+    assert sol.residual <= 1e-9
+
+
+def test_logit_certified_with_rows_paid_almost_alike():
+    # the first two rows differ by 6e-9 and 1.4e-8: without a ridge the
+    # reduced Newton system was singular and the step stalled
+    y = np.array([[3.938566707634426, 1.255895947487855],
+                  [3.9385667137561957, 1.2558959335739086],
+                  [1.655994970348591, 3.613489500604767]])
+    pi = np.array([0.5988272879895673, 0.4011727120104327])
+    mu = 0.6270522534446934
+    sol = best_response_shannon(Contract(y), pi, mu=mu)
+    assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0 + mu) <= 1e-9
+    assert sol.iterations <= 10
+
+
+@st.composite
+def _logit_problems(draw, max_scale=5.0):
+    n_d = draw(st.integers(2, 6))
+    n_s = draw(st.integers(2, 5))
+    cells = st.floats(0.0, max_scale, allow_nan=False)
+    y = np.array(draw(st.lists(cells, min_size=n_d * n_s, max_size=n_d * n_s)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_s, max_size=n_s))
+    pi = np.asarray(weights) / np.sum(weights)
+    return y.reshape(n_d, n_s), pi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_logit_problems(), st.floats(0.0, 50.0))
+def test_logit_certificate_property(problem, mu):
+    y, pi = problem
+    sol = best_response_shannon(Contract(y), pi, mu=mu)
+    assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0 + mu) <= 1e-9
+    assert sol.residual <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_logit_problems(), st.integers(0, 5), st.floats(0.0, 5.0),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+def test_logit_duplicate_rows(problem, pick, mu, offset):
+    # identical rows split their marginal equally; rows paid almost alike
+    # still reach the certificate
+    y, pi = problem
+    copy = pick % (len(y) - 1) + 1
+    y = y.copy()
+    y[copy] = y[0] + offset * np.arange(1, y.shape[1] + 1)
+    sol = best_response_shannon(Contract(y), pi, mu=mu)
+    cond = sol.experiment.conditionals
+    if offset == 0.0:
+        assert np.array_equal(cond[0], cond[copy])
+    assert _logit_gap(y, pi, cond, 1.0 + mu) <= 1e-9
+    assert sol.residual <= 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_logit_problems(max_scale=1.0), st.floats(1e-4, 0.3))
+def test_logit_certificate_where_information_barely_pays(problem, size):
+    # small payments put the uninformed choice near the threshold where a
+    # second decision starts to be worth its information cost
+    y, pi = problem
+    y = size * y
+    sol = best_response_shannon(Contract(y), pi)
+    assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0) <= 1e-9
+    assert sol.residual <= 1e-9

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from infocontracts import cli
 from infocontracts.cli import main
+from infocontracts.errors import NoConvergenceError, NoPatternFoundError
 from infocontracts.problem_io import fmt17
 
 EXAMPLE_PROBLEM = {
@@ -177,3 +179,40 @@ def test_float_formatting_round_trips():
     for _ in range(1000):
         x = float(rng.normal() * 10.0 ** rng.integers(-8, 8))
         assert float(fmt17(x)) == x
+
+
+def _one_error_line(err, label):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {label}: ")
+
+
+def test_out_of_range_exit_code(problem_file, capsys):
+    code = main(["first-best", "--problem", problem_file, "--reservation", "100"])
+    assert code == 3
+    _one_error_line(capsys.readouterr().err, "out of range")
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (NoPatternFoundError, 4, "no binding pattern"),
+    (NoConvergenceError, 5, "no convergence"),
+])
+def test_solver_failure_exit_codes(problem_file, capsys, monkeypatch, error, code, label):
+    def failing(*args, **kwargs):
+        raise error("solver gave up")
+
+    monkeypatch.setattr(cli, "second_best_solve", failing)
+    assert main(["solve-contract", "--problem", problem_file, "--xi", "0.5"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, label)
+
+
+def test_too_large_exit_code(tmp_path, capsys):
+    big = dict(EXAMPLE_PROBLEM, decisions=["a", "b", "c"],
+               output=[[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    code = main(["oracle", "--problem", str(path)])
+    assert code == 6
+    _one_error_line(capsys.readouterr().err, "too large")

@@ -10,6 +10,7 @@ from infocontracts import (Contract, Experiment, InconsistentProfileError,
                            first_best_frontier, gamma_from_duals,
                            gamma_risk_averse, gamma_risk_averse_hw, marginal,
                            second_best_solve, solve_for_reservation)
+from infocontracts.agent import _logit_kernel
 from conftest import comparative_advantage_instance
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
@@ -242,6 +243,49 @@ def test_oracle_size_guards(example):
         brute_force_pareto(big, r=-np.inf)
     with pytest.raises(TooLargeError):
         brute_force_pareto(example, r=-np.inf, grid_n=81)
+
+
+def _oracle_grid(inst, grid_n):
+    axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])
+            for top in inst.output.ravel()]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1).reshape(-1, *inst.output.shape)
+
+
+def test_oracle_kernel_batch_matches_batch_of_one(example):
+    grid = _oracle_grid(example, 9)
+    q, cond, _ = _logit_kernel(grid, example.prior)
+    for i in range(0, len(grid), 7):
+        q1, cond1, _ = _logit_kernel(grid[i:i + 1], example.prior)
+        assert np.max(np.abs(q1[0] - q[i])) <= 1e-12
+        assert np.max(np.abs(cond1[0] - cond[i])) <= 1e-12
+    # the batch-of-one call is the agent's own solver
+    for i in (0, 100, 400, len(grid) - 1):
+        sol = best_response_shannon(Contract(grid[i]), example.prior)
+        assert np.max(np.abs(sol.experiment.conditionals - cond[i])) <= 1e-12
+
+
+def test_oracle_kernel_splits_ties_equally(example):
+    # at b = 0 both decisions pay the same: the marginal splits evenly
+    q, cond, iters = _logit_kernel(np.zeros((3, 2, 2)), example.prior)
+    assert np.array_equal(q, np.full((3, 2), 0.5))
+    assert np.array_equal(cond, np.full((3, 2, 2), 0.5))
+    assert np.all(iters == 0)
+
+
+@pytest.mark.parametrize("target, contract", [
+    ("second-best", [[0.0, 1.0], [0.75, 0.0]]),
+    ("top", [[0.0, 10.0], [5.0, 5.0]]),
+    ("none", [[0.0, 0.0], [0.0, 0.25]]),
+])
+def test_oracle_contracts_unchanged_by_kernel(example, target, contract):
+    # contracts the marginal-iteration oracle returned at grid_n = 21 for
+    # the reservation utilities used above
+    r = {"second-best": second_best_solve(example, 0.0, 1.0).report.agent_utility,
+         "top": best_response_shannon(example.output_contract, example.prior).value - 1e-9,
+         "none": -np.inf}[target]
+    bc, _ = brute_force_pareto(example, r=r, grid_n=21)
+    assert np.array_equal(bc.payments, np.array(contract))
 
 
 def test_kkt_dominates_oracle_on_random_instances():
