@@ -5,9 +5,10 @@ Three routes:
 * `best_response_shannon` -- the logit best response for mutual-information
   costs: the decision marginal q maximizing sum_s pi_s log sum_d q_d w_ds
   (Matejka & McKay 2015), found by `_logit_kernel`, an active-set Newton
-  method that starts at the uninformed choice, drops decisions exactly and
-  stops on the logit certificate; the same kernel solves the grid oracle
-  in `contracts` in one batch (deterministic, no randomness);
+  method that starts at the better of the full-information choice and the
+  best single decision, drops decisions exactly and stops on the logit
+  certificate; the same kernel solves the grid oracle in `contracts` in
+  one batch (deterministic, no randomness);
 * `best_response_capacity` -- wraps the above in a safeguarded secant
   (Illinois) search on the capacity dual mu so the cost constraint just
   binds;
@@ -37,6 +38,9 @@ LOGIT_TOL = 1e-12
 LOGIT_MAX_ITER = 500
 LINE_TOL = 1e-14
 LINE_MAX_ITER = 60
+# largest x = log(1 + mu) the capacity search tries (mu about 1e152), far
+# below log of the largest float, where expm1 overflows
+MAX_LOG_DUAL = 350.0
 _SEGMENT = np.array([1.0, -1.0])
 
 
@@ -59,13 +63,16 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
     `logits` has shape (n, n_d, n_s) and holds b(d, theta) / temperature.
     For each contract, maximizes sum_s pi_s log D_s, D_s = sum_d q_d w_ds,
     over the decision marginal q in the simplex, with w the per-state
-    shifted exp(logits).  Starts at the decision with the best expected
-    payment.  Each iteration admits the decision with the largest g_d once
-    the current support is solved, takes the Newton direction on the face
-    sum q = 1 of the support, searches along it for the maximum (`_line`),
-    and drops a decision exactly when the step reaches q_d = 0.  Stops on
-    the logit certificate g_d = sum_s pi_s w_ds / D_s: |g_d - 1| <= tol on
-    the support and g_d <= 1 + tol off it.
+    shifted exp(logits).  Starts at the better, by this objective, of the
+    full-information choice and the best single decision.  The objective
+    only rises from there, and the full-information choice scores at least
+    sum_s pi_s log pi_s, so no density D_s comes near zero even where
+    weights underflow.  Each iteration admits the decision with the
+    largest g_d once the current support is solved, takes the Newton
+    direction on the face sum q = 1 of the support, searches along it for
+    the maximum (`_line`), and drops a decision exactly when the step
+    reaches q_d = 0.  Stops on the logit certificate g_d = sum_s pi_s w_ds
+    / D_s: |g_d - 1| <= tol on the support and g_d <= 1 + tol off it.
 
     Decisions with identical weight rows solve as one and split its
     marginal equally.  Returns (q, conditionals, iterations), the last
@@ -81,8 +88,17 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
     q_out = np.zeros((n, n_d))
     iters = np.zeros(n, dtype=int)
 
-    q = np.zeros((n, n_d))
-    q[np.arange(n), np.where(lead, z @ pi, -np.inf).argmax(axis=1)] = 1.0
+    # the full-information choice puts each state's prior mass on a
+    # decision paid best there (every D_s >= pi_s); the best vertex, the
+    # decision with the best expected payment, is often optimal outright
+    # when information barely pays
+    best = np.where(lead[:, :, None], w, -1.0).argmax(axis=1)
+    q = (best[:, None, :] == np.arange(n_d)[:, None]) @ pi
+    top = np.where(lead, z @ pi, -np.inf).argmax(axis=1)
+    with np.errstate(divide="ignore"):
+        vertex = np.log(w[np.arange(n), top]) @ pi >= np.log(
+            (q[:, None, :] @ w)[:, 0]) @ pi
+    q[vertex] = np.arange(n_d) == top[vertex, None]
     live = np.arange(n)
     wl, lead_l, support = w, lead, q > 0
     for it in range(max_iter + 1):
@@ -116,13 +132,13 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
 
         if n_d == 2:
             # the face is a segment: its direction, scaled by the line search
-            step = (gap[:, :1] - gap[:, 1:]) * _SEGMENT
+            step = np.sign(gap[:, :1] - gap[:, 1:]) * _SEGMENT
         else:
             # Newton direction on the face sum q = 1, in the coordinates of
             # the support less its largest decision r (whose step is minus the
             # others' sum): M~ step = (g - g_r) with M~_de = M_de - M_dr -
             # M_re + M_rr and M = sum_s pi_s w_ds w_es / D_s^2.  M~ is scaled
-            # by M's diagonal, since a decision just admitted at a vertex can
+            # by M's diagonal, since a decision just admitted to a face can
             # have g_d and M_dd many orders larger than the rest, and gets a
             # 1e-12 ridge: decisions paid almost alike make it singular, and
             # the step then runs along their difference to the boundary,
@@ -131,7 +147,9 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
             hess = (wl * (ratio / dens)[:, None, :]) @ wl.transpose(0, 2, 1)
             free = support.copy()
             free[rows, ref] = False
-            unit = free / np.sqrt(np.diagonal(hess, axis1=1, axis2=2))
+            # (off the support M_dd can underflow to 0)
+            unit = np.divide(1.0, np.sqrt(np.diagonal(hess, axis1=1, axis2=2)),
+                             out=np.zeros_like(q), where=free)
             cross = hess[rows, ref]
             hess = (hess - cross[:, :, None] - cross[:, None, :]
                     + cross[rows, ref][:, None, None])
@@ -256,12 +274,13 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     Returns the unconstrained optimum with mu = 0 when capacity is slack.
     Otherwise the cost falls as the dual mu rises: brackets the crossing
     in x = log(1 + mu) by doubling x from log 2 (at most `max_doublings`
-    times), then runs Illinois regula falsi on log(cost / capacity),
-    bisecting where no information is bought, until the cost is within
-    `cost_tol` of the capacity.  If the bracket closes first, the cost
-    jumps there and the end nearer the capacity is returned.  For
-    non-Shannon posterior-separable models the search runs on the
-    penalized problem with the cost scaled by (1 + mu).
+    times, and never past `MAX_LOG_DUAL`), then runs Illinois regula
+    falsi on log(cost / capacity), bisecting where no information is
+    bought, until the cost is within `cost_tol` of the capacity.  If the
+    bracket closes first, the cost jumps there and the end whose cost is
+    below the capacity is returned.  For non-Shannon posterior-separable
+    models the search runs on the penalized problem with the cost scaled
+    by (1 + mu).
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -293,19 +312,20 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     sol_hi = solve(x_hi)
     n = 0
     while sol_hi.cost >= capacity:
+        if n >= max_doublings or x_hi >= MAX_LOG_DUAL:
+            raise NoConvergenceError("capacity dual bracket not found")
         x_lo, sol_lo, f_lo = x_hi, sol_hi, excess(sol_hi)
-        x_hi *= 2.0
+        x_hi = min(2.0 * x_hi, MAX_LOG_DUAL)
         sol_hi = solve(x_hi)
         n += 1
-        if n > max_doublings:
-            raise NoConvergenceError("capacity dual bracket not found")
     f_hi = excess(sol_hi)
     sol = sol_hi
     side = 0
     while abs(sol.cost - capacity) >= cost_tol:
         if x_hi - x_lo < 1e-15 * (1.0 + x_hi):
-            # the cost jumps across the closed bracket: return the nearer end
-            return min(sol_lo, sol_hi, key=lambda end: abs(end.cost - capacity))
+            # the cost jumps across the closed bracket: return the end that
+            # keeps within the capacity
+            return sol_hi
         x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
         if not x_lo < x < x_hi:
             x = 0.5 * (x_lo + x_hi)

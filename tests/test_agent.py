@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infocontracts import (BoundaryPointError, BregmanMatrixCost, Contract,
-                           Experiment, PosteriorSeparableCost, ShannonCost,
-                           StateTransfer, agent_kkt_residual, apply_transfer,
+from infocontracts import (AgentSolution, BoundaryPointError,
+                           BregmanMatrixCost, Contract, Experiment,
+                           NoConvergenceError, PosteriorSeparableCost,
+                           ShannonCost, StateTransfer, agent,
+                           agent_kkt_residual, apply_transfer,
                            best_response_capacity, best_response_general,
                            best_response_shannon, entropy, evaluate_profile,
                            marginal, posterior_matrix)
@@ -301,13 +303,58 @@ def test_capacity_non_shannon_binds_within_tolerance(model, capacity):
 
 
 def test_logit_newton_steps_are_few():
-    # deterministic work bound: from the uninformed choice one Newton step
-    # solves a two-state contract and none is needed when it is optimal
+    # deterministic work bound: one Newton step solves a two-state contract
+    # and none is needed when the start is optimal
     assert best_response_shannon(Y, PI).iterations == 1
     assert best_response_shannon(Contract([[1.0, 1.0], [0.0, 0.0]]), PI).iterations == 0
     sol = best_response_shannon(Contract(STALL_Y), STALL_PI, mu=1.0)
     assert sol.iterations <= 10
     assert sol.residual <= 1e-9
+
+
+@pytest.mark.parametrize("y, scale", [
+    ([[0.0, 1000.0], [1000.0, 0.0]], 1.0),
+    ([[0.0, 10.0], [5.0, 5.0]], 0.01),
+])
+def test_logit_certified_where_weights_underflow(y, scale):
+    # logits hundreds apart: started at the decision with the best expected
+    # payment, a density was zero or its ratio overflowed, and the kernel
+    # raised NoConvergenceError after 500 steps of nan
+    pi = np.array([0.6, 0.4])
+    sol = best_response_shannon(Contract(y), pi, scale=scale)
+    cond = sol.experiment.conditionals
+    assert _logit_gap(y, pi, cond, scale) <= 1e-9
+    assert np.allclose(cond, [[0.0, 1.0], [1.0, 0.0]], rtol=0.0, atol=1e-12)
+    assert sol.iterations <= 5
+
+
+def _jumping_solve(jump_mu, low_cost):
+    def solve(b, pi, mu=0.0, scale=1.0):
+        cost = 1.0 if mu < jump_mu else low_cost
+        return AgentSolution(experiment=Experiment(np.eye(2)), mu=mu,
+                             rho=np.zeros(2), value=-cost, cost=cost,
+                             iterations=0, residual=0.0)
+    return solve
+
+
+def test_capacity_jump_returns_the_end_within_capacity(monkeypatch):
+    # the cost jumps from 1.0 to 0.5 at mu = 1, across the capacity 0.8:
+    # the bracket closes there, and the end above the capacity (nearer to
+    # it) was once returned
+    monkeypatch.setattr(agent, "best_response_shannon", _jumping_solve(1.0, 0.5))
+    sol = best_response_capacity(Y, PI, 0.8, ShannonCost())
+    assert sol.cost == 0.5
+    assert abs(sol.mu - 1.0) <= 1e-12
+
+
+def test_capacity_bracket_stays_finite(monkeypatch):
+    # a cost that never falls: the bracket search gives up with
+    # NoConvergenceError however many doublings it is allowed, where
+    # doubling log(1 + mu) past 709 once overflowed
+    monkeypatch.setattr(agent, "best_response_shannon", _jumping_solve(np.inf, 0.0))
+    for doublings in (9, 50):
+        with pytest.raises(NoConvergenceError):
+            best_response_capacity(Y, PI, 0.8, ShannonCost(), max_doublings=doublings)
 
 
 def test_logit_certified_with_rows_paid_almost_alike():
@@ -341,6 +388,17 @@ def test_logit_certificate_property(problem, mu):
     sol = best_response_shannon(Contract(y), pi, mu=mu)
     assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0 + mu) <= 1e-9
     assert sol.residual <= 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_logit_problems(max_scale=3000.0), st.floats(0.0, 50.0))
+def test_logit_certificate_at_large_logits(problem, mu):
+    # payments up to 3000 times the temperature: weights off each state's
+    # best decision underflow (the KKT residual of such an answer is not
+    # finite, since log p(d|theta) is -inf where p underflows)
+    y, pi = problem
+    sol = best_response_shannon(Contract(y), pi, mu=mu)
+    assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0 + mu) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -288,6 +288,23 @@ def test_oracle_contracts_unchanged_by_kernel(example, target, contract):
     assert np.array_equal(bc.payments, np.array(contract))
 
 
+@pytest.mark.parametrize("r, contract", [
+    (-np.inf, [[0.0, 0.5], [0.25, 0.0]]),
+    (1.0, [[0.0, 1.0], [1.25, 0.0]]),
+    (2.5, [[0.0, 0.5], [3.75, 0.0]]),
+])
+def test_oracle_at_small_cost_scale(r, contract):
+    # at scale 0.01 the logits reach 1000 and most weights underflow; the
+    # kernel once raised NoConvergenceError here.  The contracts are those
+    # the marginal-iteration oracle returned at grid_n = 21
+    inst = ProblemInstance(decisions=("d1", "d2"), states=("theta1", "theta2"),
+                           output=[[0.0, 10.0], [5.0, 5.0]], prior=PI,
+                           capacity=0.5, cost_model=ShannonCost(0.01))
+    bc, p = brute_force_pareto(inst, r=r, grid_n=21)
+    assert np.array_equal(bc.payments, np.array(contract))
+    assert np.allclose(p.conditionals, [[0.0, 1.0], [1.0, 0.0]], rtol=0.0, atol=1e-9)
+
+
 def test_kkt_dominates_oracle_on_random_instances():
     # the interior characterization holds where an interior critical point
     # exists; take the lowest such participation weight per instance
