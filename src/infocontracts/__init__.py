@@ -30,9 +30,8 @@ from .model import (Contract, Experiment, Garbling, PayoffReport,
                     ProblemInstance, StateTransfer, apply_transfer,
                     evaluate_profile, garble, is_feasible, marginal,
                     posterior, posterior_matrix, scale)
-from .problem_io import (canonical_json, cost_spec, load_contract,
-                         load_problem, parse_cost, problem_from_dict,
-                         write_matrix_csv)
+from .problem_io import (canonical_json, load_contract, load_problem,
+                         parse_cost, problem_from_dict, write_matrix_csv)
 
 __version__ = "0.1.0"
 

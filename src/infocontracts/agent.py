@@ -9,9 +9,9 @@ Three routes:
   best single decision, drops decisions exactly and stops on the logit
   certificate; the same kernel solves the grid oracle in `contracts` in
   one batch (deterministic, no randomness);
-* `best_response_capacity` -- wraps the above in a safeguarded secant
-  (Illinois) search on the capacity dual mu so the cost constraint just
-  binds;
+* `best_response_capacity` -- wraps the above, or the general route when
+  the model has no `logit_scale`, in a safeguarded secant (Illinois)
+  search on the capacity dual mu so the cost constraint just binds;
 * `best_response_general` -- any posterior-separable cost: concavification
   of the net-utility envelope for two states, entropic mirror ascent per
   state column otherwise.
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import optimize
 
 from . import geometry
-from .costs import ShannonCost
+from .costs import CostModel
 from .errors import BoundaryPointError, NoConvergenceError
 from .model import Contract, Experiment, marginal
 
@@ -245,26 +245,33 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0,
     pi = np.asarray(prior, float)
     temp = scale * (1.0 + mu)
     q, cond, iters = _logit_kernel(b.payments[None] / temp, pi, tol, max_iter)
-    cond = cond[0]
-    active = np.flatnonzero(q[0] > 0)
+    q, cond = q[0], cond[0]
     exp = Experiment(cond)
-    model = ShannonCost(scale)
-    cost = model.value(exp, pi)
+    cost = CostModel("entropy", scale).value(exp, pi)
     e_b = float(np.sum(cond * pi[None, :] * b.payments))
-    residual, rho = _support_residual(b, pi, model, cond, active, mu)
+    residual, rho = _logit_residual(b.payments, pi, temp, q, cond)
     return AgentSolution(experiment=exp, mu=float(mu), rho=rho,
                          value=e_b - cost, cost=cost,
                          iterations=int(iters[0]), residual=residual)
 
 
-def _support_residual(b, pi, model, cond, active, mu):
-    """KKT spread restricted to the active consideration set."""
-    m = cond[active] @ pi
-    grad = model.scale * pi[None, :] * np.log(cond[active] / m[:, None])
-    vals = pi[None, :] * b.payments[active] - (1.0 + mu) * grad
-    residual = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
-    rho = vals.mean(axis=0)
-    return residual, rho
+def _logit_residual(payments, pi, temp, q, cond):
+    """KKT spread on the consideration set q > 0 and the implied rho.
+
+    With z = payments / temp, p(d|theta) = q_d exp(z_d,theta) / D_theta
+    and D_theta = sum_e q_e exp(z_e,theta), the quantity pi b - temp pi
+    log(p(d|theta) / p(d)) is temp pi_theta (log D_theta - log(q_d / p(d))):
+    its spread within a state is temp pi_theta times the spread of
+    log(q_d / p(d)), which stays finite where p(d|theta) underflows to zero
+    on a live decision.
+    """
+    active = q > 0
+    z = payments / temp
+    top = z.max(axis=0)
+    level = temp * pi * (top + np.log(q @ np.exp(z - top)))
+    gap = np.log(q[active] / (cond[active] @ pi))
+    residual = float(temp * np.max(pi) * (gap.max() - gap.min()))
+    return residual, level - temp * pi * gap.mean()
 
 
 def best_response_capacity(b: Contract, prior, capacity, model,
@@ -278,19 +285,19 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     falsi on log(cost / capacity), bisecting where no information is
     bought, until the cost is within `cost_tol` of the capacity.  If the
     bracket closes first, the cost jumps there and the end whose cost is
-    below the capacity is returned.  For non-Shannon posterior-separable
-    models the search runs on the penalized problem with the cost scaled
-    by (1 + mu).
+    below the capacity is returned.  A model with a `logit_scale` takes
+    the logit route at every mu; otherwise the search runs on the
+    penalized problem with the cost scaled by (1 + mu).
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     pi = np.asarray(prior, float)
-    shannon = isinstance(model, ShannonCost)
+    logit_scale = model.logit_scale
 
     def solve(x):
         mu = math.expm1(x)
-        if shannon:
-            return best_response_shannon(b, pi, mu=mu, scale=model.scale)
+        if logit_scale is not None:
+            return best_response_shannon(b, pi, mu=mu, scale=logit_scale)
         sol = best_response_general(b, pi, model.scaled(1.0 + mu))
         cost = model.value(sol.experiment, pi)
         e_b = float(np.sum(sol.experiment.conditionals * pi[None, :] * b.payments))
@@ -389,34 +396,33 @@ def _polish_contacts(b, model, contacts, labels):
     """Newton polish of the two-contact tangency system.
 
     Unknowns are the two contact posteriors; the conditions are equal
-    slopes of the two net utilities and a common tangent line.  Falls back
-    to the grid answer when the solve leaves a residual above 1e-9.  The
-    root finder's own success flag is not the test: with finite-difference
-    slopes it reports slow progress at residuals near 1e-11, and keeping
-    the grid answer there made the solution jump as the cost scale moved.
+    slopes of the two net utilities and a common tangent line, with the
+    slopes from the gradient of the uncertainty function.  Falls back to
+    the grid answer when the solve leaves a residual above 1e-9, leaves
+    (0, 1) or wanders more than 0.01 from the grid contacts.  The root
+    finder's own success flag is not the test: keeping the grid answer
+    wherever it reports slow progress makes the solution jump as the cost
+    scale moves.
     """
-    d1, d2 = labels
-    h = 1e-6
-
-    def net(d, q):
-        post = np.array([1.0 - q, q])
-        return float(b.payments[d] @ post) + model.upsilon(post)
-
-    def dnet(d, q):
-        return (net(d, q + h) - net(d, q - h)) / (2 * h)
+    pay = b.payments[list(labels)]
+    rise = pay[:, 1] - pay[:, 0]
+    along = np.array([-1.0, 1.0])
 
     def eqs(x):
-        q1, q2 = x
-        s1, s2 = dnet(d1, q1), dnet(d2, q2)
-        return [s1 - s2, (net(d1, q1) - s1 * q1) - (net(d2, q2) - s2 * q2)]
+        post = np.column_stack([1.0 - x, x])
+        net = pay[:, 0] + rise * x + model.upsilon(post)
+        slope = rise + model.upsilon_gradient(post) @ along
+        return [slope[0] - slope[1], (net[0] - slope[0] * x[0]) - (net[1] - slope[1] * x[1])]
 
-    try:
-        sol = optimize.root(eqs, list(contacts), method="hybr", tol=1e-12)
-    except Exception:
-        return contacts
-    q = np.sort(sol.x)
-    if np.max(np.abs(eqs(sol.x))) > 1e-9 or np.any(q <= 0) or np.any(q >= 1):
-        return contacts
+    # outside (0, 1) the entropy's slope is nan, which the checks reject
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            sol = optimize.root(eqs, list(contacts), method="hybr", tol=1e-12)
+        except Exception:
+            return contacts
+        q = np.sort(sol.x)
+        if np.any(q <= 0) or np.any(q >= 1) or not np.all(np.abs(eqs(sol.x)) <= 1e-9):
+            return contacts
     if np.max(np.abs(q - np.sort(contacts))) > 0.01:
         # polish wandered off the grid solution; distrust it
         return contacts
@@ -459,10 +465,12 @@ def _general_two_state(b, pi, model, grid):
     e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
     value = e_b - cost
     rho = np.zeros_like(pi)
-    if np.min(exp.conditionals) > 1e-9:
+    if model.logit_scale is not None and np.min(exp.conditionals) > 1e-9:
         residual, rho = agent_kkt_residual(b, pi, model, exp)
     else:
-        # boundary solution: certify through the geometry instead
+        # certify through the geometry: a boundary solution has no
+        # gradient, and a table's kinks leave a KKT spread however exact
+        # the answer
         residual = abs(value + model.upsilon(pi) - conc.value)
     return AgentSolution(experiment=exp, mu=0.0, rho=rho, value=value,
                          cost=cost, iterations=len(curve.grid), residual=float(residual))

@@ -35,7 +35,6 @@ from .agent import best_response_capacity, best_response_shannon, best_response_
 from .contracts import (alpha_prime, alpha_star, brute_force_pareto,
                         first_best_frontier, second_best_solve,
                         solve_for_reservation)
-from .costs import ShannonCost
 from .errors import (MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .geometry import emit_figure_data
@@ -140,9 +139,9 @@ def _cmd_solve_agent(args, parser):
     mu = args.mu or 0.0
     if args.capacity:
         sol = best_response_capacity(b, inst.prior, inst.capacity, inst.cost_model)
-    elif isinstance(inst.cost_model, ShannonCost):
+    elif inst.cost_model.logit_scale is not None:
         sol = best_response_shannon(b, inst.prior, mu=mu,
-                                    scale=inst.cost_model.scale)
+                                    scale=inst.cost_model.logit_scale)
     else:
         model = inst.cost_model.scaled(1.0 + mu) if mu else inst.cost_model
         sol = replace(best_response_general(b, inst.prior, model), mu=mu)

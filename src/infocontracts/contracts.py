@@ -29,7 +29,6 @@ from scipy import optimize
 from .agent import (AgentSolution, _logit_kernel, agent_kkt_residual,
                     best_response_capacity, best_response_general,
                     best_response_shannon)
-from .costs import BregmanMatrixCost, ShannonCost
 from .errors import (InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
@@ -74,17 +73,8 @@ class ContractSolution:
     residual: float
 
 
-def _shannon_scale(model):
-    """Scale factor if the model is of mutual-information form, else None."""
-    if isinstance(model, ShannonCost):
-        return model.scale
-    if isinstance(model, BregmanMatrixCost) and model.name == "inverse_fisher":
-        return model.scale
-    return None
-
-
 def _unconstrained_best_response(b, inst) -> AgentSolution:
-    s = _shannon_scale(inst.cost_model)
+    s = inst.cost_model.logit_scale
     if s is not None:
         return best_response_shannon(b, inst.prior, mu=0.0, scale=s)
     return best_response_general(b, inst.prior, inst.cost_model)
@@ -195,7 +185,7 @@ def _binding_patterns(inst, alpha, max_patterns=512):
 def _gamma_coefficients(model, cond, pi, xi, active):
     """Linear form gamma(d, s) = const(d, s) + sum_a coeff[(d, s), a] lam_a."""
     n_d, n_s = cond.shape
-    s = _shannon_scale(model)
+    s = model.logit_scale
     if s is not None:
         m = cond @ pi
         const = np.zeros((n_d, n_s))
@@ -248,7 +238,7 @@ def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
 def _agent_inverse(inst, cond, refs):
     """Contract consistent with agent optimality at `cond`, normalized to
     pay zero at each state's reference cell."""
-    s = _shannon_scale(inst.cost_model)
+    s = inst.cost_model.logit_scale
     if s is not None:
         m = cond @ inst.prior
         levels = s * np.log(cond / m[:, None])
@@ -261,12 +251,12 @@ def _agent_inverse(inst, cond, refs):
 def _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells):
     """Residual function of the coupled system in logit coordinates.
 
-    Conditionals are floored away from the simplex boundary so the
-    residuals stay finite wherever the root finder wanders; roots of
-    interest are interior, far from the floor.
+    Conditionals are floored at 1e-11 so the residuals stay finite
+    wherever the root finder wanders; roots of interest are interior, far
+    from the floor.
     """
     n_d, n_s = inst.output.shape
-    floor = 1e-11 if _shannon_scale(inst.cost_model) is not None else 5e-5
+    floor = 1e-11
 
     def cond_of(x):
         z = np.zeros((n_d, n_s))
@@ -351,7 +341,7 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
         residual, rho = resid
         tau = beta * pi - xi * rho
         phi = cond * (1.0 - xi) - lam / pi[None, :]
-        s = _shannon_scale(inst.cost_model)
+        s = inst.cost_model.logit_scale
         gamma_hat = None
         if s is not None:
             gamma_hat = s * lam.sum(axis=1) / marginal(exp, pi)
@@ -405,7 +395,7 @@ def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha):
         return None
     if agent_res > 1e-6:
         return None
-    s = _shannon_scale(inst.cost_model)
+    s = inst.cost_model.logit_scale
     if s is not None:
         br = best_response_shannon(b, pi, scale=s)
         if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
@@ -433,7 +423,7 @@ def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
     hess = model.hessian(p, pi)
     phi = cond * (1.0 - xi) - lam / pi[None, :]
     general = (hess @ phi.ravel()).reshape(cond.shape) / pi[None, :]
-    s = _shannon_scale(model)
+    s = model.logit_scale
     if s is not None:
         m = cond @ pi
         reduced = (s * lam.sum(axis=1) / m)[:, None] - s * lam / (cond * pi[None, :])
@@ -517,7 +507,7 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     _, rho = agent_kkt_residual(b, pi, inst.cost_model, p)
     tau = beta * pi - xi * rho
     phi = cond * (1.0 - xi) - lam / pi[None, :]
-    s_sh = _shannon_scale(inst.cost_model)
+    s_sh = inst.cost_model.logit_scale
     gamma_hat = None
     if s_sh is not None:
         gamma_hat = s_sh * lam.sum(axis=1) / marginal(p, pi)
@@ -607,7 +597,7 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
         raise TooLargeError("oracle supports at most 4 payment cells")
     if grid_n > 41:
         raise TooLargeError("oracle grid is capped at 41 points per payment")
-    s = _shannon_scale(inst.cost_model)
+    s = inst.cost_model.logit_scale
     if s is None:
         raise TooLargeError("oracle requires a mutual-information cost model")
     pi = inst.prior
@@ -668,36 +658,21 @@ def gamma_risk_averse(p: Experiment, prior, model, lam, xi, b: Contract,
 
 def gamma_risk_averse_hw(p: Experiment, prior, model, lam, b: Contract,
                          u_prime) -> np.ndarray:
-    """Risk-averse distortion specialized to information-cost-matrix models:
-    same-decision complementarities weighted by (joint - lambda)/u'."""
+    """Risk-averse distortion in information-cost-matrix form:
+    same-decision complementarities k(q)/(q q^T) weighted by
+    (joint - lambda)/u'.  Block d of the cost Hessian is
+    p(d) k(q_d) / (p(.|d) p(.|d)^T), so k(q)/(q q^T) is that block times
+    p(d) / (pi pi^T)."""
     pi = np.asarray(prior, float)
     lam = np.asarray(lam, float)
     cond = p.conditionals
     n_d, n_s = cond.shape
     up = u_prime(b.payments)
-    if isinstance(model, BregmanMatrixCost):
-        k_of = model.info_matrix
-    else:
-        s = _shannon_scale(model)
-        if s is None:
-            raise ValueError("needs an information-cost-matrix model")
-        from .costs import inverse_fisher_matrix
-
-        def k_of(q):
-            return s * inverse_fisher_matrix(q)
-
-    m = cond @ pi
-    gamma = np.zeros((n_d, n_s))
-    for d in range(n_d):
-        q = cond[d] * pi / m[d]
-        k = k_of(q)
-        for s_ in range(n_s):
-            total = 0.0
-            for sp in range(n_s):
-                joint = cond[d, sp] * pi[sp]
-                total += (k[s_, sp] / (q[s_] * q[sp])) * (joint - lam[d, sp]) / up[d, sp]
-            gamma[d, s_] = total
-    return gamma
+    hess = model.hessian(p, pi).reshape(n_d, n_s, n_d, n_s)
+    blocks = hess[np.arange(n_d), :, np.arange(n_d), :]
+    k_qq = blocks * (cond @ pi)[:, None, None] / np.outer(pi, pi)
+    weight = (cond * pi[None, :] - lam) / up
+    return (k_qq @ weight[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)

@@ -1,53 +1,99 @@
-"""Information-cost functions: values, gradients, and Hessians.
+"""Information costs: values, gradients, and Hessians.
 
-Three families, all posterior separable (cost = Upsilon(prior) minus the
-expected Upsilon of the posteriors, for a concave uncertainty function
-Upsilon):
+Every cost is posterior separable: for a concave uncertainty function
+Upsilon on the state simplex,
 
-* `ShannonCost` -- expected reduction in Shannon entropy (mutual
-  information), everything analytic;
-* `BregmanMatrixCost` -- expected Bregman divergence between posterior and
-  prior, parametrized by an information cost matrix k(theta, theta', q)
-  evaluated at posteriors (the Hessian is block diagonal across decisions);
-* `PosteriorSeparableCost` -- a named or gridded uncertainty function,
-  derivatives by central finite differences.
+    c(p) = scale * (Upsilon(prior) - sum_d p(d) Upsilon(posterior_d)).
+
+`CostModel` is defined by its Upsilon, which is either the Shannon entropy
+(the cost is then `scale` times mutual information) or a two-state table
+of points (q, value), q the probability of the second state, linearly
+interpolated.  Value, gradient, and Hessian follow from one formula in
+Upsilon and its gradient and Hessian.  `ShannonCost`, `BregmanMatrixCost`
+(Hebert & Woodford's information cost matrix; the inverse Fisher matrix
+is that of the entropy) and `PosteriorSeparableCost` construct it.
+
+The entropy is special in one respect: the agent's best response is a
+logit rule, and the optimal distortion reduces to a decision-dependent
+transfer.  `CostModel.logit_scale` says whether that holds.
 
 All entropic quantities are in nats.  Gradients of a cost on the product
 of per-state simplexes are identified only up to a per-state constant;
-each model reports its natural representative, and consumers must only
+the gradient reported is the one of mutual information,
+pi(theta) log(p(d|theta) / p(d)) for the entropy, and consumers must only
 rely on within-state differences (which is what the agent's first-order
 condition uses).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryPointError
-from .model import Experiment, Garbling, garble, marginal, posterior_matrix
+from .model import Experiment, Garbling, garble
 
-FD_STEP = 1e-5
 INTERIOR_EPS = 1e-12
 
 
-def entropy(q) -> float:
-    """Shannon entropy in nats with the 0 log 0 = 0 convention."""
+def entropy(q):
+    """Shannon entropy in nats with the 0 log 0 = 0 convention, over the
+    last axis of an array of distributions."""
     q = np.asarray(q, float)
-    mask = q > 0
-    return float(-np.sum(q[mask] * np.log(q[mask])))
+    return -np.sum(q * np.log(np.where(q > 0, q, 1.0)), axis=-1)
 
 
-def cost_shannon(p: Experiment, prior) -> float:
-    """Expected entropy reduction H(prior) - sum_d p(d) H(posterior_d)."""
-    pi = np.asarray(prior, float)
-    m = marginal(p, pi)
-    total = entropy(pi)
-    for d in range(p.n_decisions):
-        if m[d] > 0:
-            total -= m[d] * entropy(p.conditionals[d] * pi / m[d])
-    return max(total, 0.0)
+class _Entropy:
+    """Upsilon = entropy, with its gradient and Hessian in the ambient
+    coordinates, on arrays of posteriors (..., n_s)."""
+
+    __call__ = staticmethod(entropy)
+
+    @staticmethod
+    def grad(q):
+        return -np.log(q) - 1.0
+
+    @staticmethod
+    def hess(q):
+        return -(1.0 / q)[..., None] * np.eye(q.shape[-1])
+
+
+class _Table:
+    """Two-state Upsilon from points (q, value), linearly interpolated in q,
+    the probability of the second state.  Its gradient is the slope of the
+    segment at q (the right one at a knot) and its Hessian is zero."""
+
+    def __init__(self, points):
+        pts = np.asarray(points, float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("grid must be a list of (q, value) pairs")
+        pts = pts[np.argsort(pts[:, 0])]
+        if len(pts) < 2 or np.any(np.diff(pts[:, 0]) <= 0):
+            raise ValueError("grid needs two or more distinct q values")
+        self.q, self.v = pts[:, 0], pts[:, 1]
+        self.slopes = np.diff(self.v) / np.diff(self.q)
+
+    @staticmethod
+    def _second(q):
+        if q.shape[-1] != 2:
+            raise ValueError("gridded uncertainty functions need two states")
+        return q[..., 1]
+
+    def __call__(self, q):
+        return np.interp(self._second(q), self.q, self.v)
+
+    def grad(self, q):
+        x = self._second(q)
+        seg = np.clip(np.searchsorted(self.q, x, side="right") - 1, 0, len(self.slopes) - 1)
+        return np.stack([np.zeros_like(x), self.slopes[seg]], axis=-1)
+
+    def hess(self, q):
+        return np.zeros(q.shape + (2,))
+
+
+_ENTROPY = _Entropy()
 
 
 @dataclass(frozen=True)
@@ -63,20 +109,56 @@ class CostEvaluation:
 
 
 class CostModel:
-    """Base class: a posterior-separable cost with a positive scale factor."""
+    """Posterior-separable cost with uncertainty function `upsilon`, either
+    "entropy" or {"grid": [[q, value], ...]}, times a positive `scale`."""
 
-    scale = 1.0
+    def __init__(self, upsilon="entropy", scale=1.0):
+        if not scale > 0:
+            raise ValueError("scale must be positive")
+        if upsilon == "entropy":
+            self._ups = _ENTROPY
+        elif isinstance(upsilon, dict) and "grid" in upsilon:
+            self._ups = _Table(upsilon["grid"])
+        else:
+            raise ValueError(f"unknown uncertainty function {upsilon!r}")
+        self.spec = upsilon
+        self.scale = float(scale)
 
-    def upsilon(self, q) -> float:
-        """Uncertainty function on the state simplex (concave)."""
-        raise NotImplementedError
+    def __repr__(self):
+        return f"CostModel({self.spec!r}, scale={self.scale})"
+
+    @property
+    def logit_scale(self):
+        """`scale` when Upsilon is the entropy, so that the cost is scaled
+        mutual information and the best response a logit rule; else None."""
+        return self.scale if self._ups is _ENTROPY else None
 
     def scaled(self, factor):
-        """Same cost family with the scale multiplied by `factor`."""
-        raise NotImplementedError
+        """Same uncertainty function with the scale multiplied by `factor`."""
+        if not factor > 0:
+            raise ValueError("scale must be positive")
+        out = copy.copy(self)
+        out.scale = self.scale * factor
+        return out
+
+    def upsilon(self, q):
+        """Scaled uncertainty function over the last axis of `q`."""
+        return self.scale * self._ups(np.asarray(q, float))
+
+    def upsilon_gradient(self, q):
+        """Gradient of `upsilon` in the ambient coordinates of `q`; only its
+        component along the simplex is meaningful."""
+        return self.scale * self._ups.grad(np.asarray(q, float))
 
     def value(self, p: Experiment, prior) -> float:
-        return _posterior_separable_value(self, p.conditionals, np.asarray(prior, float))
+        # the formula extends smoothly off the column simplexes: posteriors
+        # renormalize by construction
+        pi = np.asarray(prior, float)
+        joint = p.conditionals * pi
+        m = joint.sum(axis=1)
+        live = m > 0
+        post = joint[live] / m[live, None]
+        return self.scale * float(self._ups(pi) - m[live] @ self._ups(post))
 
     def _require_interior(self, p: Experiment, eps):
         if np.min(p.conditionals) <= eps:
@@ -85,223 +167,76 @@ class CostModel:
                 "derivatives are undefined at the boundary"
             )
 
-    def gradient(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
-        # Finite differences need room to perturb without leaving [0, 1].
-        self._require_interior(p, max(eps, 2 * FD_STEP))
-        return _fd_gradient(self, p.conditionals, np.asarray(prior, float))
-
-    def hessian(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
-        self._require_interior(p, max(eps, 4 * FD_STEP))
-        return _fd_hessian(self, p.conditionals, np.asarray(prior, float))
-
-
-class ShannonCost(CostModel):
-    """Mutual-information cost, optionally scaled."""
-
-    tag = "shannon"
-
-    def __init__(self, scale=1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
-
-    def __repr__(self):
-        return f"ShannonCost(scale={self.scale})"
-
-    def scaled(self, factor):
-        return ShannonCost(self.scale * factor)
-
-    def upsilon(self, q) -> float:
-        return self.scale * entropy(q)
-
-    def value(self, p: Experiment, prior) -> float:
-        return self.scale * cost_shannon(p, prior)
+    def _slope(self, q):
+        # derivative of the perspective -m Upsilon(x / m) in the joint
+        # x = m q: q . grad Upsilon(q) - d_s Upsilon(q) - Upsilon(q)
+        g = self._ups.grad(q)
+        return np.sum(q * g, axis=-1, keepdims=True) - g - self._ups(q)[..., None]
 
     def gradient(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
+        """dc/dp(d|theta), less the per-state constant that makes it the
+        mutual-information gradient for the entropy."""
         self._require_interior(p, eps)
         pi = np.asarray(prior, float)
-        m = marginal(p, pi)
-        return self.scale * pi[None, :] * np.log(p.conditionals / m[:, None])
+        joint = p.conditionals * pi
+        post = joint / joint.sum(axis=1, keepdims=True)
+        return self.scale * pi * (self._slope(post) - self._slope(pi))
 
     def hessian(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
+        """Dense Hessian over (d, theta) pairs, block diagonal across
+        decisions: block d is -scale pi pi^T / p(d) times P^T H P, with H
+        the Hessian of Upsilon at posterior q_d and P = I - q_d 1^T."""
         self._require_interior(p, eps)
         pi = np.asarray(prior, float)
-        m = marginal(p, pi)
-        n_d, n_s = p.conditionals.shape
-        h = np.zeros((n_d * n_s, n_d * n_s))
-        for d in range(n_d):
-            block = -np.outer(pi, pi) / m[d]
-            block[np.diag_indices(n_s)] += pi / p.conditionals[d]
-            h[d * n_s:(d + 1) * n_s, d * n_s:(d + 1) * n_s] = self.scale * block
-        return h
+        cond = p.conditionals
+        n_d, n_s = cond.shape
+        joint = cond * pi
+        m = joint.sum(axis=1)
+        post = joint / m[:, None]
+        h = self._ups.hess(post)
+        hq = (h @ post[:, :, None])[:, :, 0]
+        qhq = np.sum(hq * post, axis=1)
+        proj = h - hq[:, :, None] - hq[:, None, :] + qhq[:, None, None]
+        blocks = -self.scale * np.outer(pi, pi) / m[:, None, None] * proj
+        out = np.zeros((n_d, n_s, n_d, n_s))
+        out[np.arange(n_d), :, np.arange(n_d), :] = blocks
+        return out.reshape(n_d * n_s, n_d * n_s)
+
+
+def ShannonCost(scale=1.0) -> CostModel:
+    """Mutual-information cost, optionally scaled: Upsilon is the entropy."""
+    return CostModel("entropy", scale)
+
+
+def BregmanMatrixCost(name="inverse_fisher", scale=1.0) -> CostModel:
+    """Expected Bregman divergence cost of an information cost matrix.
+
+    The one matrix supported, the inverse Fisher matrix diag(q) - q q^T,
+    is that of the entropy, so this is the mutual-information cost.
+    """
+    if name.removeprefix("named:") != "inverse_fisher":
+        raise ValueError(f"unknown information cost matrix {name!r}")
+    return CostModel("entropy", scale)
+
+
+def PosteriorSeparableCost(upsilon="entropy", scale=1.0) -> CostModel:
+    """Cost from a named ("entropy") or gridded uncertainty function.
+
+    Gridded tables are supported for two states only: points (q, value)
+    where q is the probability of the second state, linearly interpolated.
+    """
+    return CostModel(upsilon, scale)
+
+
+def cost_shannon(p: Experiment, prior) -> float:
+    """Expected entropy reduction H(prior) - sum_d p(d) H(posterior_d)."""
+    return CostModel().value(p, prior)
 
 
 def inverse_fisher_matrix(q) -> np.ndarray:
     """Information cost matrix diag(q) - q q^T (symmetric, PSD, rows sum to 0)."""
     q = np.asarray(q, float)
     return np.diag(q) - np.outer(q, q)
-
-
-def _kl(q, pi):
-    q = np.asarray(q, float)
-    mask = q > 0
-    return float(np.sum(q[mask] * np.log(q[mask] / pi[mask])))
-
-
-def _kl_grad(q, pi):
-    return np.log(np.asarray(q, float) / pi) + 1.0
-
-
-# name -> (k matrix at a posterior, divergence D(q||pi), gradient of D in q,
-# closed-form Upsilon).  The divergence gradient may be None, in which case
-# the cost gradient falls back to finite differences.
-BREGMAN_REGISTRY = {
-    "inverse_fisher": (inverse_fisher_matrix, _kl, _kl_grad, entropy),
-}
-
-
-class BregmanMatrixCost(CostModel):
-    """Expected Bregman divergence cost driven by an information cost matrix."""
-
-    tag = "bregman"
-
-    def __init__(self, name="inverse_fisher", scale=1.0):
-        key = name.removeprefix("named:")
-        if key not in BREGMAN_REGISTRY:
-            raise ValueError(f"unknown information cost matrix {name!r}")
-        self.name = key
-        self.scale = float(scale)
-        self._k, self._div, self._div_grad, self._ups = BREGMAN_REGISTRY[key]
-
-    def __repr__(self):
-        return f"BregmanMatrixCost({self.name!r}, scale={self.scale})"
-
-    def scaled(self, factor):
-        return BregmanMatrixCost(self.name, self.scale * factor)
-
-    def info_matrix(self, q) -> np.ndarray:
-        """k(theta, theta', q) evaluated at a posterior q, including scale."""
-        return self.scale * self._k(q)
-
-    def upsilon(self, q) -> float:
-        return self.scale * self._ups(q)
-
-    def value(self, p: Experiment, prior) -> float:
-        pi = np.asarray(prior, float)
-        m = marginal(p, pi)
-        total = 0.0
-        for d in range(p.n_decisions):
-            if m[d] > 0:
-                total += m[d] * self._div(p.conditionals[d] * pi / m[d], pi)
-        return self.scale * total
-
-    def gradient(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
-        if self._div_grad is None:
-            return super().gradient(p, prior, eps)
-        self._require_interior(p, eps)
-        pi = np.asarray(prior, float)
-        q = posterior_matrix(p, pi)
-        g = np.empty_like(p.conditionals)
-        for d in range(p.n_decisions):
-            dv = self._div(q[d], pi)
-            dg = self._div_grad(q[d], pi)
-            g[d] = pi * (dv + dg - q[d] @ dg)
-        return self.scale * g
-
-    def hessian(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
-        self._require_interior(p, eps)
-        pi = np.asarray(prior, float)
-        m = marginal(p, pi)
-        q = posterior_matrix(p, pi)
-        n_d, n_s = p.conditionals.shape
-        h = np.zeros((n_d * n_s, n_d * n_s))
-        for d in range(n_d):
-            k = self._k(q[d])
-            block = m[d] * k / np.outer(p.conditionals[d], p.conditionals[d])
-            h[d * n_s:(d + 1) * n_s, d * n_s:(d + 1) * n_s] = self.scale * block
-        return h
-
-
-class PosteriorSeparableCost(CostModel):
-    """Cost from a named or gridded uncertainty function.
-
-    Gridded tables are supported for two states only: points (q, value)
-    where q is the probability of the second state, linearly interpolated.
-    """
-
-    tag = "posterior_separable"
-
-    def __init__(self, upsilon="entropy", scale=1.0):
-        self.spec = upsilon
-        self.scale = float(scale)
-        if upsilon == "entropy":
-            self._ups = entropy
-            self._grid = None
-        elif isinstance(upsilon, dict) and "grid" in upsilon:
-            pts = np.asarray(upsilon["grid"], float)
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError("grid must be a list of (q, value) pairs")
-            order = np.argsort(pts[:, 0])
-            self._grid = (pts[order, 0].copy(), pts[order, 1].copy())
-            self._ups = None
-        else:
-            raise ValueError(f"unknown uncertainty function {upsilon!r}")
-
-    def __repr__(self):
-        return f"PosteriorSeparableCost({self.spec!r}, scale={self.scale})"
-
-    def scaled(self, factor):
-        return PosteriorSeparableCost(self.spec, self.scale * factor)
-
-    def upsilon(self, q) -> float:
-        q = np.asarray(q, float)
-        if self._grid is not None:
-            if len(q) != 2:
-                raise ValueError("gridded uncertainty functions need two states")
-            return self.scale * float(np.interp(q[1], *self._grid))
-        return self.scale * self._ups(q)
-
-
-def _posterior_separable_value(model, cond, pi):
-    # The formula extends smoothly off the column simplexes: posteriors
-    # renormalize by construction, which is what makes ambient finite
-    # differences of the value well defined.
-    m = cond @ pi
-    total = model.upsilon(pi)
-    for d in range(cond.shape[0]):
-        if m[d] > 0:
-            total -= m[d] * model.upsilon(cond[d] * pi / m[d])
-    return total
-
-
-def _fd_gradient(model, cond, pi, h=FD_STEP):
-    g = np.empty_like(cond)
-    for d in range(cond.shape[0]):
-        for s in range(cond.shape[1]):
-            up = cond.copy()
-            dn = cond.copy()
-            up[d, s] += h
-            dn[d, s] -= h
-            g[d, s] = (
-                _posterior_separable_value(model, up, pi)
-                - _posterior_separable_value(model, dn, pi)
-            ) / (2 * h)
-    return g
-
-
-def _fd_hessian(model, cond, pi, h=FD_STEP):
-    n = cond.size
-    hess = np.empty((n, n))
-    for j in range(n):
-        d, s = divmod(j, cond.shape[1])
-        up = cond.copy()
-        dn = cond.copy()
-        up[d, s] += h
-        dn[d, s] -= h
-        g_up = _fd_gradient(model, up, pi, h)
-        g_dn = _fd_gradient(model, dn, pi, h)
-        hess[:, j] = ((g_up - g_dn) / (2 * h)).ravel()
-    return 0.5 * (hess + hess.T)
 
 
 def cost_value(model: CostModel, p: Experiment, prior) -> float:

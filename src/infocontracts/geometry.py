@@ -77,7 +77,7 @@ def net_utility_curve(b: Contract, model, grid=None, mu=0.0) -> EnvelopeCurve:
     how a binding capacity constraint enters the geometry.
     """
     base = reduced_form_curve(b, grid)
-    ups = np.array([model.upsilon(np.array([1.0 - q, q])) for q in base.grid])
+    ups = model.upsilon(np.column_stack([1.0 - base.grid, base.grid]))
     return EnvelopeCurve(grid=base.grid, values=base.values + (1.0 + mu) * ups,
                          pieces=base.pieces)
 

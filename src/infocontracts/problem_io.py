@@ -39,17 +39,6 @@ def parse_cost(spec, pointer="/cost"):
     raise MalformedProblemError(f"{pointer}/type", f"unknown cost type {kind!r}")
 
 
-def cost_spec(model) -> dict:
-    """Inverse of `parse_cost` for echoing configuration."""
-    if isinstance(model, ShannonCost):
-        return {"type": "shannon", "scale": model.scale}
-    if isinstance(model, BregmanMatrixCost):
-        return {"type": "bregman", "matrix": model.name, "scale": model.scale}
-    if isinstance(model, PosteriorSeparableCost):
-        return {"type": "posterior_separable", "upsilon": model.spec, "scale": model.scale}
-    raise TypeError(f"unknown cost model {model!r}")
-
-
 def problem_from_dict(data) -> ProblemInstance:
     """Validated ProblemInstance from a decoded JSON object."""
     if not isinstance(data, dict):

@@ -64,8 +64,9 @@ def test_capacity_tiny_gives_uninformative():
 
 
 def test_capacity_non_shannon_model_matches():
-    # the penalized generic route must land on the Shannon solution
-    # (accuracy limited by the posterior-grid resolution)
+    # the generic entropy cost lands on the Shannon solution (it once took
+    # the penalized general route, accurate to the posterior grid; it now
+    # takes the logit route)
     shan = best_response_capacity(Y, PI, 0.5, ShannonCost())
     gen = best_response_capacity(Y, PI, 0.5, PosteriorSeparableCost("entropy"))
     assert abs(gen.cost - 0.5) < 1e-4
@@ -295,7 +296,8 @@ def test_capacity_tiny_is_certified():
 def test_capacity_non_shannon_binds_within_tolerance(model, capacity):
     # the two-state route once kept its grid contacts whenever the tangency
     # polish reported slow progress, so the cost jumped in mu and the dual
-    # search ended 2.7e-5 above the capacity
+    # search ended 2.7e-5 above the capacity; both models now take the
+    # logit route, and a gridded table keeps the penalized route covered
     sol = best_response_capacity(Y, PI, capacity, model)
     assert abs(sol.cost - capacity) <= 1e-8
     shannon = best_response_capacity(Y, PI, capacity, ShannonCost())
@@ -394,11 +396,12 @@ def test_logit_certificate_property(problem, mu):
 @given(_logit_problems(max_scale=3000.0), st.floats(0.0, 50.0))
 def test_logit_certificate_at_large_logits(problem, mu):
     # payments up to 3000 times the temperature: weights off each state's
-    # best decision underflow (the KKT residual of such an answer is not
-    # finite, since log p(d|theta) is -inf where p underflows)
+    # best decision underflow (the KKT residual of such an answer once read
+    # inf, since it took log p(d|theta) where p underflows)
     y, pi = problem
     sol = best_response_shannon(Contract(y), pi, mu=mu)
     assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0 + mu) <= 1e-9
+    assert sol.residual <= 1e-9
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -429,3 +432,88 @@ def test_logit_certificate_where_information_barely_pays(problem, size):
     sol = best_response_shannon(Contract(y), pi)
     assert _logit_gap(y, pi, sol.experiment.conditionals, 1.0) <= 1e-9
     assert sol.residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one cost core: the three constructors of the entropy cost are one model
+
+
+ENTROPY_MODELS = (lambda scale=1.0: ShannonCost(scale=scale),
+                  lambda scale=1.0: BregmanMatrixCost(scale=scale),
+                  lambda scale=1.0: PosteriorSeparableCost("entropy", scale=scale))
+
+
+@st.composite
+def _general_problems(draw):
+    n_d = draw(st.integers(3, 6))
+    n_s = draw(st.integers(3, 5))
+    cells = st.floats(0.0, 5.0, allow_nan=False)
+    y = np.array(draw(st.lists(cells, min_size=n_d * n_s, max_size=n_d * n_s)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_s, max_size=n_s))
+    return y.reshape(n_d, n_s), np.asarray(weights) / np.sum(weights)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_general_problems())
+def test_entropy_constructors_agree_in_the_general_solver(problem):
+    # the generic entropy cost once raised BoundaryPointError here: its
+    # finite-difference gradient needed 2e-5 of room from the boundary
+    y, pi = problem
+    b = Contract(y)
+    sols = [best_response_general(b, pi, make()) for make in ENTROPY_MODELS]
+    logit = best_response_shannon(b, pi)
+    for sol in sols:
+        assert np.array_equal(sol.experiment.conditionals, sols[0].experiment.conditionals)
+        assert sol.residual < 1e-8
+        assert abs(sol.value - logit.value) < 1e-7
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_logit_problems(), st.floats(0.05, 0.95), st.floats(0.2, 3.0))
+def test_entropy_constructors_agree_under_capacity(problem, share, scale):
+    y, pi = problem
+    b = Contract(y[:2, :2])
+    pi = pi[:2] / pi[:2].sum()
+    free = best_response_shannon(b, pi, scale=scale)
+    capacity = max(share * free.cost, 1e-6)
+    sols = [best_response_capacity(b, pi, capacity, make(scale)) for make in ENTROPY_MODELS]
+    for sol in sols:
+        assert np.array_equal(sol.experiment.conditionals, sols[0].experiment.conditionals)
+        assert sol.mu == sols[0].mu
+        assert sol.cost <= capacity + 1e-8
+        assert sol.residual <= 1e-9
+
+
+def test_capacity_under_a_gridded_upsilon_keeps_within_capacity():
+    # a table has no logit scale: the capacity search runs on the penalized
+    # general route, whose cost jumps in mu between grid experiments
+    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                             for q in np.linspace(0.0, 1.0, 201)]})
+    assert table.logit_scale is None
+    free = best_response_general(Y, PI, table)
+    for share in (0.2, 0.6):
+        sol = best_response_capacity(Y, PI, share * free.cost, table)
+        assert sol.mu > 0
+        assert sol.cost <= share * free.cost + 1e-12
+        assert sol.cost >= 0.9 * share * free.cost
+
+
+def test_gridded_two_state_route_reports_the_envelope_residual():
+    # the KKT spread of this answer was 1.1e-2: it cannot vanish at the
+    # kinks of a piecewise-linear uncertainty function
+    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                             for q in np.linspace(0.0, 1.0, 201)]})
+    sol = best_response_general(Y, PI, table.scaled(3.0))
+    assert sol.residual <= 1e-7
+    curve_best = max(_pairwise_value_oracle(Y, PI, table.scaled(3.0), n=2001), sol.value)
+    assert sol.value >= curve_best - 1e-6
+
+
+def test_residual_finite_where_a_live_conditional_underflows():
+    # at cost scale 0.001 a live decision's p(d|theta) underflows to 0; the
+    # residual once read inf, from log p
+    sol = best_response_shannon(Y, PI, scale=0.001)
+    assert np.min(sol.experiment.conditionals) == 0.0
+    assert np.all(sol.experiment.conditionals @ PI > 0)
+    assert sol.residual <= 1e-9
+    assert np.all(np.isfinite(sol.rho))

@@ -216,3 +216,45 @@ def test_too_large_exit_code(tmp_path, capsys):
     code = main(["oracle", "--problem", str(path)])
     assert code == 6
     _one_error_line(capsys.readouterr().err, "too large")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_solve_agent_output_is_json_where_a_conditional_underflows(tmp_path, contract_file,
+                                                                   capsys):
+    # at cost scale 0.001 a live p(d|theta) underflows to 0: the residual
+    # was printed as Infinity, which no JSON parser accepts
+    problem = dict(EXAMPLE_PROBLEM, cost={"type": "shannon", "scale": 0.001})
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve-agent", "--problem", str(path), "--contract", contract_file]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["residual"] <= 1e-9
+
+
+GRIDDED_PROBLEM = dict(EXAMPLE_PROBLEM, cost={
+    "type": "posterior_separable",
+    "upsilon": {"grid": [[q, 2.0 * q * (1.0 - q)] for q in np.linspace(0.0, 1.0, 201)]},
+})
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha-prime"],
+    ["first-best", "--reservation", "3"],
+    ["solve-contract", "--xi", "0.5"],
+])
+def test_gridded_upsilon_commands_exit_cleanly(tmp_path, capsys, argv):
+    # each of these once ended in a BoundaryPointError traceback (exit 1):
+    # the finite-difference gradient needed 2e-5 of room from the boundary
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(GRIDDED_PROBLEM))
+    code = main([argv[0], "--problem", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code in (0, *(typed for typed, _ in cli.SOLVER_EXITS.values()))
+    if code == 0:
+        json.loads(captured.out, parse_constant=_reject_constant)
+    else:
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from infocontracts import (Contract, Experiment, InconsistentProfileError,
+from infocontracts import (BregmanMatrixCost, Contract, CostModel,
+                           Experiment, InconsistentProfileError,
                            NoPatternFoundError, OutOfRangeError,
-                           ProblemInstance, ShannonCost, TooLargeError,
+                           PosteriorSeparableCost, ProblemInstance,
+                           ShannonCost, TooLargeError,
                            alpha_prime, alpha_star, best_response_capacity,
                            best_response_shannon, brute_force_pareto,
                            debt_equity_split, decompose, evaluate_profile,
@@ -447,3 +449,47 @@ def test_no_pattern_for_dominant_decision_instance():
                            ShannonCost())
     with pytest.raises(NoPatternFoundError):
         second_best_solve(inst, xi=0.0, alpha=1.0)
+
+
+# ---------------------------------------------------------------------------
+# one cost core: every constructor of the entropy cost takes the logit route,
+# and the generic Hessian route reaches the same contracts
+
+
+class _GenericEntropy(CostModel):
+    """The entropy cost with the logit route turned off, so the contract
+    layer uses the cost gradient and Hessian."""
+
+    logit_scale = None
+
+
+def _example_with(model):
+    return ProblemInstance(("d1", "d2"), ("theta1", "theta2"),
+                           [[0.0, 10.0], [5.0, 5.0]], [2.0 / 3.0, 1.0 / 3.0],
+                           0.5, model)
+
+
+XI_TABLE = (0.0, 0.25, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("xi", XI_TABLE)
+def test_second_best_same_for_every_entropy_constructor(example, xi):
+    # the generic entropy cost once raised NoPatternFoundError at xi = 0.25
+    # after 3.8 s
+    ref = second_best_solve(example, xi, 1.0)
+    for model in (BregmanMatrixCost(), PosteriorSeparableCost("entropy")):
+        sol = second_best_solve(_example_with(model), xi, 1.0)
+        assert np.array_equal(sol.contract.payments, ref.contract.payments)
+        assert np.array_equal(sol.decomposition.gamma_hat, ref.decomposition.gamma_hat)
+
+
+@pytest.mark.parametrize("xi", XI_TABLE)
+def test_second_best_generic_route_matches_logit_route(example, xi):
+    ref = second_best_solve(example, xi, 1.0)
+    sol = second_best_solve(_example_with(_GenericEntropy()), xi, 1.0)
+    assert sol.pattern == ref.pattern
+    assert sol.decomposition.gamma_hat is None
+    assert np.max(np.abs(sol.contract.payments - ref.contract.payments)) < 1e-8
+    assert np.max(np.abs(sol.experiment.conditionals - ref.experiment.conditionals)) < 1e-8
+    assert np.max(np.abs(sol.decomposition.gamma - ref.decomposition.gamma)) < 1e-8
+    assert sol.residual < 1e-6

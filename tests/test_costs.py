@@ -5,7 +5,7 @@ from infocontracts import (BoundaryPointError, BregmanMatrixCost, Experiment,
                            Garbling, PosteriorSeparableCost, ShannonCost,
                            check_blackwell_monotone, cost_grad_hess,
                            cost_shannon, cost_value, entropy,
-                           inverse_fisher_matrix)
+                           inverse_fisher_matrix, posterior_matrix)
 from conftest import random_experiment, random_prior
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
@@ -237,3 +237,83 @@ def test_scaled_models():
     pi = random_prior(rng, 2)
     for model in (ShannonCost(), BregmanMatrixCost(), PosteriorSeparableCost()):
         assert abs(model.scaled(2.5).value(p, pi) - 2.5 * model.value(p, pi)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one cost core: the analytic derivatives of both kinds of uncertainty
+# function against finite differences, which live only here
+
+QUAD_TABLE = {"grid": [[q, 2.0 * q * (1.0 - q)] for q in np.linspace(0.0, 1.0, 11)]}
+
+
+def _fd_gradient_of_value(model, p, pi, h=1e-6):
+    cond = p.conditionals
+    out = np.empty_like(cond)
+    for d in range(cond.shape[0]):
+        for s in range(cond.shape[1]):
+            up = cond.copy()
+            dn = cond.copy()
+            up[d, s] += h
+            dn[d, s] -= h
+            out[d, s] = (model.value(_raw(up), pi) - model.value(_raw(dn), pi)) / (2 * h)
+    return out
+
+
+def _away_from_knots(model, p, pi, room=1e-3):
+    # a table's derivatives jump at its knots, where differences straddle two
+    # segments; posteriors here hold the second state's probability
+    post = posterior_matrix(p, pi)[:, 1]
+    knots = np.asarray(model.spec["grid"])[:, 0]
+    return np.min(np.abs(post[:, None] - knots[None, :])) > room
+
+
+@pytest.mark.parametrize("model, n_s", [(ShannonCost(scale=1.7), 2),
+                                        (PosteriorSeparableCost("entropy"), 4),
+                                        (PosteriorSeparableCost(QUAD_TABLE, scale=0.6), 2)])
+def test_analytic_derivatives_match_finite_differences(model, n_s):
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(40):
+        p = Experiment(random_experiment(rng, 3, n_s, interior=0.2))
+        pi = random_prior(rng, n_s, low=0.3)
+        if model.logit_scale is None and not _away_from_knots(model, p, pi):
+            continue
+        grad = model.gradient(p, pi)
+        fd = _fd_gradient_of_value(model, p, pi)
+        # the gradient is defined up to a per-state constant
+        assert np.max(np.abs((grad - grad[0]) - (fd - fd[0]))) < 1e-7
+        assert np.max(np.abs(model.hessian(p, pi) - _fd_hessian_of_gradient(model, p, pi))) < 1e-5
+        checked += 1
+    assert checked >= 10
+
+
+def test_table_hessian_vanishes_and_entropy_is_exact():
+    rng = np.random.default_rng(14)
+    p = Experiment(random_experiment(rng, 3, 2, interior=0.2))
+    pi = random_prior(rng, 2, low=0.3)
+    assert np.all(PosteriorSeparableCost(QUAD_TABLE).hessian(p, pi) == 0.0)
+    # the three constructors of the entropy cost give one model
+    ref = ShannonCost()
+    for model in (BregmanMatrixCost(), PosteriorSeparableCost("entropy")):
+        assert model.value(p, pi) == ref.value(p, pi)
+        assert np.array_equal(model.gradient(p, pi), ref.gradient(p, pi))
+        assert np.array_equal(model.hessian(p, pi), ref.hessian(p, pi))
+
+
+def test_logit_scale_only_for_the_entropy():
+    assert ShannonCost(2.0).logit_scale == 2.0
+    assert BregmanMatrixCost(scale=0.5).logit_scale == 0.5
+    assert PosteriorSeparableCost("entropy").scaled(3.0).logit_scale == 3.0
+    assert PosteriorSeparableCost(QUAD_TABLE).logit_scale is None
+    with pytest.raises(ValueError):
+        BregmanMatrixCost("mystery")
+    with pytest.raises(ValueError):
+        PosteriorSeparableCost({"grid": [[0.5, 0.1], [0.5, 0.2]]})
+
+
+def test_upsilon_acts_on_arrays_of_posteriors():
+    rng = np.random.default_rng(15)
+    posts = rng.dirichlet(np.ones(2), size=(4, 5))
+    for model in (ShannonCost(1.3), PosteriorSeparableCost(QUAD_TABLE)):
+        loop = np.array([[model.upsilon(q) for q in row] for row in posts])
+        assert np.array_equal(model.upsilon(posts), loop)

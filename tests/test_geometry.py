@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from infocontracts import (Contract, DegeneratePriorError, EnvelopeCurve,
-                           ProblemInstance, ShannonCost, best_response_capacity,
+                           PosteriorSeparableCost, ProblemInstance,
+                           ShannonCost, best_response_capacity,
                            best_response_shannon, concavify, default_grid,
                            emit_figure_data, entropy, net_utility_curve,
                            posterior_matrix, reduced_form, reduced_form_curve,
@@ -196,3 +197,16 @@ def test_optimal_contract_chords_coincide(example):
     slope_pay = chord(sol.contract.payments)
     slope_out = chord(example.output - beta[None, :])
     assert abs(slope_pay - slope_out) < 0.02
+
+
+@pytest.mark.parametrize("model", [
+    ShannonCost(1.3),
+    PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)] for q in np.linspace(0, 1, 21)]}),
+])
+def test_net_utility_curve_matches_pointwise_upsilon(model):
+    # one call on the whole grid replaced a call per grid point
+    grid = default_grid(501)
+    curve = net_utility_curve(FIG1_CONTRACT, model, grid=grid, mu=0.4)
+    loop = np.array([model.upsilon(np.array([1.0 - q, q])) for q in grid])
+    base = reduced_form_curve(FIG1_CONTRACT, grid)
+    assert np.array_equal(curve.values, base.values + 1.4 * loop)
