@@ -13,8 +13,9 @@ Three routes:
   the model has no `logit_scale`, in a safeguarded secant (Illinois)
   search on the capacity dual mu so the cost constraint just binds;
 * `best_response_general` -- any posterior-separable cost: concavification
-  of the net-utility envelope for two states, entropic mirror ascent per
-  state column otherwise.
+  of the net-utility envelope for two states; for more states the logit
+  kernel when the model has a `logit_scale`, else entropic mirror ascent
+  per state column.
 
 `agent_kkt_residual` certifies a candidate experiment: within each state
 the quantity pi(theta) b(d,theta) - dc/dp(d|theta) must be constant across
@@ -435,13 +436,17 @@ def best_response_general(b: Contract, prior, model, grid=None,
 
     Two states: concavify the net-utility envelope at the prior and map
     the contact posteriors back to an experiment (with a Newton polish of
-    the contact locations).  More states: entropic mirror ascent on each
-    state column with step halving until the KKT residual drops below
-    `tol`.
+    the contact locations).  More states: Upsilon can only be the entropy
+    (a table is two-state), so a model with a `logit_scale` takes the
+    exact logit kernel; any other model takes entropic mirror ascent on
+    each state column with step halving until the KKT residual drops
+    below `tol`.
     """
     pi = np.asarray(prior, float)
     if b.n_states == 2:
         return _general_two_state(b, pi, model, grid)
+    if model.logit_scale is not None:
+        return best_response_shannon(b, pi, scale=model.logit_scale)
     return _mirror_ascent(b, pi, model, tol, max_iter)
 
 

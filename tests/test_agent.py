@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infocontracts import (AgentSolution, BoundaryPointError,
-                           BregmanMatrixCost, Contract, Experiment,
+                           BregmanMatrixCost, Contract, CostModel, Experiment,
                            NoConvergenceError, PosteriorSeparableCost,
                            ShannonCost, StateTransfer, agent,
                            agent_kkt_residual, apply_transfer,
@@ -213,12 +213,19 @@ def test_general_solver_matches_pairwise_oracle():
         assert abs(sol.value - oracle) < 1e-4
 
 
+class _GenericEntropy(CostModel):
+    """The entropy cost with the logit route turned off, so that more than
+    two states take mirror ascent."""
+
+    logit_scale = None
+
+
 @pytest.mark.parametrize("seed", [4, 6, 15])
 def test_general_solver_three_states_mirror_ascent(seed):
     rng = np.random.default_rng(seed)
     b = Contract(rng.uniform(0, 3, size=(2, 3)))
     pi = random_prior(rng, 3)
-    model = ShannonCost()
+    model = _GenericEntropy()
     sol = best_response_general(b, pi, model, tol=1e-8)
     assert sol.residual < 1e-8
     logit = best_response_shannon(b, pi)
