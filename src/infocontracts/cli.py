@@ -10,7 +10,8 @@ codes:
 * 2 usage error;
 * 3 requested utility outside the achievable range (`OutOfRangeError`);
 * 4 no sign-consistent binding pattern (`NoPatternFoundError`);
-* 5 an iterative solver did not converge (`NoConvergenceError`);
+* 5 an iterative solver did not converge (`NoConvergenceError`), which
+  includes a reservation search whose agent utility misses the target;
 * 6 problem too large for the grid oracle (`TooLargeError`);
 * 65 malformed problem/contract file;
 * 66 missing file.
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import reproduce as repro
 from .agent import best_response_capacity, best_response_shannon, best_response_general
-from .contracts import (alpha_prime, alpha_star, brute_force_pareto,
-                        first_best_frontier, second_best_solve,
-                        solve_for_reservation)
+from .contracts import (_alpha_search, alpha_prime, alpha_star,
+                        brute_force_pareto, first_best_frontier,
+                        second_best_solve, solve_for_reservation)
 from .errors import (MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .geometry import emit_figure_data
@@ -84,7 +85,7 @@ def _build_parser():
     contract.add_argument("--alpha", type=float, default=None,
                           help="piece rate (defaults to 1)")
     contract.add_argument("--reservation", type=float, default=None,
-                          help="agent utility floor; bisects xi at alpha*")
+                          help="agent utility floor; searches xi at alpha*")
     contract.add_argument("--oracle", action="store_true",
                           help="cross-check against the exhaustive grid oracle")
     contract.add_argument("--emit-csv", default=None, metavar="DIR",
@@ -155,9 +156,10 @@ def _cmd_solve_contract(args, parser):
         parser.error("give exactly one of --xi/--alpha or --reservation")
     inst = load_problem(args.problem)
     if args.reservation is not None:
-        alpha = alpha_star(inst, args.reservation)
+        alpha, sol = _alpha_search(inst, args.reservation)
         log.info("alpha* = %.6f", alpha)
-        sol = solve_for_reservation(inst, args.reservation, alpha)
+        if sol is None:
+            sol = solve_for_reservation(inst, args.reservation, alpha)
     else:
         sol = second_best_solve(inst, args.xi if args.xi is not None else 0.0,
                                 args.alpha if args.alpha is not None else 1.0)

@@ -109,10 +109,15 @@ def first_best_frontier(inst: ProblemInstance, r, tol=1e-6, slack=5e-3):
     then raising beta toward the per-state output minima (so that at the
     lower endpoint the minimum payment in each state touches zero).
     Targets within `slack` of the achievable range clamp to the endpoint.
+    alpha' is read off the capacity solve at y: the best response to
+    alpha y is the one to y at cost scale 1/alpha, so the capacity binds
+    from alpha' = 1/(1 + mu) on.  `tol` is no longer used.
     """
-    ap = alpha_prime(inst, tol=tol)
+    if inst.capacity <= 0:
+        raise ValueError("capacity must be positive")
     y = inst.output_contract
     base = best_response_capacity(y, inst.prior, inst.capacity, inst.cost_model)
+    ap = 1.0 / (1.0 + base.mu)
     joint = base.experiment.conditionals * inst.prior[None, :]
     e_y = float(np.sum(joint * inst.output))
     cost = base.cost
@@ -286,89 +291,145 @@ def _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells):
 
 
 def second_best_solve(inst: ProblemInstance, xi, alpha,
-                      max_patterns=512, root_tol=1e-9) -> ContractSolution:
+                      max_patterns=512, root_tol=1e-9, *,
+                      _warm=None) -> ContractSolution:
     """Second-best Pareto contract at participation weight xi and piece
     rate alpha, capacity handled upstream through alpha.
 
     Returns the first binding pattern whose solution passes the sign,
-    feasibility, and KKT residual checks.
+    feasibility, and KKT residual checks.  Each pattern is solved from the
+    zero logits and then from the unconstrained best response to alpha y.
+    When every pattern fails at xi > 0, the patterns are tried once more
+    from the xi = 0 solution at the same alpha, if that one solves.
+
+    `_warm` is internal to the reservation search: the pattern of a
+    solution at a nearby (xi, alpha) and starting logits for it, tried
+    before the patterns are enumerated; the xi = 0 retry is then skipped.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
-    n_d, n_s = inst.output.shape
-    pi = inst.prior
-    failures = []
-    for zeros, tops in _binding_patterns(inst, alpha, max_patterns):
-        refs = [min(d for d, s in zeros if s == state) for state in range(n_s)]
-        free_cells = [(d, s) for s in range(n_s) for d in range(n_d) if d != refs[s]]
-        cond_of, fun = _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells)
-
-        solved = None
-        for x0 in _starting_points(inst, alpha, n_d, n_s):
-            try:
-                root = optimize.root(fun, x0, method="hybr")
-            except np.linalg.LinAlgError:
-                continue
-            if root.success and np.max(np.abs(fun(root.x))) < root_tol:
-                solved = root.x
-                break
-        if solved is None:
-            failures.append((zeros, tops, "no root"))
-            continue
-
-        cond = cond_of(solved)
+    cold = _cold_starts(inst, alpha)
+    if _warm is not None:
+        (zeros, tops), starts = _warm
+        attempts = itertools.chain([(frozenset(zeros), frozenset(tops), lambda: starts)],
+                                   _enumerate(inst, alpha, max_patterns, cold))
+        return _first_solved(inst, xi, alpha, attempts, root_tol)
+    try:
+        return _first_solved(inst, xi, alpha, _enumerate(inst, alpha, max_patterns, cold),
+                             root_tol)
+    except NoPatternFoundError as exc:
+        if xi == 0.0:
+            raise
         try:
-            lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros, tops)
-        except np.linalg.LinAlgError:
-            failures.append((zeros, tops, "singular multipliers"))
-            continue
-        payments = alpha * inst.output - beta[None, :] - gamma
-        for d, s in zeros:
-            payments[d, s] = 0.0
-        for d, s in tops:
-            payments[d, s] = inst.output[d, s]
-        checks = _pattern_checks(inst, payments, lam, zeros, tops)
-        if checks:
-            failures.append((zeros, tops, checks))
-            continue
+            base = _first_solved(inst, 0.0, alpha, _enumerate(inst, alpha, max_patterns, cold),
+                                 root_tol)
+            start = [_logits(base.experiment)]
+            return _first_solved(inst, xi, alpha,
+                                 _enumerate(inst, alpha, max_patterns, lambda: start), root_tol)
+        except NoPatternFoundError:
+            raise exc from None
 
-        b = Contract(payments)
-        exp = Experiment(cond)
-        resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha)
-        if resid is None:
-            failures.append((zeros, tops, "verification"))
-            continue
-        residual, rho = resid
-        tau = beta * pi - xi * rho
-        phi = cond * (1.0 - xi) - lam / pi[None, :]
-        s = inst.cost_model.logit_scale
-        gamma_hat = None
-        if s is not None:
-            gamma_hat = s * lam.sum(axis=1) / marginal(exp, pi)
-        duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi)
-        deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma,
-                             gamma_hat=gamma_hat)
-        report = evaluate_profile(b, exp, inst)
-        return ContractSolution(contract=b, experiment=exp, duals=duals,
-                                decomposition=deco, report=report,
-                                pattern=(tuple(sorted(zeros)), tuple(sorted(tops))),
-                                residual=residual)
+
+def _logits(exp):
+    logits = np.log(exp.conditionals)
+    return (logits[:-1] - logits[-1:]).reshape(-1)
+
+
+def _enumerate(inst, alpha, max_patterns, starts):
+    for zeros, tops in _binding_patterns(inst, alpha, max_patterns):
+        yield zeros, tops, starts
+
+
+def _cold_starts(inst, alpha):
+    """Starting logits of the cold pattern solves: zero, then those of the
+    unconstrained best response to alpha y, computed once when first
+    needed."""
+    n_d, n_s = inst.output.shape
+    response = []
+
+    def starts():
+        yield np.zeros((n_d - 1) * n_s)
+        if not response:
+            try:
+                guess = _unconstrained_best_response(Contract(alpha * inst.output), inst)
+            except NoConvergenceError:
+                response.append(None)
+            else:
+                cond = np.clip(guess.experiment.conditionals, 1e-9, None)
+                response.append(_logits(Experiment(cond / cond.sum(axis=0, keepdims=True))))
+        if response[0] is not None:
+            yield response[0]
+    return starts
+
+
+def _first_solved(inst, xi, alpha, attempts, root_tol):
+    """The first (pattern, starts) attempt whose root passes every check."""
+    failures = []
+    for zeros, tops, starts in attempts:
+        outcome = _solve_pattern(inst, xi, alpha, zeros, tops, starts(), root_tol)
+        if isinstance(outcome, ContractSolution):
+            return outcome
+        failures.append(outcome)
     raise NoPatternFoundError(
         f"no sign-consistent binding pattern among {len(failures)} tried: "
-        + "; ".join(str(f[2]) for f in failures[:4])
+        + "; ".join(failures[:4])
     )
 
 
-def _starting_points(inst, alpha, n_d, n_s):
-    yield np.zeros((n_d - 1) * n_s)
+def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
+    """Solve one binding pattern; a ContractSolution or the failure reason."""
+    n_d, n_s = inst.output.shape
+    pi = inst.prior
+    refs = [min(d for d, s in zeros if s == state) for state in range(n_s)]
+    free_cells = [(d, s) for s in range(n_s) for d in range(n_d) if d != refs[s]]
+    cond_of, fun = _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells)
+
+    solved = None
+    for x0 in starts:
+        try:
+            root = optimize.root(fun, x0, method="hybr")
+        except np.linalg.LinAlgError:
+            continue
+        if root.success and np.max(np.abs(fun(root.x))) < root_tol:
+            solved = root.x
+            break
+    if solved is None:
+        return "no root"
+
+    cond = cond_of(solved)
     try:
-        guess = _unconstrained_best_response(Contract(alpha * inst.output), inst)
-        cond = np.clip(guess.experiment.conditionals, 1e-9, None)
-        cond /= cond.sum(axis=0, keepdims=True)
-        logits = np.log(cond)
-        yield (logits[:-1] - logits[-1:]).reshape(-1)
-    except NoConvergenceError:
-        pass
+        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros, tops)
+    except np.linalg.LinAlgError:
+        return "singular multipliers"
+    payments = alpha * inst.output - beta[None, :] - gamma
+    for d, s in zeros:
+        payments[d, s] = 0.0
+    for d, s in tops:
+        payments[d, s] = inst.output[d, s]
+    checks = _pattern_checks(inst, payments, lam, zeros, tops)
+    if checks:
+        return checks
+
+    b = Contract(payments)
+    exp = Experiment(cond)
+    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha)
+    if resid is None:
+        return "verification"
+    residual, rho = resid
+    tau = beta * pi - xi * rho
+    phi = cond * (1.0 - xi) - lam / pi[None, :]
+    s = inst.cost_model.logit_scale
+    gamma_hat = None
+    if s is not None:
+        gamma_hat = s * lam.sum(axis=1) / marginal(exp, pi)
+    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi)
+    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma,
+                         gamma_hat=gamma_hat)
+    report = evaluate_profile(b, exp, inst)
+    return ContractSolution(contract=b, experiment=exp, duals=duals,
+                            decomposition=deco, report=report,
+                            pattern=(tuple(sorted(zeros)), tuple(sorted(tops))),
+                            residual=residual)
 
 
 def _pattern_checks(inst, payments, lam, zeros, tops, tol=1e-7):
@@ -516,70 +577,227 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     return deco, duals
 
 
+class _Path:
+    """The second-best solutions found so far in one public call.
+
+    Every new solve first tries the binding pattern of the nearest of them
+    in (xi, alpha).  It starts from the experiment logits interpolated (or
+    extrapolated) in xi between that solution and the next nearest one at
+    the same alpha and with the same pattern, then from the nearest
+    solution's own logits.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.solved = []
+
+    def solve(self, xi, alpha):
+        warm = None
+        if self.solved:
+            # nearest first, the latest first among equals
+            near, *rest = sorted(reversed(self.solved), key=lambda s: (
+                abs(s.duals.xi - xi) + abs(s.decomposition.alpha - alpha)))
+            starts = [_logits(near.experiment)]
+            other = next((s for s in rest if s.pattern == near.pattern
+                          and s.decomposition.alpha == near.decomposition.alpha == alpha
+                          and s.duals.xi != near.duals.xi), None)
+            if other is not None:
+                t = (xi - near.duals.xi) / (other.duals.xi - near.duals.xi)
+                starts.insert(0, (1.0 - t) * starts[0] + t * _logits(other.experiment))
+            warm = (near.pattern, starts)
+        sol = second_best_solve(self.inst, xi, alpha, _warm=warm)
+        self.solved.append(sol)
+        return sol
+
+
+class _Root:
+    """Root of an increasing function on [lo, hi] by safeguarded secant and
+    Illinois regula falsi.
+
+    Points come back through `add`, with their value or with None for a
+    point that counts as below the root but has no value; the next step
+    after such a point bisects.  While the root is not bracketed by two
+    values, the step is a secant (or, from one point, a Newton step with a
+    given slope) when that goes at most half way toward the side that lacks
+    a value; else the end on that side when it has not been evaluated, or
+    the midpoint.  Once bracketed, a side kept twice in a row has its value
+    halved (Illinois); evaluating an end does not count toward that.
+    """
+
+    def __init__(self, lo, hi, min_step, ends=()):
+        self.lo, self.hi, self.min_step = lo, hi, min_step
+        self.f_lo = self.f_hi = None
+        self.ends = list(ends)
+        self.points = []
+        self.side = 0
+        self.failed = False
+
+    def add(self, x, f):
+        end = x in self.ends
+        if end:
+            self.ends.remove(x)
+        self.failed = f is None
+        if f is None:
+            self.lo, self.f_lo, self.side = x, None, 0
+            return
+        self.points = [*self.points[-1:], (x, f)]
+        if f < 0:
+            if self.side == -1 and self.f_hi is not None:
+                self.f_hi *= 0.5
+            self.lo, self.f_lo, self.side = x, f, -1
+        else:
+            if self.side == 1 and self.f_lo is not None:
+                self.f_lo *= 0.5
+            self.hi, self.f_hi, self.side = x, f, 1
+        if end:
+            self.side = 0
+
+    def width(self):
+        return self.hi - self.lo
+
+    def next(self, slope=None):
+        lo, hi = self.lo, self.hi
+        step = min(self.min_step, 0.25 * (hi - lo))
+        if self.f_lo is not None and self.f_hi is not None:
+            x = lo - self.f_lo * (hi - lo) / (self.f_hi - self.f_lo)
+            return min(max(x, lo + step), hi - step)
+        if self.failed:
+            return 0.5 * (lo + hi)
+        x = None
+        if len(self.points) == 2:
+            (x0, f0), (x1, f1) = self.points
+            if f1 != f0:
+                x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        elif self.points and slope:
+            x1, f1 = self.points[0]
+            x = x1 - f1 / slope
+        mid = 0.5 * (lo + hi)
+        if self.f_hi is None:
+            inside, end = x is not None and lo + step <= x <= mid, hi
+        else:
+            inside, end = x is not None and mid <= x <= hi - step, lo
+        if inside:
+            return x
+        return end if end in self.ends else mid
+
+    def slope(self):
+        """Secant slope of the last two values, or None."""
+        if len(self.points) < 2:
+            return None
+        (x0, f0), (x1, f1) = self.points
+        return (f1 - f0) / (x1 - x0)
+
+
+def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
+    """Participation weight xi whose agent utility is r within v_tol, by
+    safeguarded regula falsi on V_A(xi) - r (`_Root`), starting at `guess`
+    with a Newton step of the given slope when they are known.
+
+    Returns (solution, slope of V_A at the end of the search).  The
+    solution is the xi = 0 one when the participation constraint is slack
+    at r.  A xi with no solution counts as delivering too little utility,
+    except the guess, which is then dropped.
+    """
+    root = _Root(0.0, 1.0, 1e-12, ends=(0.0, 1.0))
+    at_guess = guess is not None and 0.0 < guess < 1.0
+    x = guess if at_guess else 1.0
+    best = None
+    for _ in range(200):
+        try:
+            sol = path.solve(x, alpha)
+        except NoPatternFoundError:
+            if x == 1.0:
+                raise
+            if not at_guess:
+                root.add(x, None)
+        else:
+            v = sol.report.agent_utility
+            if x == 1.0 and v < r - v_tol:
+                raise OutOfRangeError(
+                    f"utility {r} above the second-best range at alpha={alpha} "
+                    f"(max {v:.6f})"
+                )
+            if (x == 0.0 and v >= r) or abs(v - r) <= v_tol:
+                return sol, root.slope() or slope
+            if best is None or abs(v - r) < abs(best.report.agent_utility - r):
+                best = sol
+            root.add(x, v - r)
+        if root.width() < 1e-13:
+            break
+        at_guess = False
+        x = root.next(slope)
+    miss = "no solution" if best is None else \
+        f"agent utility {best.report.agent_utility:.6f}"
+    raise NoConvergenceError(
+        f"xi search at alpha={alpha} ended on [{root.lo:.15g}, {root.hi:.15g}] "
+        f"with {miss}, not within {v_tol:g} of {r}"
+    )
+
+
 def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
                           v_tol=1e-4) -> ContractSolution:
-    """Bisect the participation weight xi until the agent utility hits r.
+    """Second-best contract at piece rate alpha whose agent utility is r
+    within v_tol.  The participation weight xi is found by safeguarded
+    regula falsi, each solve warm-started from the nearest solved xi.
 
     Returns the xi = 0 solution directly when the participation constraint
     is slack at r.  A participation weight at which no interior critical
     point exists (the informative regime is not stationary there) is
-    treated as delivering too little utility, pushing xi upward.
+    treated as delivering too little utility, pushing xi upward.  Raises
+    OutOfRangeError when r exceeds the utility at xi = 1, and
+    NoConvergenceError when the search ends without hitting r.
     """
-    high = second_best_solve(inst, 1.0, alpha)
-    if high.report.agent_utility < r - v_tol:
-        raise OutOfRangeError(
-            f"utility {r} above the second-best range at alpha={alpha} "
-            f"(max {high.report.agent_utility:.6f})"
-        )
-    try:
-        low = second_best_solve(inst, 0.0, alpha)
-        if low.report.agent_utility >= r:
-            return low
-    except NoPatternFoundError:
-        pass
-    lo, hi = 0.0, 1.0
-    sol = high
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    return _xi_search(_Path(inst), r, alpha, v_tol)[0]
+
+
+def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
+    """(alpha*, the reservation solution at alpha*), the solution None when
+    r is out of range there.
+
+    One path of warm-started solves serves every alpha.  Each alpha's xi
+    search starts at xi* interpolated from the two nearest alphas solved,
+    with a Newton step of the slope of V_A found at the nearest.
+    """
+    path = _Path(inst)
+    solved = {}    # alpha -> (solution, slope of V_A in xi)
+    outcome = {}   # alpha -> solution, or None when r is out of range
+
+    def cost_gap(alpha):
+        near = sorted(solved, key=lambda a: abs(a - alpha))[:2]
+        guess = slope = None
+        if near:
+            guess, slope = solved[near[0]][0].duals.xi, solved[near[0]][1]
+        if len(near) == 2:
+            a0, a1 = near
+            x0, x1 = solved[a0][0].duals.xi, solved[a1][0].duals.xi
+            guess = x0 + (x1 - x0) * (alpha - a0) / (a1 - a0)
         try:
-            sol = second_best_solve(inst, mid, alpha)
-        except NoPatternFoundError:
-            lo = mid
-            continue
-        v = sol.report.agent_utility
-        if abs(v - r) <= v_tol:
-            return sol
-        if v < r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return sol
+            sol, v_slope = _xi_search(path, r, alpha, v_tol, guess, slope)
+        except OutOfRangeError:
+            outcome[alpha] = None
+            return None
+        solved[alpha] = (sol, v_slope)
+        outcome[alpha] = sol
+        return sol.report.cost - inst.capacity
+
+    gap = cost_gap(1.0)
+    # vacuously slack when r is unattainable at this alpha
+    if gap is None or gap < 0:
+        return 1.0, outcome[1.0]
+    root = _Root(0.0, 1.0, 0.5 * tol)
+    root.add(1.0, gap)
+    while root.width() > tol:
+        alpha = root.next()
+        root.add(alpha, cost_gap(alpha))
+    return root.lo, outcome.get(root.lo)
 
 
 def alpha_star(inst: ProblemInstance, r, tol=1e-4) -> float:
     """Piece rate substituting for the capacity constraint in the
-    perturbed (capacity-free) Pareto problem at reservation utility r."""
-
-    def capacity_slack(alpha):
-        # vacuously slack when r is unattainable at this alpha
-        try:
-            sol = solve_for_reservation(inst, r, alpha)
-        except OutOfRangeError:
-            return True
-        return sol.report.cost < inst.capacity
-
-    if capacity_slack(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if capacity_slack(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    perturbed (capacity-free) Pareto problem at reservation utility r:
+    the slack end, within tol, of a bracket on cost(alpha) - capacity
+    closed by safeguarded regula falsi."""
+    return _alpha_search(inst, r, tol)[0]
 
 
 def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):

@@ -176,28 +176,34 @@ def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     prior_q = float(inst.prior[1])
     conc = concavify(curve, prior_q)
 
-    def row(q, is_contact):
-        bq, ties = reduced_form(b, q)
-        ups = (1.0 + mu) * model.upsilon(np.array([1.0 - q, q]))
-        env = float(np.interp(q, conc.grid, conc.envelope))
-        return [_fmt(q), _fmt(bq), _fmt(ups), _fmt(bq + ups),
-                _fmt(env), inst.decisions[ties[0]], str(int(is_contact))]
-
     qs = [(float(q), 0) for q in curve.grid]
     qs.extend((float(c), 1) for c in conc.contacts)
     if not any(abs(q - prior_q) < 1e-15 for q, _ in qs):
         qs.append((prior_q, 0))
     qs.sort(key=lambda t: (t[0], -t[1]))
+    q, flags, seen = [], [], set()
+    for qi, flag in qs:
+        if qi not in seen:
+            seen.add(qi)
+            q.append(qi)
+            flags.append(flag)
+
+    # every column at once, each entry computed as `reduced_form` and a
+    # one-posterior `upsilon` call compute it, so the file does not change
+    q = np.array(q)
+    qv = np.column_stack([1.0 - q, q])
+    vals = (b.payments[None] @ qv[:, :, None])[:, :, 0]
+    bq = vals.max(axis=1)
+    first = np.argmax(vals >= bq[:, None] - 1e-12, axis=1)
+    ups = (1.0 + mu) * model.upsilon(qv)
+    env = np.interp(q, conc.grid, conc.envelope)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"fig_{tag}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "B", "upsilon", "net", "envelope", "decision", "is_contact"])
-        seen = set()
-        for q, flag in qs:
-            if q in seen:
-                continue
-            seen.add(q)
-            writer.writerow(row(q, flag))
+        for i, flag in enumerate(flags):
+            writer.writerow([_fmt(q[i]), _fmt(bq[i]), _fmt(ups[i]), _fmt(bq[i] + ups[i]),
+                             _fmt(env[i]), inst.decisions[first[i]], str(flag)])
     return path

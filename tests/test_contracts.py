@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from infocontracts import cli, contracts
 from infocontracts import (BregmanMatrixCost, Contract, CostModel,
                            Experiment, InconsistentProfileError,
-                           NoPatternFoundError, OutOfRangeError,
+                           NoConvergenceError, NoPatternFoundError,
+                           OutOfRangeError,
                            PosteriorSeparableCost, ProblemInstance,
                            ShannonCost, TooLargeError,
                            alpha_prime, alpha_star, best_response_capacity,
@@ -493,3 +497,158 @@ def test_second_best_generic_route_matches_logit_route(example, xi):
     assert np.max(np.abs(sol.experiment.conditionals - ref.experiment.conditionals)) < 1e-8
     assert np.max(np.abs(sol.decomposition.gamma - ref.decomposition.gamma)) < 1e-8
     assert sol.residual < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the reservation search: one warm-started path through xi and alpha
+
+
+def _frontier_by_bisection(inst, r):
+    """first_best_frontier's contract computed with alpha' from the
+    `alpha_prime` bisection at a tight tolerance, the reference for
+    alpha' = 1/(1 + mu)."""
+    ap = alpha_prime(inst, tol=1e-12)
+    base = best_response_capacity(inst.output_contract, inst.prior,
+                                  inst.capacity, inst.cost_model)
+    joint = base.experiment.conditionals * inst.prior[None, :]
+    e_y = float(np.sum(joint * inst.output))
+    min_y = inst.output.min(axis=0)
+    e_min = float(inst.prior @ min_y)
+    v_top, v_mid = e_y - base.cost, ap * e_y - base.cost
+    r = min(r, v_top)
+    if r >= v_mid:
+        return min(max((r + base.cost) / e_y, ap), 1.0) * inst.output
+    t = (v_mid - r) / (ap * e_min)
+    return ap * inst.output - min(t, 1.0) * ap * min_y[None, :]
+
+
+@pytest.mark.parametrize("model", [ShannonCost(), BregmanMatrixCost()])
+def test_first_best_frontier_alpha_prime_from_capacity_dual(model):
+    inst = _example_with(model)
+    for r in (2.9, 4.0, 6.0):
+        contract, _ = first_best_frontier(inst, r)
+        assert np.max(np.abs(contract.payments - _frontier_by_bisection(inst, r))) < 1e-6
+
+
+def test_no_holes_along_xi_at_full_piece_rate(example):
+    # the cold starts alone fail at xi = 0.49, 0.90, 0.91 and 0.92; the
+    # retry from the xi = 0 solution fills them
+    for k in range(101):
+        sol = second_best_solve(example, k / 100, 1.0)
+        assert sol.residual < 1e-6
+
+
+@pytest.mark.parametrize("r", [2.2, 2.3])
+def test_reservation_across_the_former_holes_hits_target(example, r):
+    # these once returned agent utility 2.3763 without an error
+    sol = solve_for_reservation(example, r, alpha=1.0)
+    assert abs(sol.report.agent_utility - r) <= 1e-4
+    assert alpha_star(example, r) == 1.0
+
+
+def test_alpha_star_capacity_binding_reservation(example):
+    alpha = alpha_star(example, 2.8)
+    assert abs(alpha - 0.7164) < 1e-3
+    slack = solve_for_reservation(example, 2.8, alpha)
+    assert abs(slack.report.agent_utility - 2.8) <= 1e-4
+    assert slack.report.cost < example.capacity
+    binding = solve_for_reservation(example, 2.8, alpha + 2e-4)
+    assert binding.report.cost >= example.capacity
+
+
+def _stepped_solver(monkeypatch, jump_at):
+    """second_best_solve answering with the real xi = 0 and xi = 1
+    solutions on either side of `jump_at`, so V_A(xi) jumps over every
+    utility in between."""
+    low = second_best_solve(_example_with(ShannonCost()), 0.0, 1.0)
+    high = second_best_solve(_example_with(ShannonCost()), 1.0, 1.0)
+    calls = []
+
+    def stepped(inst, xi, alpha, *args, **kwargs):
+        calls.append(xi)
+        return low if xi < jump_at else high
+
+    monkeypatch.setattr(contracts, "second_best_solve", stepped)
+    return calls
+
+
+def test_reservation_off_target_raises(example, monkeypatch):
+    calls = _stepped_solver(monkeypatch, 0.3)
+    with pytest.raises(NoConvergenceError, match="not within"):
+        solve_for_reservation(example, 2.0, alpha=1.0)
+    assert len(calls) < 200
+
+
+@pytest.fixture
+def example_file(tmp_path):
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps({
+        "decisions": ["d1", "d2"], "states": ["theta1", "theta2"],
+        "output": [[0.0, 10.0], [5.0, 5.0]], "prior": [2.0 / 3.0, 1.0 / 3.0],
+        "capacity": 0.5, "cost": {"type": "shannon", "scale": 1.0}}))
+    return str(path)
+
+
+def test_reservation_off_target_exits_5(example_file, monkeypatch, capsys):
+    _stepped_solver(monkeypatch, 0.3)
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "2.0"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no convergence: ")
+
+
+def _count_reservation_request(path, monkeypatch, capsys, r):
+    """second_best_solve calls and NoPatternFoundErrors of one CLI
+    `--reservation` request on the example, and its stdout."""
+    real = contracts.second_best_solve
+    counts = {"calls": 0, "holes": 0}
+
+    def counting(*args, **kwargs):
+        counts["calls"] += 1
+        try:
+            return real(*args, **kwargs)
+        except NoPatternFoundError:
+            counts["holes"] += 1
+            raise
+
+    monkeypatch.setattr(contracts, "second_best_solve", counting)
+    assert cli.main(["solve-contract", "--problem", path, "--reservation", repr(r)]) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert abs(json.loads(out)["report"]["agent_utility"] - r) <= 1e-4
+    return counts, out
+
+
+@pytest.mark.parametrize("r, budget", [(0.5, 15), (1.0, 15), (2.0, 15), (2.2, 20),
+                                       (2.8, 40)])
+def test_reservation_request_work_budget(example_file, monkeypatch, capsys, r, budget):
+    # before warm starts: 28, 30, 32, 100 (60 of them holes) and 263 calls
+    counts, _ = _count_reservation_request(example_file, monkeypatch, capsys, r)
+    assert counts["calls"] <= budget
+    if r == 2.2:
+        assert counts["holes"] == 0
+
+
+def test_reservation_requests_repeat_bit_for_bit(example_file, monkeypatch, capsys):
+    for r in (1.0, 2.8):
+        _, first = _count_reservation_request(example_file, monkeypatch, capsys, r)
+        _, second = _count_reservation_request(example_file, monkeypatch, capsys, r)
+        assert first == second
+    a = solve_for_reservation(_example_with(ShannonCost()), 2.2)
+    b = solve_for_reservation(_example_with(ShannonCost()), 2.2)
+    assert np.array_equal(a.contract.payments, b.contract.payments)
+
+
+def test_failed_guess_does_not_bound_the_xi_search(example, monkeypatch):
+    # r = 2.0 sits at xi = 0.861; counted as too little utility, a hole at
+    # the guess 0.95 would bound the search above the answer
+    real = contracts.second_best_solve
+
+    def holed(inst, xi, alpha, *args, **kwargs):
+        if xi == 0.95:
+            raise NoPatternFoundError("hole")
+        return real(inst, xi, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(contracts, "second_best_solve", holed)
+    sol, _ = contracts._xi_search(contracts._Path(example), 2.0, 1.0, 1e-4, guess=0.95)
+    assert abs(sol.report.agent_utility - 2.0) <= 1e-4

@@ -210,3 +210,98 @@ def test_net_utility_curve_matches_pointwise_upsilon(model):
     loop = np.array([model.upsilon(np.array([1.0 - q, q])) for q in grid])
     base = reduced_form_curve(FIG1_CONTRACT, grid)
     assert np.array_equal(curve.values, base.values + 1.4 * loop)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised figure export writes the bytes of the per-row loop
+
+
+def _emit_figure_data_per_row(inst, b, out_dir, tag, mu=0.0, grid=None):
+    """The per-row export that `emit_figure_data` replaced: one
+    `reduced_form` and one `upsilon` call per row."""
+    model = inst.cost_model
+    curve = net_utility_curve(b, model, grid=grid, mu=mu)
+    prior_q = float(inst.prior[1])
+    conc = concavify(curve, prior_q)
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    def row(q, is_contact):
+        bq, ties = reduced_form(b, q)
+        ups = (1.0 + mu) * model.upsilon(np.array([1.0 - q, q]))
+        env = float(np.interp(q, conc.grid, conc.envelope))
+        return [fmt(q), fmt(bq), fmt(ups), fmt(bq + ups), fmt(env),
+                inst.decisions[ties[0]], str(int(is_contact))]
+
+    qs = [(float(q), 0) for q in curve.grid]
+    qs.extend((float(c), 1) for c in conc.contacts)
+    if not any(abs(q - prior_q) < 1e-15 for q, _ in qs):
+        qs.append((prior_q, 0))
+    qs.sort(key=lambda t: (t[0], -t[1]))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"fig_{tag}.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["q", "B", "upsilon", "net", "envelope", "decision", "is_contact"])
+        seen = set()
+        for q, flag in qs:
+            if q in seen:
+                continue
+            seen.add(q)
+            writer.writerow(row(q, flag))
+    return str(path)
+
+
+def _reproduce_figures():
+    from infocontracts.reproduce import (BETA_PUBLISHED, LOGIT_EXAMPLE_CONTRACT,
+                                         example_instance, logit_example_instance)
+    inst = example_instance()
+    shifted = Contract(inst.output - BETA_PUBLISHED[None, :])
+    optimal = second_best_solve(inst, xi=0.0, alpha=1.0).contract
+    return [(inst, shifted, "first_best"),
+            (inst, Contract(np.maximum(shifted.payments, 0.0)), "truncated"),
+            (inst, optimal, "optimal"),
+            (logit_example_instance(), LOGIT_EXAMPLE_CONTRACT, "logit_example")]
+
+
+def _same_bytes(tmp_path, inst, b, tag, **kw):
+    new = emit_figure_data(inst, b, tmp_path / "new", tag, **kw)
+    old = _emit_figure_data_per_row(inst, b, tmp_path / "old", tag, **kw)
+    return filecmp.cmp(new, old, shallow=False)
+
+
+def test_emit_figure_data_matches_per_row_export_on_reproduce_figures(tmp_path):
+    for inst, b, tag in _reproduce_figures():
+        assert _same_bytes(tmp_path, inst, b, tag), tag
+
+
+TIED = ProblemInstance(("a", "b", "c"), ("t1", "t2"),
+                       [[0.0, 2.0], [1.0, 1.0], [1.0, 1.0]], [0.55, 0.45], 10.0,
+                       ShannonCost(0.7))
+
+
+@pytest.mark.parametrize("mu, grid", [
+    (0.0, None),
+    (0.8, None),
+    (0.3, np.linspace(0.01, 0.99, 97)),
+    (1.5, np.concatenate([np.linspace(1e-4, 0.4, 40), [0.45], np.linspace(0.5, 0.9, 9)])),
+])
+def test_emit_figure_data_matches_per_row_export_with_ties(tmp_path, mu, grid):
+    # decisions b and c are paid alike everywhere, and all three tie at q = 1/2
+    b = Contract(TIED.output)
+    assert _same_bytes(tmp_path, TIED, b, "tied", mu=mu, grid=grid)
+    with open(tmp_path / "new" / "fig_tied.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    half = [r for r in rows if float(r[0]) == 0.5]
+    assert not half or half[0][5] == "a"
+    assert {r[5] for r in rows} <= {"a", "b"}
+
+
+def test_emit_figure_data_matches_per_row_export_under_a_table(tmp_path):
+    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                             for q in np.linspace(0, 1, 21)]})
+    inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, 2.0], [1.0, 1.0]],
+                           [0.55, 0.45], 10.0, table)
+    assert _same_bytes(tmp_path, inst, FIG1_CONTRACT, "table", mu=0.4,
+                       grid=np.linspace(0.02, 0.98, 49))
