@@ -11,10 +11,11 @@ Three routes:
   one batch (deterministic, no randomness);
 * `best_response_capacity` -- wraps the above, or the general route when
   the model has no `logit_scale`, in a safeguarded secant (Illinois)
-  search on the capacity dual mu so the cost constraint just binds;
-* `best_response_general` -- any posterior-separable cost: concavification
-  of the net-utility envelope for two states; for more states the logit
-  kernel when the model has a `logit_scale`, else entropic mirror ascent
+  search on the capacity dual mu so the cost constraint just binds,
+  mixing the experiments across a jump of the cost (Everett 1963);
+* `best_response_general` -- any posterior-separable cost: the logit
+  kernel when the model has a `logit_scale`; for a two-state table, the
+  exact concavification on its breakpoints; else entropic mirror ascent
   per state column.
 
 `agent_kkt_residual` certifies a candidate experiment: within each state
@@ -25,15 +26,14 @@ decisions at an optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import geometry
 from .costs import CostModel
 from .errors import BoundaryPointError, NoConvergenceError
-from .model import Contract, Experiment, marginal
+from .model import Contract, Experiment
 
 LOGIT_TOL = 1e-12
 LOGIT_MAX_ITER = 500
@@ -285,10 +285,10 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     times, and never past `MAX_LOG_DUAL`), then runs Illinois regula
     falsi on log(cost / capacity), bisecting where no information is
     bought, until the cost is within `cost_tol` of the capacity.  If the
-    bracket closes first, the cost jumps there and the end whose cost is
-    below the capacity is returned.  A model with a `logit_scale` takes
-    the logit route at every mu; otherwise the search runs on the
-    penalized problem with the cost scaled by (1 + mu).
+    bracket closes first, the cost jumps there and `_mixture` of the two
+    ends spends the capacity.  A model with a `logit_scale` takes the
+    logit route at every mu; otherwise the search runs on the penalized
+    problem with the cost scaled by (1 + mu).
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -302,9 +302,7 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         sol = best_response_general(b, pi, model.scaled(1.0 + mu))
         cost = model.value(sol.experiment, pi)
         e_b = float(np.sum(sol.experiment.conditionals * pi[None, :] * b.payments))
-        return AgentSolution(experiment=sol.experiment, mu=mu, rho=sol.rho,
-                             value=e_b - cost, cost=cost,
-                             iterations=sol.iterations, residual=sol.residual)
+        return replace(sol, mu=mu, value=e_b - cost, cost=cost)
 
     free = solve(0.0)
     if free.cost <= capacity:
@@ -331,9 +329,7 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     side = 0
     while abs(sol.cost - capacity) >= cost_tol:
         if x_hi - x_lo < 1e-15 * (1.0 + x_hi):
-            # the cost jumps across the closed bracket: return the end that
-            # keeps within the capacity
-            return sol_hi
+            return _mixture(b, pi, model, sol_lo, sol_hi, capacity, cost_tol)
         x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
         if not x_lo < x < x_hi:
             x = 0.5 * (x_lo + x_hi)
@@ -351,6 +347,23 @@ def best_response_capacity(b: Contract, prior, capacity, model,
                 f_lo *= 0.5
             side = -1
     return sol
+
+
+def _mixture(b, pi, model, lo, hi, capacity, cost_tol):
+    """The mixture of the ends of a closed capacity bracket that spends the
+    capacity.  Both ends maximize the same concave Lagrangian, so every
+    mixture of their experiments does too, and its cost is linear in the
+    weight (Everett 1963).  A cost not convex in p can break that: the end
+    within the capacity is returned when the mixture misses it."""
+    lam = (capacity - hi.cost) / (lo.cost - hi.cost)
+    exp = Experiment(lam * lo.experiment.conditionals
+                     + (1.0 - lam) * hi.experiment.conditionals)
+    cost = model.value(exp, pi)
+    if abs(cost - capacity) >= cost_tol:
+        return hi
+    e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
+    return replace(hi, experiment=exp, rho=lam * lo.rho + (1.0 - lam) * hi.rho, value=e_b - cost,
+                   cost=cost, residual=max(lo.residual, hi.residual))
 
 
 def agent_kkt_residual(b: Contract, prior, model, p: Experiment,
@@ -377,108 +390,94 @@ def agent_kkt_residual(b: Contract, prior, model, p: Experiment,
 
 
 def _experiment_from_contacts(b, pi, contacts, weights, labels):
-    """Turn contact posteriors q (prob of state 2) into an experiment."""
-    n_d = b.n_decisions
-    if len(contacts) == 1 or labels[0] == labels[-1]:
-        cond = np.zeros((n_d, 2))
+    """Turn contact posteriors q (prob of state 2), each with its own
+    decision, into an experiment; one decision alone is uninformative."""
+    cond = np.zeros((b.n_decisions, 2))
+    if labels[0] == labels[-1]:
         cond[labels[0]] = 1.0
-        return Experiment(cond)
-    cond = np.zeros((n_d, 2))
-    for q, w, d in zip(contacts, weights, labels):
-        post = np.array([1.0 - q, q])
-        cond[d] += w * post / pi
-    # numerical cleanup: columns must sum to one exactly
-    cond = np.clip(cond, 0.0, None)
-    cond /= cond.sum(axis=0, keepdims=True)
+    else:
+        cond[labels] = weights[:, None] * np.column_stack([1.0 - contacts, contacts]) / pi
+        # columns must sum to one exactly
+        cond /= cond.sum(axis=0, keepdims=True)
     return Experiment(cond)
 
 
-def _polish_contacts(b, model, contacts, labels):
-    """Newton polish of the two-contact tangency system.
-
-    Unknowns are the two contact posteriors; the conditions are equal
-    slopes of the two net utilities and a common tangent line, with the
-    slopes from the gradient of the uncertainty function.  Falls back to
-    the grid answer when the solve leaves a residual above 1e-9, leaves
-    (0, 1) or wanders more than 0.01 from the grid contacts.  The root
-    finder's own success flag is not the test: keeping the grid answer
-    wherever it reports slow progress makes the solution jump as the cost
-    scale moves.
-    """
-    pay = b.payments[list(labels)]
-    rise = pay[:, 1] - pay[:, 0]
-    along = np.array([-1.0, 1.0])
-
-    def eqs(x):
-        post = np.column_stack([1.0 - x, x])
-        net = pay[:, 0] + rise * x + model.upsilon(post)
-        slope = rise + model.upsilon_gradient(post) @ along
-        return [slope[0] - slope[1], (net[0] - slope[0] * x[0]) - (net[1] - slope[1] * x[1])]
-
-    # outside (0, 1) the entropy's slope is nan, which the checks reject
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            sol = optimize.root(eqs, list(contacts), method="hybr", tol=1e-12)
-        except Exception:
-            return contacts
-        q = np.sort(sol.x)
-        if np.any(q <= 0) or np.any(q >= 1) or not np.all(np.abs(eqs(sol.x)) <= 1e-9):
-            return contacts
-    if np.max(np.abs(q - np.sort(contacts))) > 0.01:
-        # polish wandered off the grid solution; distrust it
-        return contacts
-    return q
-
-
-def best_response_general(b: Contract, prior, model, grid=None,
+def best_response_general(b: Contract, prior, model,
                           tol=1e-8, max_iter=20_000) -> AgentSolution:
     """Optimal experiment for any posterior-separable cost model.
 
-    Two states: concavify the net-utility envelope at the prior and map
-    the contact posteriors back to an experiment (with a Newton polish of
-    the contact locations).  More states: Upsilon can only be the entropy
-    (a table is two-state), so a model with a `logit_scale` takes the
-    exact logit kernel; any other model takes entropic mirror ascent on
-    each state column with step halving until the KKT residual drops
-    below `tol`.
+    A model with a `logit_scale` (the entropy) takes the exact logit
+    kernel on any number of states.  A two-state table takes the exact
+    concavification on its breakpoints (`_table_two_state`).  Any other
+    model takes entropic mirror ascent on each state column with step
+    halving until the KKT residual drops below `tol`.
     """
     pi = np.asarray(prior, float)
-    if b.n_states == 2:
-        return _general_two_state(b, pi, model, grid)
     if model.logit_scale is not None:
         return best_response_shannon(b, pi, scale=model.logit_scale)
+    if model.knots is not None and b.n_states == 2:
+        return _table_two_state(b, pi, model)
     return _mirror_ascent(b, pi, model, tol, max_iter)
 
 
-def _general_two_state(b, pi, model, grid):
-    curve = geometry.net_utility_curve(b, model, grid=grid)
-    conc = geometry.concavify(curve, float(pi[1]))
-    labels = []
-    for c in conc.contacts:
-        idx = int(np.argmin(np.abs(curve.grid - c)))
-        labels.append(int(curve.pieces[idx]))
-    contacts = conc.contacts
-    weights = conc.weights
-    if len(contacts) == 2 and labels[0] != labels[1]:
-        q1, q2 = _polish_contacts(b, model, contacts, labels)
-        prior_q = float(pi[1])
-        if q1 < prior_q < q2:
-            w1 = (q2 - prior_q) / (q2 - q1)
-            contacts, weights = np.array([q1, q2]), np.array([w1, 1.0 - w1])
+def _table_two_state(b, pi, model):
+    """Exact best response under a two-state table (Kamenica & Gentzkow).
+
+    The net utility max_d b_d . (1 - q, q) + Upsilon(q) is piecewise
+    linear with breakpoints at q = 0 and 1, at the table's knots and where
+    two payment lines cross, so its concave envelope is the upper hull of
+    its values there, and the hull's vertices spanning the prior are the
+    exact contacts, each labelled by its best decision.  Two contacts of
+    one decision collapse to that decision, which is exact for a concave
+    Upsilon; for another, each decision d is tried alone left of the prior
+    (the prior included) against the best other decision right of it.
+    The residual is |value + Upsilon(prior) - envelope(prior)|.
+    """
+    pay, q = b.payments, float(pi[1])
+    rise = pay[:, 1] - pay[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (pay[None, :, 0] - pay[:, None, 0]) / (rise[:, None] - rise[None, :])
+    x = np.union1d(np.concatenate([[0.0, 1.0], model.knots]), cross)
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    net = pay[:, :1] + rise[:, None] * x + model.upsilon(np.column_stack([1.0 - x, x]))
+    contacts, weights, labels, env = _spanning(x, net, net.argmax(axis=0), q)
+    if len(contacts) == 2 and labels[0] == labels[1] and len(pay) > 1 and not _concave(model):
+        pts = np.union1d(x, q)
+        net = pay[:, :1] + rise[:, None] * pts + model.upsilon(np.column_stack([1.0 - pts, pts]))
+        splits = []
+        for d in range(len(pay)):
+            right = np.where(np.arange(len(pay))[:, None] == d, -np.inf, net).argmax(axis=0)
+            splits.append(_spanning(pts, net, np.where(pts <= q, d, right), q))
+        contacts, weights, labels, env = max(splits, key=lambda c: c[3])
     exp = _experiment_from_contacts(b, pi, contacts, weights, labels)
     cost = model.value(exp, pi)
-    e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
-    value = e_b - cost
-    rho = np.zeros_like(pi)
-    if model.logit_scale is not None and np.min(exp.conditionals) > 1e-9:
-        residual, rho = agent_kkt_residual(b, pi, model, exp)
-    else:
-        # certify through the geometry: a boundary solution has no
-        # gradient, and a table's kinks leave a KKT spread however exact
-        # the answer
-        residual = abs(value + model.upsilon(pi) - conc.value)
-    return AgentSolution(experiment=exp, mu=0.0, rho=rho, value=value,
-                         cost=cost, iterations=len(curve.grid), residual=float(residual))
+    value = float(np.sum(exp.conditionals * pi[None, :] * pay)) - cost
+    return AgentSolution(experiment=exp, mu=0.0, rho=np.zeros_like(pi), value=value,
+                         cost=cost, iterations=len(x),
+                         residual=float(abs(value + model.upsilon(pi) - env)))
+
+
+def _spanning(x, net, labels, at):
+    """Contacts, weights and labels of the upper hull of the points (x,
+    net[labels]), x increasing, that span `at`, and the hull's value there."""
+    y = net[labels, np.arange(len(x))]
+    # Python floats, which the hull's scalar loop reads several times faster
+    hull = geometry._upper_hull(x.tolist(), y.tolist())
+    j = int(np.searchsorted(x[hull], at))
+    if x[hull[j]] == at:
+        return x[hull[j:j + 1]], np.ones(1), labels[hull[j:j + 1]], y[hull[j]]
+    ends = hull[j - 1:j + 1]
+    w = (x[ends[1]] - at) / (x[ends[1]] - x[ends[0]])
+    weights = np.array([w, 1.0 - w])
+    return x[ends], weights, labels[ends], weights @ y[ends]
+
+
+def _concave(model):
+    """Whether a table's Upsilon is concave on [0, 1], where `np.interp`
+    holds it at its end values outside its knots."""
+    k = np.union1d([0.0, 1.0], np.clip(model.knots, 0.0, 1.0))
+    slopes = np.diff(model.upsilon(np.column_stack([1.0 - k, k]))) / np.diff(k)
+    return bool(np.all(np.diff(slopes) <= 0))
 
 
 def _mirror_ascent(b, pi, model, tol, max_iter, floor=1e-10):

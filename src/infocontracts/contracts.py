@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .agent import (AgentSolution, _logit_kernel, agent_kkt_residual,
-                    best_response_capacity, best_response_general,
-                    best_response_shannon)
+from .agent import (_logit_kernel, agent_kkt_residual, best_response_capacity,
+                    best_response_general, best_response_shannon)
 from .errors import (InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
@@ -73,13 +72,6 @@ class ContractSolution:
     residual: float
 
 
-def _unconstrained_best_response(b, inst) -> AgentSolution:
-    s = inst.cost_model.logit_scale
-    if s is not None:
-        return best_response_shannon(b, inst.prior, mu=0.0, scale=s)
-    return best_response_general(b, inst.prior, inst.cost_model)
-
-
 def alpha_prime(inst: ProblemInstance, tol=1e-6) -> float:
     """Largest piece rate at which the capacity never binds for contract
     alpha y; 1.0 when it is slack even at full output."""
@@ -88,7 +80,8 @@ def alpha_prime(inst: ProblemInstance, tol=1e-6) -> float:
     y = inst.output_contract
 
     def cost_at(alpha):
-        return _unconstrained_best_response(Contract(alpha * y.payments), inst).cost
+        return best_response_general(Contract(alpha * y.payments), inst.prior,
+                                     inst.cost_model).cost
 
     if cost_at(1.0) < inst.capacity:
         return 1.0
@@ -351,7 +344,8 @@ def _cold_starts(inst, alpha):
         yield np.zeros((n_d - 1) * n_s)
         if not response:
             try:
-                guess = _unconstrained_best_response(Contract(alpha * inst.output), inst)
+                guess = best_response_general(Contract(alpha * inst.output), inst.prior,
+                                              inst.cost_model)
             except NoConvergenceError:
                 response.append(None)
             else:

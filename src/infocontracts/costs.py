@@ -133,6 +133,12 @@ class CostModel:
         mutual information and the best response a logit rule; else None."""
         return self.scale if self._ups is _ENTROPY else None
 
+    @property
+    def knots(self):
+        """The q values of a two-state table, where its Upsilon has kinks
+        (increasing); None for the entropy."""
+        return None if self._ups is _ENTROPY else self._ups.q
+
     def scaled(self, factor):
         """Same uncertainty function with the scale multiplied by `factor`."""
         if not factor > 0:

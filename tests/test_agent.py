@@ -524,3 +524,129 @@ def test_residual_finite_where_a_live_conditional_underflows():
     assert np.all(sol.experiment.conditionals @ PI > 0)
     assert sol.residual <= 1e-9
     assert np.all(np.isfinite(sol.rho))
+
+
+# ---------------------------------------------------------------------------
+# the exact two-state routes: the entropy on the logit kernel, a table on
+# its breakpoints
+
+
+def test_two_state_entropy_takes_the_logit_kernel():
+    # the general solver once concavified the entropy on a 5001-point grid
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        b = Contract(rng.uniform(0, 5, size=(2, 2)))
+        pi = random_prior(rng, 2)
+        scale = float(rng.uniform(0.2, 3.0))
+        logit = best_response_shannon(b, pi, scale=scale)
+        for make in ENTROPY_MODELS:
+            sol = best_response_general(b, pi, make(scale))
+            assert np.array_equal(sol.experiment.conditionals, logit.experiment.conditionals)
+            assert sol.value == logit.value
+
+
+def _table_value_oracle(payments, pi, knots, values):
+    """Agent value under a linearly interpolated table, by pairwise search.
+
+    An experiment gives each decision one posterior.  With two states an
+    optimum splits the prior between two posteriors of two decisions, or
+    keeps it whole.  For either decision, payment plus Upsilon is linear
+    between the knots, so the chord value at the prior is monotone in each
+    end between knots: the ends are among 0, 1, the knots and the prior.
+    """
+    pay = np.asarray(payments, float)
+    q = float(pi[1])
+    pts = np.union1d(np.clip(knots, 0.0, 1.0), [0.0, 1.0, q])
+    net = pay[:, :1] + (pay[:, 1] - pay[:, 0])[:, None] * pts + np.interp(pts, knots, values)
+    a, b = pts[pts <= q][:, None], pts[pts >= q][None, :]
+    split = b > a
+    best = net[:, pts == q].max()
+    for d in range(len(pay)):
+        for e in range(len(pay)):
+            if d != e:
+                left, right = net[d, pts <= q][:, None], net[e, pts >= q][None, :]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    chord = (left * (b - q) + right * (q - a)) / (b - a)
+                best = max(best, np.max(chord, where=split, initial=-np.inf))
+    return best - float(np.interp(q, knots, values))
+
+
+def _table(knots, values):
+    return PosteriorSeparableCost({"grid": np.column_stack([knots, values]).tolist()})
+
+
+QUAD_KNOTS = np.linspace(0.0, 1.0, 201)
+QUAD_VALUES = 2.0 * QUAD_KNOTS * (1.0 - QUAD_KNOTS)
+
+
+@st.composite
+def _table_problems(draw):
+    n_d = draw(st.integers(2, 5))
+    cells = st.floats(0.0, 5.0, allow_nan=False)
+    pay = np.array(draw(st.lists(cells, min_size=2 * n_d, max_size=2 * n_d))).reshape(n_d, 2)
+    # uneven knots on a 1/64 lattice; the table may stop short of 0 or 1,
+    # where np.interp holds its end values
+    knots = np.array(draw(st.lists(st.integers(0, 64), min_size=2, max_size=12,
+                                   unique=True)), float)
+    knots = np.sort(knots) / 64.0
+    if draw(st.booleans()):
+        slopes = np.sort(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(knots) - 1,
+                                       max_size=len(knots) - 1)))[::-1]
+        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+    else:
+        values = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(knots),
+                                        max_size=len(knots))))
+    rise = pay[:, 1] - pay[:, 0]
+    i, j = np.triu_indices(n_d, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (pay[j, 0] - pay[i, 0]) / (rise[i] - rise[j])
+    on = {"knot": knots, "crossing": cross}.get(draw(st.sampled_from(["any", "knot", "crossing"])))
+    inner = [] if on is None else [float(x) for x in on if 0.02 <= x <= 0.98]
+    q = draw(st.sampled_from(inner)) if inner else draw(st.floats(0.02, 0.98))
+    return pay, np.array([1.0 - q, q]), knots, values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_table_problems())
+def test_table_route_matches_the_pairwise_oracle(problem):
+    pay, pi, knots, values = problem
+    sol = best_response_general(Contract(pay), pi, _table(knots, values))
+    assert abs(sol.value - _table_value_oracle(pay, pi, knots, values)) <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+def test_table_route_reaches_the_exact_envelope():
+    # the 5001-point grid missed the table's knots, where the contacts sit:
+    # the answer was 3.0e-6 below the exact envelope
+    sol = best_response_general(Y, PI, _table(QUAD_KNOTS, QUAD_VALUES))
+    assert abs(sol.value - _table_value_oracle(Y.payments, PI, QUAD_KNOTS, QUAD_VALUES)) <= 1e-12
+
+
+@pytest.mark.parametrize("capacity", [0.05, 0.2, 0.5])
+def test_capacity_under_a_table_binds_by_mixing_across_the_jump(monkeypatch, capacity):
+    # exact table answers make the cost a step function of mu, and the
+    # search once ended on the feasible end of the closed bracket: cost
+    # 0.04990, 0.1958 and 0.4867
+    model = _table(QUAD_KNOTS, QUAD_VALUES).scaled(3.0)
+    solves = []
+    general = agent.best_response_general
+
+    def counted(b, pi, m):
+        solves.append(general(b, pi, m))
+        return solves[-1]
+
+    monkeypatch.setattr(agent, "best_response_general", counted)
+    sol = best_response_capacity(Y, PI, capacity, model)
+    assert len(solves) <= 150
+    assert abs(sol.cost - capacity) <= 1e-8
+
+    def lagrangian(exp):
+        e_b = float(np.sum(exp.conditionals * PI * Y.payments))
+        return e_b - (1.0 + sol.mu) * model.value(exp, PI)
+
+    # each solve replaces the end of the bracket on its side of the capacity
+    costs = [model.value(s.experiment, PI) for s in solves]
+    lo = [s for s, c in zip(solves, costs) if c > capacity][-1]
+    hi = [s for s, c in zip(solves, costs) if c < capacity][-1]
+    for end in (lo, hi):
+        assert abs(lagrangian(sol.experiment) - lagrangian(end.experiment)) <= 1e-9
