@@ -461,8 +461,7 @@ def _spanning(x, net, labels, at):
     """Contacts, weights and labels of the upper hull of the points (x,
     net[labels]), x increasing, that span `at`, and the hull's value there."""
     y = net[labels, np.arange(len(x))]
-    # Python floats, which the hull's scalar loop reads several times faster
-    hull = geometry._upper_hull(x.tolist(), y.tolist())
+    hull = geometry._upper_hull(x, y)
     j = int(np.searchsorted(x[hull], at))
     if x[hull[j]] == at:
         return x[hull[j:j + 1]], np.ones(1), labels[hull[j:j + 1]], y[hull[j]]

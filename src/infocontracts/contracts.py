@@ -12,8 +12,10 @@ a liability limit, then solve the coupled system
 * the multiplier accounting sum_d lambda(d,theta) = (1-xi) pi(theta) plus
   complementary slackness,
 
-as one root-finding problem in the experiment, reconstructing multipliers
-by a linear solve at every iterate.  The first pattern whose solution
+as one root-finding problem in the experiment's logits, reconstructing
+multipliers by a linear solve at every iterate.  The root is found by a
+damped Newton method (`_newton`: forward-difference Jacobian, Armijo
+backtracking).  The first pattern whose solution
 satisfies all sign and feasibility requirements wins; patterns are ordered
 "one payment at zero per state, lowest-output cell first".
 """
@@ -24,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .agent import (_logit_kernel, agent_kkt_residual, best_response_capacity,
                     best_response_general, best_response_shannon)
@@ -381,11 +382,11 @@ def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
     solved = None
     for x0 in starts:
         try:
-            root = optimize.root(fun, x0, method="hybr")
+            root = _newton(fun, x0, 1e-3 * root_tol)
         except np.linalg.LinAlgError:
             continue
-        if root.success and np.max(np.abs(fun(root.x))) < root_tol:
-            solved = root.x
+        if root is not None and np.max(np.abs(fun(root))) < root_tol:
+            solved = root
             break
     if solved is None:
         return "no root"
@@ -424,6 +425,55 @@ def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
                             decomposition=deco, report=report,
                             pattern=(tuple(sorted(zeros)), tuple(sorted(tops))),
                             residual=residual)
+
+
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+def _newton(fun, x0, tol):
+    """Damped Newton root of a square system: x with max|fun(x)| < tol, or
+    None when the Jacobian is singular, a step or its residual is not
+    finite, the line search stalls, or 50 steps do not suffice.
+
+    The Jacobian is a forward difference with step sqrt(eps) max(1, |x_j|).
+    Each step starts at the full Newton step and halves it until
+    ||F||^2 falls by the Armijo factor 1 - 1e-4 t; below t = 1e-3 the
+    start is given up, since a pattern without a root would otherwise
+    spend its evaluations on ever shorter steps.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        return None
+    jac = np.empty((f.size, x.size))
+    for _ in range(50):
+        if np.max(np.abs(f)) < tol:
+            return x
+        h = _FD_STEP * np.maximum(1.0, np.abs(x))
+        for j in range(x.size):
+            shifted = x.copy()
+            shifted[j] += h[j]
+            jac[:, j] = (fun(shifted) - f) / h[j]
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        norm2 = f @ f
+        t = 1.0
+        while True:
+            trial = x + t * step
+            f_trial = fun(trial)
+            if not np.all(np.isfinite(f_trial)):
+                return None
+            if f_trial @ f_trial <= (1.0 - 1e-4 * t) * norm2:
+                break
+            t *= 0.5
+            if t < 1e-3:
+                return None
+        x, f = trial, f_trial
+    return x if np.max(np.abs(f)) < tol else None
 
 
 def _pattern_checks(inst, payments, lam, zeros, tops, tol=1e-7):

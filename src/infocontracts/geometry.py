@@ -98,6 +98,8 @@ class ConcavifiedCurve:
 
 def _upper_hull(x, y):
     """Indices of the upper concave hull vertices (monotone chain)."""
+    # Python floats, which the scalar loop reads several times faster
+    x, y = np.asarray(x, float).tolist(), np.asarray(y, float).tolist()
     keep = []
     for i in range(len(x)):
         while len(keep) >= 2:
@@ -158,10 +160,6 @@ def concavify(curve: EnvelopeCurve, prior: float) -> ConcavifiedCurve:
     )
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     """Write the curves behind one agent-problem figure as fig_<tag>.csv.
 
@@ -198,12 +196,14 @@ def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     ups = (1.0 + mu) * model.upsilon(qv)
     env = np.interp(q, conc.grid, conc.envelope)
 
+    columns = [[format(v, ".17g") for v in col.tolist()]
+               for col in (q, bq, ups, bq + ups, env)]
+    names = [inst.decisions[d] for d in first.tolist()]
+
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"fig_{tag}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "B", "upsilon", "net", "envelope", "decision", "is_contact"])
-        for i, flag in enumerate(flags):
-            writer.writerow([_fmt(q[i]), _fmt(bq[i]), _fmt(ups[i]), _fmt(bq[i] + ups[i]),
-                             _fmt(env[i]), inst.decisions[first[i]], str(flag)])
+        writer.writerows(zip(*columns, names, map(str, flags)))
     return path

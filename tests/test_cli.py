@@ -1,10 +1,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import infocontracts
 from infocontracts import cli
 from infocontracts.cli import main
 from infocontracts.errors import NoConvergenceError, NoPatternFoundError
@@ -258,3 +261,15 @@ def test_gridded_upsilon_commands_exit_cleanly(tmp_path, capsys, argv):
     else:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_import_loads_no_scipy():
+    # a fresh CLI call pays every import, and scipy.optimize alone once took
+    # 0.6 s of its 1 s
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(infocontracts.__file__)))
+    code = ("import sys, infocontracts, infocontracts.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

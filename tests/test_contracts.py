@@ -652,3 +652,34 @@ def test_failed_guess_does_not_bound_the_xi_search(example, monkeypatch):
     monkeypatch.setattr(contracts, "second_best_solve", holed)
     sol, _ = contracts._xi_search(contracts._Path(example), 2.0, 1.0, 1e-4, guess=0.95)
     assert abs(sol.report.agent_utility - 2.0) <= 1e-4
+
+
+@pytest.mark.parametrize("xi", [0.68, 0.77, 0.82])
+def test_second_best_solves_the_cold_holes_below_full_piece_rate(example, xi):
+    # the xi 0.01 on either side solved while these raised NoPatternFoundError;
+    # xi <= 0.22 at alpha = 0.8 still has no solution
+    sol = second_best_solve(example, xi, 0.8)
+    assert contracts._verify_solution(example, sol.contract, sol.experiment, sol.duals.lam,
+                                      sol.decomposition.beta, sol.decomposition.gamma,
+                                      xi, 0.8) is not None
+
+
+def _smooth_system(x):
+    return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 1.0])
+
+
+def test_newton_converges_on_a_smooth_system():
+    root = contracts._newton(_smooth_system, [1.0, 1.0], 1e-12)
+    assert np.max(np.abs(_smooth_system(root))) < 1e-12
+    assert np.allclose(root, [np.sqrt(2.0), np.sqrt(0.5)], rtol=0, atol=1e-12)
+
+
+def test_newton_gives_up_without_a_root():
+    assert contracts._newton(lambda x: np.ones(2), [0.3, -0.2], 1e-12) is None  # singular
+    assert contracts._newton(lambda x: x ** 2 + 1.0, [1.0], 1e-12) is None
+
+
+def test_newton_repeats_bit_for_bit():
+    first = contracts._newton(_smooth_system, [3.0, -2.0], 1e-12)
+    again = contracts._newton(_smooth_system, [3.0, -2.0], 1e-12)
+    assert first is not None and first.tobytes() == again.tobytes()
