@@ -10,9 +10,10 @@ Three routes:
   certificate; the same kernel solves the grid oracle in `contracts` in
   one batch (deterministic, no randomness);
 * `best_response_capacity` -- wraps the above, or the general route when
-  the model has no `logit_scale`, in a safeguarded secant (Illinois)
-  search on the capacity dual mu so the cost constraint just binds,
-  mixing the experiments across a jump of the cost (Everett 1963);
+  the model has no `logit_scale`, in a safeguarded Newton search on
+  t = 1/(1 + mu) with the exact slope of the logit path, so the cost
+  constraint just binds, mixing the experiments across a jump of the
+  cost (Everett 1963);
 * `best_response_general` -- any posterior-separable cost: the logit
   kernel when the model has a `logit_scale`; for a two-state table, the
   exact concavification on its breakpoints; else entropic mirror ascent
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +41,8 @@ LOGIT_TOL = 1e-12
 LOGIT_MAX_ITER = 500
 LINE_TOL = 1e-14
 LINE_MAX_ITER = 60
-# largest x = log(1 + mu) the capacity search tries (mu about 1e152), far
-# below log of the largest float, where expm1 overflows
-MAX_LOG_DUAL = 350.0
+# solves of the agent's problem one capacity search may make
+CAPACITY_MAX_SOLVES = 100
 _SEGMENT = np.array([1.0, -1.0])
 
 
@@ -276,27 +277,35 @@ def _logit_residual(payments, pi, temp, q, cond):
 
 
 def best_response_capacity(b: Contract, prior, capacity, model,
-                           cost_tol=1e-8, max_doublings=9) -> AgentSolution:
+                           cost_tol=1e-8) -> AgentSolution:
     """Optimal experiment subject to cost <= capacity.
 
     Returns the unconstrained optimum with mu = 0 when capacity is slack.
-    Otherwise the cost falls as the dual mu rises: brackets the crossing
-    in x = log(1 + mu) by doubling x from log 2 (at most `max_doublings`
-    times, and never past `MAX_LOG_DUAL`), then runs Illinois regula
-    falsi on log(cost / capacity), bisecting where no information is
-    bought, until the cost is within `cost_tol` of the capacity.  If the
-    bracket closes first, the cost jumps there and `_mixture` of the two
-    ends spends the capacity.  A model with a `logit_scale` takes the
-    logit route at every mu; otherwise the search runs on the penalized
-    problem with the cost scaled by (1 + mu).
+    Otherwise searches t = 1/(1 + mu) in a bracket that starts at (t0, 1]:
+    the cost is 0 up to the onset t0 where information starts to pay
+    (`_onset`; 0 for a model without a `logit_scale`) and the free cost
+    at t = 1.  With a logit model each step is a Newton step from the
+    latest point on the quadratic in t - t0 that vanishes at t0 and
+    matches the cost and its exact slope there (`_cost_slope`).  Where
+    that step leaves the bracket, the excess over the capacity did not
+    halve, or there is no slope (a table), the step goes to the t where
+    the two ends' Lagrangians E[b] - cost / t meet; else it bisects.  Each
+    solve replaces the end on its side of the capacity, until the cost is
+    within `cost_tol` of it.  When the meeting point is an end (so also
+    one step after a solve there returns an end's experiment) or the
+    bracket closes, the cost jumps at that t, and `_mixture` of the two
+    ends spends the capacity (Everett 1963).  A model with a
+    `logit_scale` takes the logit route at every t; otherwise the search
+    runs on the penalized problem with the cost scaled by 1/t.  Raises
+    `NoConvergenceError` after `CAPACITY_MAX_SOLVES` solves.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     pi = np.asarray(prior, float)
     logit_scale = model.logit_scale
 
-    def solve(x):
-        mu = math.expm1(x)
+    def solve(t):
+        mu = (1.0 - t) / t
         if logit_scale is not None:
             return best_response_shannon(b, pi, mu=mu, scale=logit_scale)
         sol = best_response_general(b, pi, model.scaled(1.0 + mu))
@@ -304,66 +313,156 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         e_b = float(np.sum(sol.experiment.conditionals * pi[None, :] * b.payments))
         return replace(sol, mu=mu, value=e_b - cost, cost=cost)
 
-    free = solve(0.0)
+    free = solve(1.0)
     if free.cost <= capacity:
         return free
+    onset = 0.0 if logit_scale is None else logit_scale * _onset(b.payments, pi)
+    if not onset < 1.0:
+        # no information pays even at t = 1: the free cost is rounding
+        return free
 
-    def excess(sol):
-        # log(cost / capacity), -inf where no information is bought at all
-        return math.log(sol.cost / capacity) if sol.cost > 0 else -math.inf
-
-    # the cost falls as x rises: bracket the crossing, then close in
-    x_lo, sol_lo, f_lo = 0.0, free, excess(free)
-    x_hi = math.log(2.0)
-    sol_hi = solve(x_hi)
-    n = 0
-    while sol_hi.cost >= capacity:
-        if n >= max_doublings or x_hi >= MAX_LOG_DUAL:
-            raise NoConvergenceError("capacity dual bracket not found")
-        x_lo, sol_lo, f_lo = x_hi, sol_hi, excess(sol_hi)
-        x_hi = min(2.0 * x_hi, MAX_LOG_DUAL)
-        sol_hi = solve(x_hi)
-        n += 1
-    f_hi = excess(sol_hi)
-    sol = sol_hi
-    side = 0
-    while abs(sol.cost - capacity) >= cost_tol:
-        if x_hi - x_lo < 1e-15 * (1.0 + x_hi):
-            return _mixture(b, pi, model, sol_lo, sol_hi, capacity, cost_tol)
-        x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
-        if not x_lo < x < x_hi:
-            x = 0.5 * (x_lo + x_hi)
-        sol = solve(x)
-        f = excess(sol)
-        # Illinois: halve the value kept at an end that survives twice
-        if f > 0:
-            x_lo, sol_lo, f_lo = x, sol, f
-            if side > 0:
-                f_hi *= 0.5
-            side = 1
+    below = _End(onset, None, 0.0, float(np.max(b.payments @ pi)))
+    above = _End(1.0, free, free.cost, free.value + free.cost)
+    t, sol, last = 1.0, free, math.inf
+    for _ in range(CAPACITY_MAX_SOLVES):
+        if below.sol is not None and above.t - below.t <= 1e-15 * above.t:
+            return _mixture(b, pi, model, above.sol, below.sol, capacity, cost_tol, above.t)
+        step = math.nan
+        # a step that did not halve the excess falls back on the meeting
+        excess = abs(sol.cost - capacity)
+        if logit_scale is not None and excess <= 0.5 * last:
+            slope = _cost_slope(b.payments, pi, sol.experiment.conditionals, logit_scale / t)
+            step = onset + _quadratic_step(t - onset, sol.cost, slope, capacity)
+        last = excess
+        if not below.t < step < above.t:
+            # where the ends' Lagrangians E[b] - cost / t meet; the cost
+            # jumps there if that is an end (as it is, one step on, when
+            # the solve there returns an end's experiment)
+            cross = math.nan
+            if above.e_b > below.e_b:
+                cross = (above.cost - below.cost) / (above.e_b - below.e_b)
+            if below.sol is not None and (cross <= below.t or cross >= above.t):
+                jump = below.t if cross <= below.t else above.t
+                return _mixture(b, pi, model, above.sol, below.sol, capacity, cost_tol, jump)
+            step = cross if below.t < cross < above.t else 0.5 * (below.t + above.t)
+        t = step
+        sol = solve(t)
+        if abs(sol.cost - capacity) < cost_tol:
+            return sol
+        end = _End(t, sol, sol.cost, sol.value + sol.cost)
+        if sol.cost > capacity:
+            above = end
         else:
-            x_hi, sol_hi, f_hi = x, sol, f
-            if side < 0:
-                f_lo *= 0.5
-            side = -1
-    return sol
+            below = end
+    raise NoConvergenceError(
+        f"capacity dual not found in {CAPACITY_MAX_SOLVES} solves "
+        f"(cost {sol.cost:.6g} against capacity {capacity:.6g})")
 
 
-def _mixture(b, pi, model, lo, hi, capacity, cost_tol):
-    """The mixture of the ends of a closed capacity bracket that spends the
-    capacity.  Both ends maximize the same concave Lagrangian, so every
-    mixture of their experiments does too, and its cost is linear in the
-    weight (Everett 1963).  A cost not convex in p can break that: the end
-    within the capacity is returned when the mixture misses it."""
-    lam = (capacity - hi.cost) / (lo.cost - hi.cost)
-    exp = Experiment(lam * lo.experiment.conditionals
-                     + (1.0 - lam) * hi.experiment.conditionals)
+class _End(NamedTuple):
+    """An end of the capacity search's bracket: t, the solution there
+    (None for the onset, which is not solved), its cost and E[b]."""
+
+    t: float
+    sol: AgentSolution | None
+    cost: float
+    e_b: float
+
+
+def _quadratic_step(x, cost, slope, capacity):
+    """Where the quadratic a x + b x^2 through the origin with the given
+    cost and slope at x reaches the capacity; nan when it does not."""
+    lin = 2.0 * cost / x - slope
+    disc = lin * lin + 4.0 * capacity * (slope * x - cost) / (x * x)
+    if slope > 0 and disc >= 0 and lin + math.sqrt(disc) > 0:
+        return 2.0 * capacity / (lin + math.sqrt(disc))
+    return math.nan
+
+
+def _onset(payments, pi, max_iter=60):
+    """Where information starts to pay at unit cost scale: the largest
+    inverse temperature beta at which no information is optimal.
+
+    That is the least, over decisions d, of the positive root of f_d(beta)
+    = log sum_theta pi_theta exp(beta a_dtheta), a_d = b_d - b_top for the
+    best uninformed decision top: the logit certificate g_d of the
+    uninformed choice is exp(f_d).  Each f_d is convex with f_d(0) = 0 and
+    f_d'(0) <= 0, so Newton steps from the least -log pi_theta / a_dtheta
+    over states with a_dtheta > 0, where f_d >= 0, fall to the root
+    without overshooting it.  0 when a decision ties with top in
+    expectation; inf when no decision ever enters.  In Python floats: a
+    few decisions and states take a few steps each.
+    """
+    gains = (payments - payments[np.argmax(payments @ pi)]).tolist()
+    prior = pi.tolist()
+    log_pi = [math.log(p) if p > 0 else -math.inf for p in prior]
+    onset = math.inf
+    for a in gains:
+        starts = [-lp / x for lp, x in zip(log_pi, a) if x > 0 and lp > -math.inf]
+        if not starts:
+            continue
+        if sum(p * x for p, x in zip(prior, a)) >= 0:
+            return 0.0
+        beta = min(starts)
+        for _ in range(max_iter):
+            w = [math.exp(lp + beta * x) for lp, x in zip(log_pi, a)]
+            total = sum(w)
+            step = math.log(total) * total / sum(wk * x for wk, x in zip(w, a))
+            beta -= step
+            # quadratic convergence: the error left is about step^2 / beta
+            if step <= 1e-8 * beta:
+                break
+        onset = min(onset, beta)
+    return onset
+
+
+def _cost_slope(payments, pi, cond, temp):
+    """d cost / dt along the logit path, at the solution `cond` of
+    temperature temp = scale / t.
+
+    On the rate-distortion curve d cost = scale dE[b] / temp (Blahut
+    1972), and with p(d|theta) = q_d exp(b_dtheta / temp) / D_theta the
+    slope is (sum_theta pi_theta Var_p(.|theta)(b) + dq' M dq) / temp on
+    the support q > 0, with M_de = sum_theta pi_theta p(d|theta) p(e|theta)
+    / (q_d q_e) and dq solving [M 1; 1' 0] [dq; nu] = [r; 0], r_d =
+    sum_theta pi_theta p(d|theta) (b_dtheta - mean_theta) / q_d; then
+    dq' M dq = r' dq.
+    """
+    q = cond @ pi
+    live = q > 0
+    p, y = cond[live], payments[live]
+    dev = y - np.add.reduce(p * y, axis=0)
+    ratio = p / q[live, None]
+    n = len(ratio)
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = (ratio * pi) @ ratio.T
+    border[n, :n] = border[:n, n] = 1.0
+    r = (ratio * dev) @ pi
+    rhs = np.append(r, 0.0)
+    try:
+        dq = np.linalg.solve(border, rhs)[:n]
+    except np.linalg.LinAlgError:  # decisions paid alike
+        dq = np.linalg.lstsq(border, rhs, rcond=None)[0][:n]
+    return float(pi @ np.add.reduce(p * dev * dev, axis=0) + r @ dq) / temp
+
+
+def _mixture(b, pi, model, above, below, capacity, cost_tol, t):
+    """The mixture of the ends of a capacity bracket, both optimal at t,
+    that spends the capacity.  Both ends maximize the same concave
+    Lagrangian there, so every mixture of their experiments does too, and
+    its cost is linear in the weight (Everett 1963); its dual is mu = 1/t
+    - 1.  A cost not convex in p can break that: the end within the
+    capacity is returned when the mixture misses it."""
+    lam = (capacity - below.cost) / (above.cost - below.cost)
+    exp = Experiment(lam * above.experiment.conditionals
+                     + (1.0 - lam) * below.experiment.conditionals)
     cost = model.value(exp, pi)
     if abs(cost - capacity) >= cost_tol:
-        return hi
+        return below
     e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
-    return replace(hi, experiment=exp, rho=lam * lo.rho + (1.0 - lam) * hi.rho, value=e_b - cost,
-                   cost=cost, residual=max(lo.residual, hi.residual))
+    return replace(below, experiment=exp, mu=(1.0 - t) / t,
+                   rho=lam * above.rho + (1.0 - lam) * below.rho, value=e_b - cost,
+                   cost=cost, residual=max(above.residual, below.residual))
 
 
 def agent_kkt_residual(b: Contract, prior, model, p: Experiment,

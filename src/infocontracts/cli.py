@@ -24,6 +24,7 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -63,7 +64,9 @@ SOLVER_EXITS = {
 log = logging.getLogger("infocontracts")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="infocontracts",
         description="Solvers for contracting over costly information acquisition.",
@@ -267,7 +270,7 @@ def main(argv=None):
                "debug": logging.DEBUG}.get(level, logging.ERROR),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)

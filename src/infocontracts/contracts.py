@@ -73,27 +73,16 @@ class ContractSolution:
     residual: float
 
 
-def alpha_prime(inst: ProblemInstance, tol=1e-6) -> float:
+def alpha_prime(inst: ProblemInstance) -> float:
     """Largest piece rate at which the capacity never binds for contract
-    alpha y; 1.0 when it is slack even at full output."""
+    alpha y; 1.0 when it is slack even at full output.  The best response
+    to alpha y is the one to y at cost scale 1/alpha, so alpha' = 1/(1 +
+    mu) is read off the capacity solve at y."""
     if inst.capacity <= 0:
         raise ValueError("capacity must be positive")
-    y = inst.output_contract
-
-    def cost_at(alpha):
-        return best_response_general(Contract(alpha * y.payments), inst.prior,
-                                     inst.cost_model).cost
-
-    if cost_at(1.0) < inst.capacity:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cost_at(mid) < inst.capacity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    base = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
+                                  inst.cost_model)
+    return 1.0 / (1.0 + base.mu)
 
 
 def first_best_frontier(inst: ProblemInstance, r, tol=1e-6, slack=5e-3):

@@ -1,3 +1,6 @@
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,13 +360,21 @@ def test_capacity_jump_returns_the_end_within_capacity(monkeypatch):
 
 
 def test_capacity_bracket_stays_finite(monkeypatch):
-    # a cost that never falls: the bracket search gives up with
-    # NoConvergenceError however many doublings it is allowed, where
-    # doubling log(1 + mu) past 709 once overflowed
-    monkeypatch.setattr(agent, "best_response_shannon", _jumping_solve(np.inf, 0.0))
-    for doublings in (9, 50):
-        with pytest.raises(NoConvergenceError):
-            best_response_capacity(Y, PI, 0.8, ShannonCost(), max_doublings=doublings)
+    # a cost that never falls: the search gives up with NoConvergenceError
+    # after a bounded number of solves, where doubling log(1 + mu) past
+    # 709 once overflowed
+    solves = []
+    jumping = _jumping_solve(np.inf, 0.0)
+
+    def counted(b, pi, mu=0.0, scale=1.0):
+        solves.append(mu)
+        return jumping(b, pi, mu=mu, scale=scale)
+
+    monkeypatch.setattr(agent, "best_response_shannon", counted)
+    with pytest.raises(NoConvergenceError):
+        best_response_capacity(Y, PI, 0.8, ShannonCost())
+    assert len(solves) <= agent.CAPACITY_MAX_SOLVES + 1
+    assert all(np.isfinite(solves))
 
 
 def test_logit_certified_with_rows_paid_almost_alike():
@@ -637,7 +648,8 @@ def test_capacity_under_a_table_binds_by_mixing_across_the_jump(monkeypatch, cap
 
     monkeypatch.setattr(agent, "best_response_general", counted)
     sol = best_response_capacity(Y, PI, capacity, model)
-    assert len(solves) <= 150
+    # the search crawled across the jump in 139 solves at capacity 0.05
+    assert len(solves) <= 12
     assert abs(sol.cost - capacity) <= 1e-8
 
     def lagrangian(exp):
@@ -650,3 +662,121 @@ def test_capacity_under_a_table_binds_by_mixing_across_the_jump(monkeypatch, cap
     hi = [s for s, c in zip(solves, costs) if c < capacity][-1]
     for end in (lo, hi):
         assert abs(lagrangian(sol.experiment) - lagrangian(end.experiment)) <= 1e-9
+    monkeypatch.undo()
+    assert min(_wall_time(lambda: best_response_capacity(Y, PI, capacity, model))
+               for _ in range(3)) < 0.05
+
+
+def _wall_time(call):
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+# ---------------------------------------------------------------------------
+# the capacity search: Newton steps in t = 1/(1 + mu) on the exact slope
+
+
+def _counting_shannon():
+    """A wrapper of `best_response_shannon` that records every call, the
+    boundary at which a capacity search's inner solves are counted."""
+    calls = []
+    shannon = agent.best_response_shannon
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("mu"))
+        return shannon(*args, **kwargs)
+    return calls, counted
+
+
+def _seeded_contract(rng, n_d, n_s):
+    # decision d wins in state d mod n_s: every decision is live
+    y = rng.uniform(0.0, 0.5, (n_d, n_s))
+    for d in range(n_d):
+        y[d, d % n_s] += rng.uniform(3.8, 4.2)
+    return y, rng.dirichlet(np.full(n_s, 20.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 5), (5, 6)])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_cost_slope_matches_a_central_difference(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        y, pi = _seeded_contract(rng, *shape)
+        b = Contract(y)
+
+        def cost(t):
+            return best_response_shannon(b, pi, mu=1.0 / t - 1.0, scale=scale).cost
+
+        for t in (0.3, 0.7, 0.95):
+            sol = best_response_shannon(b, pi, mu=1.0 / t - 1.0, scale=scale)
+            slope = agent._cost_slope(y, pi, sol.experiment.conditionals, scale / t)
+            h = 1e-5
+            central = (cost(t + h) - cost(t - h)) / (2.0 * h)
+            assert abs(slope - central) <= 1e-8 * max(1.0, abs(central))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 3)])
+def test_onset_is_where_information_starts_to_pay(shape):
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(10):
+        y = rng.uniform(0.0, 5.0, shape)
+        pi = random_prior(rng, shape[1])
+        onset = agent._onset(y, pi)
+        for scale in (0.1, 0.3, 1.0):
+            t = scale * onset
+            if not 0 < t < 0.9:
+                continue
+            checked += 1
+            below = best_response_shannon(Contract(y), pi, mu=1.0 / (t * (1 - 1e-9)) - 1.0,
+                                          scale=scale)
+            above = best_response_shannon(Contract(y), pi, mu=1.0 / (t * (1 + 1e-6)) - 1.0,
+                                          scale=scale)
+            assert abs(below.cost) <= 1e-14
+            assert above.cost > 1e-14
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("capacity", [0.5, 0.05, 1e-3, 1e-7])
+def test_capacity_search_on_the_worked_example_is_short(capacity):
+    # the doubling and Illinois search took 9, 13, 17 and 27 solves
+    calls, counted = _counting_shannon()
+    with mock.patch.object(agent, "best_response_shannon", counted):
+        sol = best_response_capacity(Y, PI, capacity, ShannonCost())
+    assert len(calls) <= 8
+    assert abs(sol.cost - capacity) <= 1e-8
+    assert sol.residual <= 1e-9
+
+
+def test_capacity_below_the_rounding_of_an_uninformed_answer():
+    # the second decision is paid more in both states, so no information
+    # pays, but the free answer's cost reads 1.1e-16: the search for a
+    # capacity below that once raised NoConvergenceError
+    y = np.array([[1.4190324447206555, 1.570669478011511],
+                  [1.5652392940996884, 2.88349858126476]])
+    pi = np.array([0.4950720497714065, 0.5049279502285934])
+    free = best_response_shannon(Contract(y), pi)
+    assert 0 < free.cost < 1e-15
+    sol = best_response_capacity(Contract(y), pi, 1e-18, ShannonCost())
+    assert sol.mu == 0.0
+    assert np.array_equal(sol.experiment.conditionals, [[0.0, 0.0], [1.0, 1.0]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_logit_problems(), st.floats(-9.0, float(np.log10(0.9))))
+def test_capacity_search_property(problem, log_share):
+    # capacity near zero (ROADMAP aim 3) down to 1e-9 of the free cost
+    y, pi = problem
+    b = Contract(y)
+    free = best_response_shannon(b, pi)
+    capacity = 10.0 ** log_share * (free.cost if free.cost > 0 else 1.0)
+    calls, counted = _counting_shannon()
+    with mock.patch.object(agent, "best_response_shannon", counted):
+        sol = best_response_capacity(b, pi, capacity, ShannonCost())
+    cond = sol.experiment.conditionals
+    uninformed = np.all(np.abs(cond - cond[:, :1]) <= 1e-12)
+    assert abs(sol.cost - capacity) < 1e-8 or (uninformed and sol.cost <= capacity)
+    assert sol.mu >= 0
+    assert sol.residual <= 1e-9
+    assert len(calls) <= 12

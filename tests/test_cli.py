@@ -62,6 +62,19 @@ def test_solve_agent_flag_exclusivity(problem_file, contract_file):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state(problem_file, contract_file, capsys):
+    assert cli._parser() is cli._parser()
+    base = ["solve-agent", "--problem", problem_file, "--contract", contract_file]
+    assert main(base + ["--mu", "0.4"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(base) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (first["mu"], second["mu"]) == (0.4, 0.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha-prime"])
+    assert exc.value.code == 2
+
+
 def test_missing_problem_file(contract_file):
     code = main(["solve-agent", "--problem", "/nonexistent/p.json",
                  "--contract", contract_file])

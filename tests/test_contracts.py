@@ -11,7 +11,7 @@ from infocontracts import (BregmanMatrixCost, Contract, CostModel,
                            PosteriorSeparableCost, ProblemInstance,
                            ShannonCost, TooLargeError,
                            alpha_prime, alpha_star, best_response_capacity,
-                           best_response_shannon, brute_force_pareto,
+                           best_response_general, best_response_shannon, brute_force_pareto,
                            debt_equity_split, decompose, evaluate_profile,
                            first_best_frontier, gamma_from_duals,
                            gamma_risk_averse, gamma_risk_averse_hw, marginal,
@@ -503,11 +503,29 @@ def test_second_best_generic_route_matches_logit_route(example, xi):
 # the reservation search: one warm-started path through xi and alpha
 
 
+def _alpha_prime_by_bisection(inst, tol=1e-12):
+    """alpha' as the largest piece rate whose best response costs less
+    than the capacity, by bisection on alpha."""
+    def cost_at(alpha):
+        return best_response_general(Contract(alpha * inst.output), inst.prior,
+                                     inst.cost_model).cost
+
+    if cost_at(1.0) < inst.capacity:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if cost_at(mid) < inst.capacity:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _frontier_by_bisection(inst, r):
-    """first_best_frontier's contract computed with alpha' from the
-    `alpha_prime` bisection at a tight tolerance, the reference for
-    alpha' = 1/(1 + mu)."""
-    ap = alpha_prime(inst, tol=1e-12)
+    """first_best_frontier's contract computed with alpha' from a
+    bisection at a tight tolerance, the reference for alpha' = 1/(1 + mu)."""
+    ap = _alpha_prime_by_bisection(inst)
     base = best_response_capacity(inst.output_contract, inst.prior,
                                   inst.capacity, inst.cost_model)
     joint = base.experiment.conditionals * inst.prior[None, :]
