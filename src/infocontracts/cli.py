@@ -9,7 +9,8 @@ codes:
 * 1 golden mismatch in `reproduce`;
 * 2 usage error;
 * 3 requested utility outside the achievable range (`OutOfRangeError`);
-* 4 no sign-consistent binding pattern (`NoPatternFoundError`);
+* 4 no sign-consistent binding pattern (`NoPatternFoundError`), which
+  includes every contract request under a tabulated uncertainty function;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes a reservation search whose agent utility misses the target;
 * 6 problem too large for the grid oracle (`TooLargeError`);
@@ -161,6 +162,8 @@ def _cmd_solve_contract(args, parser):
     if args.reservation is not None:
         alpha, sol = _alpha_search(inst, args.reservation)
         log.info("alpha* = %.6f", alpha)
+        if isinstance(sol, OutOfRangeError):
+            raise sol
         if sol is None:
             sol = solve_for_reservation(inst, args.reservation, alpha)
     else:

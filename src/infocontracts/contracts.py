@@ -18,6 +18,13 @@ damped Newton method (`_newton`: forward-difference Jacobian, Armijo
 backtracking).  The first pattern whose solution
 satisfies all sign and feasibility requirements wins; patterns are ordered
 "one payment at zero per state, lowest-output cell first".
+
+A reservation utility r picks one point of the frontier that xi traces.
+The search solves one point, then the same pattern system bordered with
+V_A - r = 0 for the logits and xi at once (`_land`), and certifies the
+root with one more solve; safeguarded regula falsi in xi (`_Root`) is the
+fallback.  The piece rate alpha* that stands in for the capacity is
+closed in on the same way, one such search per alpha (`_alpha_search`).
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ def alpha_prime(inst: ProblemInstance) -> float:
     return 1.0 / (1.0 + base.mu)
 
 
-def first_best_frontier(inst: ProblemInstance, r, tol=1e-6, slack=5e-3):
+def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
     """First-best contract alpha y - beta delivering the agent utility r.
 
     Walks the frontier by lowering alpha from 1 to alpha' with beta = 0,
@@ -94,7 +101,7 @@ def first_best_frontier(inst: ProblemInstance, r, tol=1e-6, slack=5e-3):
     Targets within `slack` of the achievable range clamp to the endpoint.
     alpha' is read off the capacity solve at y: the best response to
     alpha y is the one to y at cost scale 1/alpha, so the capacity binds
-    from alpha' = 1/(1 + mu) on.  `tol` is no longer used.
+    from alpha' = 1/(1 + mu) on.
     """
     if inst.capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -236,15 +243,22 @@ def _agent_inverse(inst, cond, refs):
     return levels - levels[refs, np.arange(inst.n_states)][None, :]
 
 
-def _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells):
+def _pattern_residuals(inst, alpha, zeros, tops):
     """Residual function of the coupled system in logit coordinates.
 
-    Conditionals are floored at 1e-11 so the residuals stay finite
-    wherever the root finder wanders; roots of interest are interior, far
-    from the floor.
+    Returns (cond_of, fun): `cond_of(x)` is the experiment of the logits
+    x, and `fun(x, xi)` returns the residuals at participation weight xi
+    with that experiment and the principal's payments alpha y - beta -
+    gamma, which equal the limits at the pattern's binding cells.  Each
+    reference cell (the first zero of its state) pays zero and has no
+    residual.  Conditionals are floored at 1e-11 so the residuals stay
+    finite wherever the root finder wanders; roots of interest are
+    interior, far from the floor.
     """
     n_d, n_s = inst.output.shape
     floor = 1e-11
+    refs = [min(d for d, s in zeros if s == state) for state in range(n_s)]
+    free_cells = [(d, s) for s in range(n_s) for d in range(n_d) if d != refs[s]]
 
     def cond_of(x):
         z = np.zeros((n_d, n_s))
@@ -255,7 +269,7 @@ def _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells):
         cond = np.clip(cond, floor, None)
         return cond / cond.sum(axis=0, keepdims=True)
 
-    def fun(x):
+    def fun(x, xi):
         cond = cond_of(x)
         b_agent = _agent_inverse(inst, cond, refs)
         lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros, tops)
@@ -268,7 +282,7 @@ def _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells):
                 res[i] = b_agent[d, s] - inst.output[d, s]
             else:
                 res[i] = b_agent[d, s] - b_principal[d, s]
-        return res
+        return res, cond, b_principal
 
     return cond_of, fun
 
@@ -284,6 +298,8 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
     zero logits and then from the unconstrained best response to alpha y.
     When every pattern fails at xi > 0, the patterns are tried once more
     from the xi = 0 solution at the same alpha, if that one solves.
+    Raises NoPatternFoundError at once for a tabulated uncertainty
+    function: its Hessian is zero, so no pattern system has a smooth root.
 
     `_warm` is internal to the reservation search: the pattern of a
     solution at a nearby (xi, alpha) and starting logits for it, tried
@@ -291,6 +307,10 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
+    if inst.cost_model.knots is not None:
+        raise NoPatternFoundError(
+            "the Hessian of a tabulated uncertainty function is zero, so no "
+            "binding pattern has a smooth root; the contract layer needs a smooth cost")
     cold = _cold_starts(inst, alpha)
     if _warm is not None:
         (zeros, tops), starts = _warm
@@ -362,11 +382,11 @@ def _first_solved(inst, xi, alpha, attempts, root_tol):
 
 def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
     """Solve one binding pattern; a ContractSolution or the failure reason."""
-    n_d, n_s = inst.output.shape
     pi = inst.prior
-    refs = [min(d for d, s in zeros if s == state) for state in range(n_s)]
-    free_cells = [(d, s) for s in range(n_s) for d in range(n_d) if d != refs[s]]
-    cond_of, fun = _pattern_residuals(inst, alpha, xi, zeros, tops, refs, free_cells)
+    cond_of, residuals = _pattern_residuals(inst, alpha, zeros, tops)
+
+    def fun(x):
+        return residuals(x, xi)[0]
 
     solved = None
     for x0 in starts:
@@ -434,17 +454,11 @@ def _newton(fun, x0, tol):
     f = fun(x)
     if not np.all(np.isfinite(f)):
         return None
-    jac = np.empty((f.size, x.size))
     for _ in range(50):
         if np.max(np.abs(f)) < tol:
             return x
-        h = _FD_STEP * np.maximum(1.0, np.abs(x))
-        for j in range(x.size):
-            shifted = x.copy()
-            shifted[j] += h[j]
-            jac[:, j] = (fun(shifted) - f) / h[j]
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(_jacobian(fun, x, f), -f)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
@@ -463,6 +477,17 @@ def _newton(fun, x0, tol):
                 return None
         x, f = trial, f_trial
     return x if np.max(np.abs(f)) < tol else None
+
+
+def _jacobian(fun, x, f):
+    """Forward-difference Jacobian of fun at x, where fun(x) = f."""
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
+    jac = np.empty((f.size, x.size))
+    for j in range(x.size):
+        shifted = x.copy()
+        shifted[j] += h[j]
+        jac[:, j] = (fun(shifted) - f) / h[j]
+    return jac
 
 
 def _pattern_checks(inst, payments, lam, zeros, tops, tol=1e-7):
@@ -617,7 +642,7 @@ class _Path:
     in (xi, alpha).  It starts from the experiment logits interpolated (or
     extrapolated) in xi between that solution and the next nearest one at
     the same alpha and with the same pattern, then from the nearest
-    solution's own logits.
+    solution's own logits.  `_land` adds the solutions it certifies.
     """
 
     def __init__(self, inst):
@@ -721,20 +746,89 @@ class _Root:
         return (f1 - f0) / (x1 - x0)
 
 
-def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
-    """Participation weight xi whose agent utility is r within v_tol, by
-    safeguarded regula falsi on V_A(xi) - r (`_Root`), starting at `guess`
-    with a Newton step of the given slope when they are known.
+def _land(path, sol, r, v_tol):
+    """The solution at the piece rate of `sol` whose agent utility is r,
+    or None.
 
-    Returns (solution, slope of V_A at the end of the search).  The
-    solution is the xi = 0 one when the participation constraint is slack
-    at r.  A xi with no solution counts as delivering too little utility,
-    except the guess, which is then dropped.
+    The binding-pattern system of `sol`, bordered with V_A(x, xi) - r = 0,
+    is solved for the experiment logits x and xi together, from `sol`
+    (the bordered system of continuation methods; Allgower & Georg), and
+    the root is certified by one solve warm from it.  V_A comes from the
+    principal's payments of the same multiplier solve.  A root at xi < 0
+    means participation is slack: the landing is the xi = 0 solution.
+
+    Each of two optimal contracts does at least as well as the other at
+    its own weight, so (xi' - xi)(V_A' - V_A) >= 0.  A root where V_A
+    falls as xi rises along its branch of pattern roots therefore lies on
+    a branch of stationary points that is not optimal, which a Newton
+    step can jump to; it is refused.  None as well when there is no root,
+    xi > 1, or the certified solution misses r by more than v_tol (at
+    xi = 0: falls short of r).  Only an accepted landing joins the path.
+    """
+    inst, alpha, pi = path.inst, sol.decomposition.alpha, path.inst.prior
+    zeros, tops = (frozenset(cells) for cells in sol.pattern)
+    _, residuals = _pattern_residuals(inst, alpha, zeros, tops)
+
+    def bordered(z):
+        res, cond, pay = residuals(z[:-1], z[-1])
+        v_a = float(np.sum(cond * pi[None, :] * pay)) \
+            - inst.cost_model.value(Experiment(cond), pi)
+        return np.append(res, v_a - r)
+
+    try:
+        z = _newton(bordered, np.append(_logits(sol.experiment), sol.duals.xi), 1e-12)
+    except np.linalg.LinAlgError:
+        return None
+    if z is None or z[-1] > 1.0:
+        return None
+    if z[-1] < 0.0:
+        xi, start = 0.0, _logits(sol.experiment)
+    elif _branch_slope(bordered, z) > 0.0:
+        xi, start = float(z[-1]), z[:-1]
+    else:
+        return None
+    try:
+        landed = second_best_solve(inst, xi, alpha, _warm=(sol.pattern, [start]))
+    except NoPatternFoundError:
+        return None
+    v = landed.report.agent_utility
+    if abs(v - r) > v_tol and not (xi == 0.0 and v >= r):
+        return None
+    path.solved.append(landed)
+    return landed
+
+
+def _branch_slope(bordered, z):
+    """Derivative of the last residual of `bordered` in the last unknown,
+    along the roots of the other residuals through z: their tangent
+    (dx, 1) has F_x dx + F_xi = 0.  NaN where F_x is singular."""
+    jac = _jacobian(bordered, z, bordered(z))
+    try:
+        dx = np.linalg.solve(jac[:-1, :-1], -jac[:-1, -1])
+    except np.linalg.LinAlgError:
+        return np.nan
+    return jac[-1, :-1] @ dx + jac[-1, -1]
+
+
+def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
+    """Participation weight xi whose agent utility is r within v_tol.
+
+    The first point solved (`guess` when it is known, else xi = 1) is
+    carried onto r by `_land`.  When that fails, the search goes on by
+    safeguarded regula falsi on V_A(xi) - r (`_Root`) from that point,
+    with a Newton step of the given slope when it is known.
+
+    Returns (solution, slope of V_A at the end of the search: the secant
+    from the first point after a landing).  The solution is the xi = 0
+    one when the participation constraint is slack at r.  A xi with no
+    solution counts as delivering too little utility, except the guess,
+    which is then dropped.
     """
     root = _Root(0.0, 1.0, 1e-12, ends=(0.0, 1.0))
     at_guess = guess is not None and 0.0 < guess < 1.0
     x = guess if at_guess else 1.0
     best = None
+    landing = True
     for _ in range(200):
         try:
             sol = path.solve(x, alpha)
@@ -750,6 +844,12 @@ def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
                     f"utility {r} above the second-best range at alpha={alpha} "
                     f"(max {v:.6f})"
                 )
+            if landing:
+                landing = False
+                landed = _land(path, sol, r, v_tol)
+                if landed is not None:
+                    step = landed.duals.xi - x
+                    return landed, (landed.report.agent_utility - v) / step if step else slope
             if (x == 0.0 and v >= r) or abs(v - r) <= v_tol:
                 return sol, root.slope() or slope
             if best is None or abs(v - r) < abs(best.report.agent_utility - r):
@@ -770,7 +870,8 @@ def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
 def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
                           v_tol=1e-4) -> ContractSolution:
     """Second-best contract at piece rate alpha whose agent utility is r
-    within v_tol.  The participation weight xi is found by safeguarded
+    within v_tol.  The participation weight xi is found by one bordered
+    Newton solve from the xi = 1 solution (`_land`), else by safeguarded
     regula falsi, each solve warm-started from the nearest solved xi.
 
     Returns the xi = 0 solution directly when the participation constraint
@@ -784,16 +885,17 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
 
 
 def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
-    """(alpha*, the reservation solution at alpha*), the solution None when
-    r is out of range there.
+    """(alpha*, the outcome at alpha*): the reservation solution, the
+    OutOfRangeError raised when r is out of range there, or None when
+    alpha* was never solved.
 
     One path of warm-started solves serves every alpha.  Each alpha's xi
     search starts at xi* interpolated from the two nearest alphas solved,
-    with a Newton step of the slope of V_A found at the nearest.
+    and lands on r from there (`_land`).
     """
     path = _Path(inst)
     solved = {}    # alpha -> (solution, slope of V_A in xi)
-    outcome = {}   # alpha -> solution, or None when r is out of range
+    outcome = {}   # alpha -> solution, or the OutOfRangeError raised there
 
     def cost_gap(alpha):
         near = sorted(solved, key=lambda a: abs(a - alpha))[:2]
@@ -806,8 +908,8 @@ def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
             guess = x0 + (x1 - x0) * (alpha - a0) / (a1 - a0)
         try:
             sol, v_slope = _xi_search(path, r, alpha, v_tol, guess, slope)
-        except OutOfRangeError:
-            outcome[alpha] = None
+        except OutOfRangeError as exc:
+            outcome[alpha] = exc
             return None
         solved[alpha] = (sol, v_slope)
         outcome[alpha] = sol

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infocontracts import cli, contracts
 from infocontracts import (BregmanMatrixCost, Contract, CostModel,
@@ -647,6 +653,16 @@ def test_reservation_request_work_budget(example_file, monkeypatch, capsys, r, b
         assert counts["holes"] == 0
 
 
+@pytest.mark.parametrize("r, budget", [(0.5, 3), (1.0, 3), (2.0, 3), (2.2, 3), (2.8, 20)])
+def test_reservation_request_lands_in_few_solves(example_file, monkeypatch, capsys, r,
+                                                 budget):
+    # by regula falsi in xi alone: 5, 9, 9, 9 and 29 calls; the landing
+    # takes the first solve and one certifying solve per piece rate
+    counts, _ = _count_reservation_request(example_file, monkeypatch, capsys, r)
+    assert counts["calls"] <= budget
+    assert counts["holes"] == 0
+
+
 def test_reservation_requests_repeat_bit_for_bit(example_file, monkeypatch, capsys):
     for r in (1.0, 2.8):
         _, first = _count_reservation_request(example_file, monkeypatch, capsys, r)
@@ -655,6 +671,134 @@ def test_reservation_requests_repeat_bit_for_bit(example_file, monkeypatch, caps
     a = solve_for_reservation(_example_with(ShannonCost()), 2.2)
     b = solve_for_reservation(_example_with(ShannonCost()), 2.2)
     assert np.array_equal(a.contract.payments, b.contract.payments)
+
+
+def test_reservation_request_residual_evaluations(example_file, monkeypatch, capsys):
+    # 145 by regula falsi in xi, 9 pattern solves
+    real = contracts._pattern_residuals
+    evaluations = []
+
+    def counting(*args):
+        cond_of, fun = real(*args)
+
+        def counted(x, xi):
+            evaluations.append(xi)
+            return fun(x, xi)
+        return cond_of, counted
+
+    monkeypatch.setattr(contracts, "_pattern_residuals", counting)
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "2.0"]) == 0
+    capsys.readouterr()
+    assert len(evaluations) <= 60
+
+
+@pytest.mark.parametrize("r", [2.7, 2.75, 2.8, 2.84])
+def test_reservation_answer_does_not_depend_on_the_path(example, r):
+    # the alpha search reaches alpha* from another xi than a search at
+    # alpha* alone; both land on r, so they differ by the landing's
+    # rounding (up to 7e-15 here) where they once differed by up to v_tol
+    alpha, searched = contracts._alpha_search(example, r)
+    direct = solve_for_reservation(example, r, alpha_star(example, r))
+    assert alpha < 1.0 and searched.pattern == direct.pattern
+    assert abs(searched.duals.xi - direct.duals.xi) <= 1e-12
+    for a, b in ((searched.contract.payments, direct.contract.payments),
+                 (searched.experiment.conditionals, direct.experiment.conditionals)):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.2, 2.5])
+def test_bordered_solve_lands_on_the_reservation(example, r):
+    first = second_best_solve(example, 1.0, 1.0)
+    landed = contracts._land(contracts._Path(example), first, r, 1e-4)
+    assert landed is not None and landed.pattern == first.pattern
+    assert abs(landed.report.agent_utility - r) <= 1e-9
+    assert 0.0 < landed.duals.xi < 1.0
+    assert abs(solve_for_reservation(example, r).report.agent_utility - r) <= 1e-9
+
+
+@pytest.mark.parametrize("r", [0.4, 0.45])
+def test_bordered_solve_below_the_slack_utility_lands_at_zero(example, r):
+    # V_A(xi = 0) = 0.4989: the bordered root lies at xi = -0.028, -0.025
+    first = second_best_solve(example, 1.0, 1.0)
+    landed = contracts._land(contracts._Path(example), first, r, 1e-4)
+    assert landed is not None and landed.duals.xi == 0.0
+    assert landed.report.agent_utility >= r
+
+
+@pytest.mark.parametrize("r", [0.25, 0.3, 0.35])
+def test_landing_where_utility_falls_along_the_branch_is_refused(example, r):
+    # from xi = 1 the bordered Newton method reaches roots at xi = 0.38,
+    # 0.12 and 0.007 with V_A = r, on a branch of stationary points where
+    # V_A falls as xi rises; below V_A(xi = 0) = 0.4989 participation is slack
+    first = second_best_solve(example, 1.0, 1.0)
+    path = contracts._Path(example)
+    assert contracts._land(path, first, r, 1e-4) is None
+    assert path.solved == []
+    sol = solve_for_reservation(example, r)
+    assert sol.duals.xi == 0.0 and sol.report.agent_utility >= r
+
+
+def test_bordered_solve_beyond_full_weight_falls_back(example):
+    top = second_best_solve(example, 1.0, 1.0)
+    r = top.report.agent_utility + 5e-5
+    assert contracts._land(contracts._Path(example), top, r, 1e-4) is None
+    sol = solve_for_reservation(example, r)
+    assert sol.duals.xi == 1.0 and abs(sol.report.agent_utility - r) <= 1e-4
+
+
+@pytest.mark.parametrize("r", [1.0, 2.2])
+def test_reservation_search_without_the_bordered_solve(example, monkeypatch, r):
+    # the bordered system has one unknown more than the 2x2 pattern system
+    real = contracts._newton
+    bordered = []
+
+    def no_bordered_root(fun, x0, tol):
+        if len(x0) == 3:
+            bordered.append(x0)
+            return None
+        return real(fun, x0, tol)
+
+    monkeypatch.setattr(contracts, "_newton", no_bordered_root)
+    sol = solve_for_reservation(example, r, alpha=1.0)
+    assert len(bordered) == 1
+    assert abs(sol.report.agent_utility - r) <= 1e-4
+    assert contracts._alpha_search(example, r)[0] == 1.0
+
+
+@st.composite
+def _perturbed_examples(draw):
+    """The worked example with its outputs, prior and capacity moved."""
+    h, s = draw(st.floats(9.0, 11.0)), draw(st.floats(4.5, 5.5))
+    p2 = draw(st.floats(0.28, 0.38))
+    return {"decisions": ["d1", "d2"], "states": ["theta1", "theta2"],
+            "output": [[0.0, h], [s, s]], "prior": [1.0 - p2, p2],
+            "capacity": draw(st.floats(0.3, 0.7)), "cost": {"type": "shannon", "scale": 1.0}}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_perturbed_examples(), st.floats(0.2, 6.5))
+def test_reservation_request_answers_or_raises_a_typed_error(problem, r):
+    # ROADMAP aim 3 over the utility range of the worked example: slack
+    # participation, the interior of xi, a binding capacity, the seam
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(problem, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["solve-contract", "--problem", path, "--reservation", repr(r)])
+    typed = [exit_code for exit_code, _ in cli.SOLVER_EXITS.values()]
+    if code != 0:
+        assert code in typed and out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+        return
+    answer = json.loads(out.getvalue())
+    v_a = answer["report"]["agent_utility"]
+    if answer["duals"]["xi"] > 0.0:
+        assert abs(v_a - r) <= 1e-4
+    else:
+        assert v_a >= r - 1e-4
+    assert answer["report"]["cost"] <= problem["capacity"]
 
 
 def test_failed_guess_does_not_bound_the_xi_search(example, monkeypatch):
@@ -680,6 +824,38 @@ def test_second_best_solves_the_cold_holes_below_full_piece_rate(example, xi):
     assert contracts._verify_solution(example, sol.contract, sol.experiment, sol.duals.lam,
                                       sol.decomposition.beta, sol.decomposition.gamma,
                                       xi, 0.8) is not None
+
+
+def test_second_best_refuses_a_tabulated_cost_before_any_pattern(monkeypatch):
+    # it once tried every pattern, about 60 ms of Newton solves, to raise
+    # the same error
+    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                             for q in np.linspace(0.0, 1.0, 201)]})
+    calls = []
+    monkeypatch.setattr(contracts, "_newton", lambda *args: calls.append(args))
+    with pytest.raises(NoPatternFoundError, match="Hessian of a tabulated"):
+        second_best_solve(_example_with(table), 0.5, 1.0)
+    assert calls == []
+
+
+def test_reservation_above_the_second_best_range_solves_once(example_file, monkeypatch,
+                                                              capsys):
+    # the CLI once solved xi = 1 again only to raise the same error
+    calls = []
+    real = contracts.second_best_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, "second_best_solve", counting)
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "6.0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of range: utility 6.0 above the second-best "
+                                   "range at alpha=1.0 (max 4.370201)")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert calls == [(1.0, 1.0)]
 
 
 def _smooth_system(x):
