@@ -35,4 +35,34 @@ from .problem_io import (canonical_json, load_contract, load_problem,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # agent
+    "AgentSolution", "agent_kkt_residual", "best_response_capacity",
+    "best_response_general", "best_response_shannon",
+    # contracts
+    "ContractSolution", "Decomposition", "DualCertificate", "SecuritySplit",
+    "alpha_prime", "alpha_star", "brute_force_pareto", "debt_equity_split",
+    "decompose", "first_best_frontier", "gamma_from_duals", "gamma_risk_averse",
+    "gamma_risk_averse_hw", "second_best_solve", "solve_for_reservation",
+    # costs
+    "BlackwellWitness", "BregmanMatrixCost", "CostEvaluation", "CostModel",
+    "PosteriorSeparableCost", "ShannonCost", "check_blackwell_monotone",
+    "cost_grad_hess", "cost_shannon", "cost_value", "entropy",
+    "inverse_fisher_matrix",
+    # errors
+    "BoundaryPointError", "DegeneratePriorError", "DimensionMismatchError",
+    "InconsistentProfileError", "MalformedProblemError", "NoConvergenceError",
+    "NoPatternFoundError", "OutOfRangeError", "TooLargeError",
+    "ZeroMarginalError",
+    # geometry
+    "ConcavifiedCurve", "EnvelopeCurve", "concavify", "default_grid",
+    "emit_figure_data", "net_utility_curve", "reduced_form",
+    "reduced_form_curve",
+    # model
+    "Contract", "Experiment", "Garbling", "PayoffReport", "ProblemInstance",
+    "StateTransfer", "apply_transfer", "evaluate_profile", "garble",
+    "is_feasible", "marginal", "posterior", "posterior_matrix", "scale",
+    # problem_io
+    "canonical_json", "load_contract", "load_problem", "parse_cost",
+    "problem_from_dict", "write_matrix_csv",
+]

@@ -7,7 +7,10 @@ codes:
 
 * 0 success;
 * 1 golden mismatch in `reproduce`;
-* 2 usage error;
+* 2 usage error, including a problem the command cannot take
+  (`DimensionMismatchError`, `DegeneratePriorError`), such as a
+  `geometry` export of a problem without two states or with a prior
+  outside the posterior grid;
 * 3 requested utility outside the achievable range (`OutOfRangeError`);
 * 4 no sign-consistent binding pattern (`NoPatternFoundError`), which
   includes every contract request under a tabulated uncertainty function;
@@ -17,9 +20,9 @@ codes:
 * 65 malformed problem/contract file;
 * 66 missing file.
 
-Every nonzero code but 1 and 2 comes with a one-line `error:` message on
-stderr.  The CF_LOG environment variable (error, info, debug) controls
-logging verbosity.
+Every nonzero code but 1 and argparse's own usage errors comes with a
+one-line `error:` message on stderr.  The CF_LOG environment variable
+(error, info, debug) controls logging verbosity.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .agent import best_response_capacity, best_response_shannon, best_response_
 from .contracts import (_alpha_search, alpha_prime, alpha_star,
                         brute_force_pareto, first_best_frontier,
                         second_best_solve, solve_for_reservation)
-from .errors import (MalformedProblemError, NoConvergenceError,
+from .errors import (DegeneratePriorError, DimensionMismatchError,
+                     MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .geometry import emit_figure_data
 from .model import evaluate_profile
@@ -283,6 +287,9 @@ def main(argv=None):
     except MalformedProblemError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except (DimensionMismatchError, DegeneratePriorError) as exc:
+        print(f"error: unsupported problem: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except tuple(SOLVER_EXITS) as exc:
         code, label = SOLVER_EXITS[type(exc)]
         print(f"error: {label}: {exc}", file=sys.stderr)

@@ -164,7 +164,12 @@ class CostModel:
         m = joint.sum(axis=1)
         live = m > 0
         post = joint[live] / m[live, None]
-        return self.scale * float(self._ups(pi) - m[live] @ self._ups(post))
+        out = self.scale * float(self._ups(pi) - m[live] @ self._ups(post))
+        # an uninformed experiment (every live row constant across states)
+        # has posteriors equal to the prior: its cost is 0, not rounding
+        if abs(out) < 1e-12 and np.all(p.conditionals[live] == p.conditionals[live, :1]):
+            return 0.0
+        return out
 
     def _require_interior(self, p: Experiment, eps):
         if np.min(p.conditionals) <= eps:

@@ -10,12 +10,13 @@ concavification at the prior solves the agent's problem.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePriorError
+from .errors import DegeneratePriorError, DimensionMismatchError
 from .model import Contract
 
 GRID_N = 5001
@@ -160,6 +161,19 @@ def concavify(curve: EnvelopeCurve, prior: float) -> ConcavifiedCurve:
     )
 
 
+_FIG_HEADER = "q,B,upsilon,net,envelope,decision,is_contact\r\n"
+# one row as the csv module's default (excel) dialect writes it
+_FIG_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d\r\n"
+
+
+def _csv_field(text):
+    """`text` as one field of a csv row, quoted by the csv module's own
+    minimal-quoting rule (a second field keeps "" from being quoted)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
 def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     """Write the curves behind one agent-problem figure as fig_<tag>.csv.
 
@@ -167,28 +181,32 @@ def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     the grid points plus exact rows for the contact posteriors and the
     prior; output is deterministic.
     """
+    return _write_figure(inst, b, out_dir, tag, mu, grid)[0]
+
+
+def _write_figure(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
+    """`emit_figure_data`, also returning the `ConcavifiedCurve` it wrote."""
     if inst.n_states != 2:
-        raise ValueError("figure export requires a two-state instance")
+        raise DimensionMismatchError("figure export requires a two-state instance")
     model = inst.cost_model
     curve = net_utility_curve(b, model, grid=grid, mu=mu)
     prior_q = float(inst.prior[1])
     conc = concavify(curve, prior_q)
 
-    qs = [(float(q), 0) for q in curve.grid]
-    qs.extend((float(c), 1) for c in conc.contacts)
-    if not any(abs(q - prior_q) < 1e-15 for q, _ in qs):
-        qs.append((prior_q, 0))
-    qs.sort(key=lambda t: (t[0], -t[1]))
-    q, flags, seen = [], [], set()
-    for qi, flag in qs:
-        if qi not in seen:
-            seen.add(qi)
-            q.append(qi)
-            flags.append(flag)
+    # grid rows, contact rows, and the prior unless a row lies within 1e-15
+    # of it; by q, contacts first, keeping the first row of each equal q
+    q = np.concatenate([curve.grid, conc.contacts])
+    flags = np.concatenate([np.zeros(len(curve.grid), int),
+                            np.ones(len(conc.contacts), int)])
+    if not np.any(np.abs(q - prior_q) < 1e-15):
+        q, flags = np.append(q, prior_q), np.append(flags, 0)
+    order = np.lexsort((-flags, q))
+    q, flags = q[order], flags[order]
+    first_of_q = np.concatenate([[True], q[1:] != q[:-1]])
+    q, flags = q[first_of_q], flags[first_of_q]
 
     # every column at once, each entry computed as `reduced_form` and a
     # one-posterior `upsilon` call compute it, so the file does not change
-    q = np.array(q)
     qv = np.column_stack([1.0 - q, q])
     vals = (b.payments[None] @ qv[:, :, None])[:, :, 0]
     bq = vals.max(axis=1)
@@ -196,14 +214,14 @@ def emit_figure_data(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     ups = (1.0 + mu) * model.upsilon(qv)
     env = np.interp(q, conc.grid, conc.envelope)
 
-    columns = [[format(v, ".17g") for v in col.tolist()]
-               for col in (q, bq, ups, bq + ups, env)]
-    names = [inst.decisions[d] for d in first.tolist()]
+    labels = [_csv_field(d) for d in inst.decisions]
+    names = [labels[d] for d in first.tolist()]
+    body = "".join([_FIG_ROW % row for row in zip(
+        q.tolist(), bq.tolist(), ups.tolist(), (bq + ups).tolist(), env.tolist(),
+        names, flags.tolist())])
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"fig_{tag}.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "B", "upsilon", "net", "envelope", "decision", "is_contact"])
-        writer.writerows(zip(*columns, names, map(str, flags)))
-    return path
+        fh.write(_FIG_HEADER + body)
+    return path, conc

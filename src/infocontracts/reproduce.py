@@ -24,7 +24,7 @@ import numpy as np
 from .agent import best_response_capacity, best_response_shannon
 from .contracts import second_best_solve
 from .costs import ShannonCost
-from .geometry import concavify, emit_figure_data, net_utility_curve
+from .geometry import _write_figure, emit_figure_data
 from .model import (Contract, ProblemInstance, evaluate_profile,
                     posterior_matrix)
 from .problem_io import canonical_json, fmt17
@@ -191,10 +191,8 @@ def run_reproduction(out_dir):
     emit_figure_data(inst, shifted, out_dir, "first_best")
     emit_figure_data(inst, truncated, out_dir, "truncated")
     emit_figure_data(inst, sb.contract, out_dir, "optimal")
-    logit_inst = logit_example_instance()
-    emit_figure_data(logit_inst, LOGIT_EXAMPLE_CONTRACT, out_dir, "logit_example")
-    curve = net_utility_curve(LOGIT_EXAMPLE_CONTRACT, logit_inst.cost_model)
-    conc = concavify(curve, float(logit_inst.prior[1]))
+    _, conc = _write_figure(logit_example_instance(), LOGIT_EXAMPLE_CONTRACT, out_dir,
+                            "logit_example")
     checks += _checks("logit_contacts", np.sort(conc.contacts),
                       *GOLDEN["logit_contacts"])
 

@@ -751,13 +751,13 @@ def test_capacity_search_on_the_worked_example_is_short(capacity):
 
 def test_capacity_below_the_rounding_of_an_uninformed_answer():
     # the second decision is paid more in both states, so no information
-    # pays, but the free answer's cost reads 1.1e-16: the search for a
-    # capacity below that once raised NoConvergenceError
+    # pays; the free answer's cost once read 1.1e-16, and the search for a
+    # capacity below that raised NoConvergenceError.  It now reads 0.
     y = np.array([[1.4190324447206555, 1.570669478011511],
                   [1.5652392940996884, 2.88349858126476]])
     pi = np.array([0.4950720497714065, 0.5049279502285934])
     free = best_response_shannon(Contract(y), pi)
-    assert 0 < free.cost < 1e-15
+    assert free.cost == 0.0
     sol = best_response_capacity(Contract(y), pi, 1e-18, ShannonCost())
     assert sol.mu == 0.0
     assert np.array_equal(sol.experiment.conditionals, [[0.0, 0.0], [1.0, 1.0]])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -234,6 +235,29 @@ def test_too_large_exit_code(tmp_path, capsys):
     _one_error_line(capsys.readouterr().err, "too large")
 
 
+@pytest.mark.parametrize("problem", [
+    # three states: the figure export is two-state only
+    dict(EXAMPLE_PROBLEM, states=["a", "b", "c"], output=[[0.0, 10.0, 1.0], [5.0, 5.0, 5.0]],
+         prior=[0.5, 0.25, 0.25]),
+    # the second state's prior lies below the posterior grid's edge at 1e-6
+    dict(EXAMPLE_PROBLEM, prior=[0.9999999, 1e-7]),
+], ids=["three-states", "prior-off-grid"])
+def test_geometry_rejects_an_unsupported_problem_as_usage(tmp_path, capsys, problem):
+    # both once ended in a traceback under exit code 1, the golden-mismatch code
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps(problem))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(problem["output"]))
+    out_dir = tmp_path / "figs"
+    code = main(["geometry", "--problem", str(ppath), "--contract", str(cpath),
+                 "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "unsupported problem")
+    assert not out_dir.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -286,3 +310,11 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+def test_all_lists_the_public_names_and_no_modules():
+    assert len(infocontracts.__all__) == len(set(infocontracts.__all__))
+    namespace = {}
+    exec(f"from infocontracts import {', '.join(infocontracts.__all__)}", namespace)
+    for name in infocontracts.__all__:
+        assert not isinstance(namespace[name], types.ModuleType), name

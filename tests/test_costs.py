@@ -20,6 +20,15 @@ def test_uninformative_costs_nothing():
     assert cost_shannon(p, PI) == 0.0
 
 
+@pytest.mark.parametrize("model", [ShannonCost(), BregmanMatrixCost(),
+                                   PosteriorSeparableCost()])
+@pytest.mark.parametrize("cond", [[[0.0, 0.0], [1.0, 1.0]], [[0.3, 0.3], [0.7, 0.7]]])
+def test_uninformed_experiment_costs_exactly_zero(model, cond):
+    # the posteriors equal the prior only up to rounding, which read 1.1e-16
+    pi = np.array([0.4950720497714065, 0.5049279502285934])
+    assert model.value(Experiment(cond), pi) == 0.0
+
+
 def test_first_best_cost_value():
     assert abs(cost_shannon(Experiment(FIRST_BEST), PI) - 0.596) < 0.005
 

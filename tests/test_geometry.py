@@ -1,8 +1,12 @@
 import csv
 import filecmp
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infocontracts import (Contract, DegeneratePriorError, EnvelopeCurve,
                            PosteriorSeparableCost, ProblemInstance,
@@ -305,3 +309,41 @@ def test_emit_figure_data_matches_per_row_export_under_a_table(tmp_path):
                            [0.55, 0.45], 10.0, table)
     assert _same_bytes(tmp_path, inst, FIG1_CONTRACT, "table", mu=0.4,
                        grid=np.linspace(0.02, 0.98, 49))
+
+
+_LABELS = st.sampled_from(["d1", "a,b", 'say "hi"', "x\r\ny", ""]) | st.text(
+    alphabet='ab,"\r\n ', max_size=4)
+
+
+@st.composite
+def _figure_cases(draw):
+    n_d = draw(st.integers(2, 4))
+    # half-integer payments make decisions tie on whole segments and at points
+    payments = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+                                      min_size=n_d, max_size=n_d)), float) / 2.0
+    if draw(st.booleans()):
+        payments[-1] = payments[0]
+    labels = draw(st.lists(_LABELS, min_size=n_d, max_size=n_d, unique=True))
+    prior = draw(st.floats(0.25, 0.75))
+    if draw(st.booleans()):
+        model = ShannonCost(draw(st.floats(0.2, 2.0)))
+    else:
+        model = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                                 for q in np.linspace(0, 1, 11)]})
+    grid = np.linspace(draw(st.floats(1e-6, 0.2)), draw(st.floats(0.8, 1.0 - 1e-6)),
+                       draw(st.integers(3, 150)))
+    # the prior exactly (it may then be its own contact), a few ulps (within
+    # 1e-15) from a grid point, or off the grid
+    offset = draw(st.sampled_from([None, 0.0, 4e-16, -4e-16]))
+    if offset is not None:
+        grid = np.unique(np.append(grid, prior + offset))
+    inst = ProblemInstance(labels, ("t1", "t2"), payments, [1.0 - prior, prior], 10.0, model)
+    return inst, Contract(payments), draw(st.floats(0.0, 2.0)), grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_figure_cases())
+def test_emit_figure_data_writes_the_bytes_of_the_per_row_export(case):
+    inst, b, mu, grid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _same_bytes(pathlib.Path(tmp), inst, b, "prop", mu=mu, grid=grid)
