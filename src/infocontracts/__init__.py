@@ -14,10 +14,9 @@ from .contracts import (ContractSolution, Decomposition, DualCertificate,
                         first_best_frontier, gamma_from_duals,
                         gamma_risk_averse, gamma_risk_averse_hw,
                         second_best_solve, solve_for_reservation)
-from .costs import (BlackwellWitness, BregmanMatrixCost, CostEvaluation,
-                    CostModel, PosteriorSeparableCost, ShannonCost,
-                    check_blackwell_monotone, cost_grad_hess, cost_shannon,
-                    cost_value, entropy, inverse_fisher_matrix)
+from .costs import (BlackwellWitness, BregmanMatrixCost, CostModel,
+                    PosteriorSeparableCost, ShannonCost,
+                    check_blackwell_monotone, entropy, inverse_fisher_matrix)
 from .errors import (BoundaryPointError, DegeneratePriorError,
                      DimensionMismatchError, InconsistentProfileError,
                      MalformedProblemError, NoConvergenceError,
@@ -27,9 +26,8 @@ from .geometry import (ConcavifiedCurve, EnvelopeCurve, concavify,
                        default_grid, emit_figure_data, net_utility_curve,
                        reduced_form, reduced_form_curve)
 from .model import (Contract, Experiment, Garbling, PayoffReport,
-                    ProblemInstance, StateTransfer, apply_transfer,
-                    evaluate_profile, garble, is_feasible, marginal,
-                    posterior, posterior_matrix, scale)
+                    ProblemInstance, evaluate_profile, garble, is_feasible,
+                    marginal, posterior, posterior_matrix)
 from .problem_io import (canonical_json, load_contract, load_problem,
                          parse_cost, problem_from_dict, write_matrix_csv)
 
@@ -45,10 +43,9 @@ __all__ = [
     "decompose", "first_best_frontier", "gamma_from_duals", "gamma_risk_averse",
     "gamma_risk_averse_hw", "second_best_solve", "solve_for_reservation",
     # costs
-    "BlackwellWitness", "BregmanMatrixCost", "CostEvaluation", "CostModel",
+    "BlackwellWitness", "BregmanMatrixCost", "CostModel",
     "PosteriorSeparableCost", "ShannonCost", "check_blackwell_monotone",
-    "cost_grad_hess", "cost_shannon", "cost_value", "entropy",
-    "inverse_fisher_matrix",
+    "entropy", "inverse_fisher_matrix",
     # errors
     "BoundaryPointError", "DegeneratePriorError", "DimensionMismatchError",
     "InconsistentProfileError", "MalformedProblemError", "NoConvergenceError",
@@ -60,8 +57,8 @@ __all__ = [
     "reduced_form_curve",
     # model
     "Contract", "Experiment", "Garbling", "PayoffReport", "ProblemInstance",
-    "StateTransfer", "apply_transfer", "evaluate_profile", "garble",
-    "is_feasible", "marginal", "posterior", "posterior_matrix", "scale",
+    "evaluate_profile", "garble", "is_feasible", "marginal", "posterior",
+    "posterior_matrix",
     # problem_io
     "canonical_json", "load_contract", "load_problem", "parse_cost",
     "problem_from_dict", "write_matrix_csv",

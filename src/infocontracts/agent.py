@@ -9,15 +9,14 @@ Three routes:
   best single decision, drops decisions exactly and stops on the logit
   certificate; the same kernel solves the grid oracle in `contracts` in
   one batch (deterministic, no randomness);
-* `best_response_capacity` -- wraps the above, or the general route when
+* `best_response_capacity` -- wraps the above, or the table route when
   the model has no `logit_scale`, in a safeguarded Newton search on
   t = 1/(1 + mu) with the exact slope of the logit path, so the cost
   constraint just binds, mixing the experiments across a jump of the
   cost (Everett 1963);
-* `best_response_general` -- any posterior-separable cost: the logit
-  kernel when the model has a `logit_scale`; for a two-state table, the
-  exact concavification on its breakpoints; else entropic mirror ascent
-  per state column.
+* `best_response_general` -- either cost model, one exact route each:
+  the logit kernel when the model has a `logit_scale` (the entropy), and
+  for a two-state table the concavification on its breakpoints.
 
 `agent_kkt_residual` certifies a candidate experiment: within each state
 the quantity pi(theta) b(d,theta) - dc/dp(d|theta) must be constant across
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import geometry
 from .costs import CostModel
-from .errors import BoundaryPointError, NoConvergenceError
+from .errors import BoundaryPointError, DimensionMismatchError, NoConvergenceError
 from .model import Contract, Experiment
 
 LOGIT_TOL = 1e-12
@@ -308,10 +307,7 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         mu = (1.0 - t) / t
         if logit_scale is not None:
             return best_response_shannon(b, pi, mu=mu, scale=logit_scale)
-        sol = best_response_general(b, pi, model.scaled(1.0 + mu))
-        cost = model.value(sol.experiment, pi)
-        e_b = float(np.sum(sol.experiment.conditionals * pi[None, :] * b.payments))
-        return replace(sol, mu=mu, value=e_b - cost, cost=cost)
+        return best_response_general(b, pi, model, mu)
 
     free = solve(1.0)
     if free.cost <= capacity:
@@ -501,22 +497,30 @@ def _experiment_from_contacts(b, pi, contacts, weights, labels):
     return Experiment(cond)
 
 
-def best_response_general(b: Contract, prior, model,
-                          tol=1e-8, max_iter=20_000) -> AgentSolution:
-    """Optimal experiment for any posterior-separable cost model.
+def best_response_general(b: Contract, prior, model, mu=0.0) -> AgentSolution:
+    """Optimal experiment for either cost model at capacity dual mu.
 
     A model with a `logit_scale` (the entropy) takes the exact logit
     kernel on any number of states.  A two-state table takes the exact
-    concavification on its breakpoints (`_table_two_state`).  Any other
-    model takes entropic mirror ascent on each state column with step
-    halving until the KKT residual drops below `tol`.
+    concavification on its breakpoints (`_table_two_state`) of the
+    penalized problem, whose cost is scaled by 1 + mu; the cost and value
+    reported are the unpenalized ones, as for the logit route.  A table
+    on any other number of states raises `DimensionMismatchError`.
     """
     pi = np.asarray(prior, float)
     if model.logit_scale is not None:
-        return best_response_shannon(b, pi, scale=model.logit_scale)
-    if model.knots is not None and b.n_states == 2:
+        return best_response_shannon(b, pi, mu=mu, scale=model.logit_scale)
+    if b.n_states != 2:
+        raise DimensionMismatchError(
+            f"a tabulated uncertainty function needs two states, got {b.n_states}")
+    if mu < 0:
+        raise ValueError("capacity dual mu must be nonnegative")
+    if not mu:
         return _table_two_state(b, pi, model)
-    return _mirror_ascent(b, pi, model, tol, max_iter)
+    sol = _table_two_state(b, pi, model.scaled(1.0 + mu))
+    cost = model.value(sol.experiment, pi)
+    e_b = float(np.sum(sol.experiment.conditionals * pi[None, :] * b.payments))
+    return replace(sol, mu=mu, value=e_b - cost, cost=cost)
 
 
 def _table_two_state(b, pi, model):
@@ -576,53 +580,3 @@ def _concave(model):
     k = np.union1d([0.0, 1.0], np.clip(model.knots, 0.0, 1.0))
     slopes = np.diff(model.upsilon(np.column_stack([1.0 - k, k]))) / np.diff(k)
     return bool(np.all(np.diff(slopes) <= 0))
-
-
-def _mirror_ascent(b, pi, model, tol, max_iter, floor=1e-10):
-    n_d, n_s = b.payments.shape
-    cond = np.full((n_d, n_s), 1.0 / n_d)
-
-    def project(c):
-        # keep iterates inside the gradient's domain; decisions pinned at
-        # the floor are treated as dropped by the residual check
-        c = np.clip(c, floor, None)
-        return c / c.sum(axis=0, keepdims=True)
-
-    def objective(c):
-        exp = Experiment(c)
-        return float(np.sum(c * pi[None, :] * b.payments)) - model.value(exp, pi)
-
-    eta = 1.0
-    f = objective(cond)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        exp = Experiment(cond)
-        grad = pi[None, :] * b.payments - model.gradient(exp, pi)
-        step = grad / pi[None, :]
-        step -= step.max(axis=0, keepdims=True)
-        accepted = False
-        for _ in range(60):
-            cand = project(cond * np.exp(eta * step))
-            f_cand = objective(cand)
-            if f_cand >= f - 1e-15:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        cond, f = cand, f_cand
-        eta = min(eta * 1.5, 8.0)
-        exp = Experiment(cond)
-        try:
-            residual, rho = agent_kkt_residual(b, pi, model, exp, eps=100 * floor)
-        except BoundaryPointError:
-            continue
-        if residual < tol:
-            cost = model.value(exp, pi)
-            e_b = float(np.sum(cond * pi[None, :] * b.payments))
-            return AgentSolution(experiment=exp, mu=0.0, rho=rho,
-                                 value=e_b - cost, cost=cost,
-                                 iterations=it, residual=residual)
-    raise NoConvergenceError(
-        f"mirror ascent stalled after {it} iterations (residual {residual:.3e})"
-    )

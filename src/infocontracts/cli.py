@@ -32,12 +32,11 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import reproduce as repro
-from .agent import best_response_capacity, best_response_shannon, best_response_general
+from .agent import best_response_capacity, best_response_general
 from .contracts import (_alpha_search, alpha_prime, alpha_star,
                         brute_force_pareto, first_best_frontier,
                         second_best_solve, solve_for_reservation)
@@ -145,15 +144,10 @@ def _cmd_solve_agent(args, parser):
         parser.error("--mu must be nonnegative")
     inst = load_problem(args.problem)
     b = load_contract(args.contract, inst)
-    mu = args.mu or 0.0
     if args.capacity:
         sol = best_response_capacity(b, inst.prior, inst.capacity, inst.cost_model)
-    elif inst.cost_model.logit_scale is not None:
-        sol = best_response_shannon(b, inst.prior, mu=mu,
-                                    scale=inst.cost_model.logit_scale)
     else:
-        model = inst.cost_model.scaled(1.0 + mu) if mu else inst.cost_model
-        sol = replace(best_response_general(b, inst.prior, model), mu=mu)
+        sol = best_response_general(b, inst.prior, inst.cost_model, args.mu or 0.0)
     print(canonical_json(_solution_json(sol)), end="")
     return 0
 

@@ -2,13 +2,19 @@
 capacity-equivalent scaling, and second-best contracts with the optimal
 distortion recovered from a KKT system.
 
-The second-best solver works pattern by pattern: fix which payments sit on
-a liability limit, then solve the coupled system
+The second-best solver takes the mutual-information cost, scale s, and
+refuses any other.  It works pattern by pattern: fix which payments sit
+on a liability limit, then solve the coupled system
 
 * agent optimality (within each state, pi b minus the cost gradient is
-  constant across decisions),
+  constant across decisions: b is s log(p(d|theta) / p(d)) up to a
+  per-state level),
 * the principal first-order condition b = alpha y - beta - gamma, with
-  gamma the Hessian contraction against phi = p(1-xi) - lambda/pi,
+  gamma the distortion in closed form, linear in the multipliers: s
+  sum_theta' lambda(d,theta') / p(d) - s lambda(d,theta) / (p(d|theta)
+  pi(theta)), a decision-dependent transfer where lambda = 0 (Result 4);
+  `gamma_from_duals` certifies it against the general form, the Hessian
+  contraction with phi = p(1-xi) - lambda/pi,
 * the multiplier accounting sum_d lambda(d,theta) = (1-xi) pi(theta) plus
   complementary slackness,
 
@@ -177,26 +183,17 @@ def _binding_patterns(inst, alpha, max_patterns=512):
                     return
 
 
-def _gamma_coefficients(model, cond, pi, xi, active):
-    """Linear form gamma(d, s) = const(d, s) + sum_a coeff[(d, s), a] lam_a."""
+def _gamma_coefficients(s, cond, pi, active):
+    """Linear form gamma(d, theta) = sum_a coeff[d, theta, a] lam_a of the
+    closed-form distortion at cost scale s (`gamma_from_duals`): under
+    mutual information gamma has no term in xi."""
     n_d, n_s = cond.shape
-    s = model.logit_scale
-    if s is not None:
-        m = cond @ pi
-        const = np.zeros((n_d, n_s))
-        coeff = np.zeros((n_d, n_s, len(active)))
-        for a, (da, sa) in enumerate(active):
-            coeff[da, :, a] += s / m[da]
-            coeff[da, sa, a] -= s / (cond[da, sa] * pi[sa])
-        return const, coeff
-    exp = Experiment(cond / cond.sum(axis=0, keepdims=True))
-    hess = model.hessian(exp, pi)
-    const = ((hess @ ((1.0 - xi) * cond).ravel()).reshape(n_d, n_s)) / pi[None, :]
+    m = cond @ pi
     coeff = np.zeros((n_d, n_s, len(active)))
     for a, (da, sa) in enumerate(active):
-        col = hess[:, da * n_s + sa].reshape(n_d, n_s)
-        coeff[:, :, a] = -col / (pi[None, :] * pi[sa])
-    return const, coeff
+        coeff[da, :, a] += s / m[da]
+        coeff[da, sa, a] -= s / (cond[da, sa] * pi[sa])
+    return coeff
 
 
 def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
@@ -206,7 +203,7 @@ def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
     n_d, n_s = cond.shape
     active = sorted(zeros | tops)
     n_a = len(active)
-    const, coeff = _gamma_coefficients(inst.cost_model, cond, pi, xi, active)
+    coeff = _gamma_coefficients(inst.cost_model.logit_scale, cond, pi, active)
 
     size = n_a + n_s
     mat = np.zeros((size, size))
@@ -215,7 +212,7 @@ def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
         target = 0.0 if (d, s) in zeros else inst.output[d, s]
         mat[i, :n_a] = coeff[d, s]
         mat[i, n_a + s] = 1.0
-        rhs[i] = alpha * inst.output[d, s] - target - const[d, s]
+        rhs[i] = alpha * inst.output[d, s] - target
     for s in range(n_s):
         for i, (da, sa) in enumerate(active):
             if sa == s:
@@ -226,20 +223,16 @@ def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
     for i, (d, s) in enumerate(active):
         lam[d, s] = sol[i]
     beta = sol[n_a:]
-    gamma = const + coeff @ sol[:n_a]
+    gamma = coeff @ sol[:n_a]
     return lam, beta, gamma
 
 
 def _agent_inverse(inst, cond, refs):
-    """Contract consistent with agent optimality at `cond`, normalized to
-    pay zero at each state's reference cell."""
-    s = inst.cost_model.logit_scale
-    if s is not None:
-        m = cond @ inst.prior
-        levels = s * np.log(cond / m[:, None])
-    else:
-        exp = Experiment(cond / cond.sum(axis=0, keepdims=True))
-        levels = inst.cost_model.gradient(exp, inst.prior) / inst.prior[None, :]
+    """Contract consistent with agent optimality at `cond`, the logit
+    levels s log(p(d|theta) / p(d)), normalized to pay zero at each
+    state's reference cell."""
+    m = cond @ inst.prior
+    levels = inst.cost_model.logit_scale * np.log(cond / m[:, None])
     return levels - levels[refs, np.arange(inst.n_states)][None, :]
 
 
@@ -298,8 +291,9 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
     zero logits and then from the unconstrained best response to alpha y.
     When every pattern fails at xi > 0, the patterns are tried once more
     from the xi = 0 solution at the same alpha, if that one solves.
-    Raises NoPatternFoundError at once for a tabulated uncertainty
-    function: its Hessian is zero, so no pattern system has a smooth root.
+    Raises NoPatternFoundError at once for a model without a logit scale
+    (a tabulated uncertainty function): its Hessian is zero, so no pattern
+    system has a smooth root.
 
     `_warm` is internal to the reservation search: the pattern of a
     solution at a nearby (xi, alpha) and starting logits for it, tried
@@ -307,10 +301,11 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
-    if inst.cost_model.knots is not None:
+    if inst.cost_model.logit_scale is None:
         raise NoPatternFoundError(
             "the Hessian of a tabulated uncertainty function is zero, so no "
-            "binding pattern has a smooth root; the contract layer needs a smooth cost")
+            "binding pattern has a smooth root; the contract layer needs the "
+            "mutual-information cost")
     cold = _cold_starts(inst, alpha)
     if _warm is not None:
         (zeros, tops), starts = _warm
@@ -422,10 +417,7 @@ def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
     residual, rho = resid
     tau = beta * pi - xi * rho
     phi = cond * (1.0 - xi) - lam / pi[None, :]
-    s = inst.cost_model.logit_scale
-    gamma_hat = None
-    if s is not None:
-        gamma_hat = s * lam.sum(axis=1) / marginal(exp, pi)
+    gamma_hat = inst.cost_model.logit_scale * lam.sum(axis=1) / marginal(exp, pi)
     duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi)
     deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma,
                          gamma_hat=gamma_hat)
@@ -514,11 +506,9 @@ def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha):
         return None
     if agent_res > 1e-6:
         return None
-    s = inst.cost_model.logit_scale
-    if s is not None:
-        br = best_response_shannon(b, pi, scale=s)
-        if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
-            return None
+    br = best_response_shannon(b, pi, scale=inst.cost_model.logit_scale)
+    if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
+        return None
     gamma_check = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
     recon = np.max(np.abs(b.payments - (alpha * inst.output - beta[None, :] - gamma_check)))
     slack = np.max(np.abs(lam * np.minimum(b.payments, inst.output - b.payments)))

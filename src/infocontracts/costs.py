@@ -96,18 +96,6 @@ class _Table:
 _ENTROPY = _Entropy()
 
 
-@dataclass(frozen=True)
-class CostEvaluation:
-    """Value, gradient over p(d|theta), and Hessian over (d, theta) pairs.
-
-    The Hessian row/column index is d * n_states + theta.
-    """
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 class CostModel:
     """Posterior-separable cost with uncertainty function `upsilon`, either
     "entropy" or {"grid": [[q, value], ...]}, times a positive `scale`."""
@@ -239,29 +227,10 @@ def PosteriorSeparableCost(upsilon="entropy", scale=1.0) -> CostModel:
     return CostModel(upsilon, scale)
 
 
-def cost_shannon(p: Experiment, prior) -> float:
-    """Expected entropy reduction H(prior) - sum_d p(d) H(posterior_d)."""
-    return CostModel().value(p, prior)
-
-
 def inverse_fisher_matrix(q) -> np.ndarray:
     """Information cost matrix diag(q) - q q^T (symmetric, PSD, rows sum to 0)."""
     q = np.asarray(q, float)
     return np.diag(q) - np.outer(q, q)
-
-
-def cost_value(model: CostModel, p: Experiment, prior) -> float:
-    """Cost of experiment p under `model`."""
-    return model.value(p, prior)
-
-
-def cost_grad_hess(model: CostModel, p: Experiment, prior, eps=INTERIOR_EPS) -> CostEvaluation:
-    """Value, gradient, and Hessian at an interior experiment."""
-    return CostEvaluation(
-        value=model.value(p, prior),
-        gradient=model.gradient(p, prior, eps),
-        hessian=model.hessian(p, prior, eps),
-    )
 
 
 @dataclass(frozen=True)

@@ -91,19 +91,6 @@ class Contract:
 
 
 @dataclass(frozen=True)
-class StateTransfer:
-    """Per-state payment adjustment beta(theta)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _frozen(self.values)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("state transfer must be a finite vector")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class Garbling:
     """Row-stochastic matrix g(d'|d) post-processing decisions."""
 
@@ -230,17 +217,6 @@ def evaluate_profile(b: Contract, p: Experiment, inst: ProblemInstance) -> Payof
         principal_utility=principal,
         welfare=e_y - cost,
     )
-
-
-def apply_transfer(b: Contract, beta: StateTransfer) -> Contract:
-    """Contract paying b(d,theta) - beta(theta)."""
-    _check_shapes("contract states", b.payments, "transfer", beta.values, axis_a=1)
-    return Contract(b.payments - beta.values[None, :])
-
-
-def scale(b: Contract, alpha: float) -> Contract:
-    """Contract paying alpha * b(d,theta)."""
-    return Contract(alpha * b.payments)
 
 
 def garble(p: Experiment, g: Garbling) -> Experiment:

@@ -87,6 +87,9 @@ def problem_from_dict(data) -> ProblemInstance:
         raise MalformedProblemError("/capacity", "must be a nonnegative number")
 
     model = parse_cost(data["cost"])
+    if model.knots is not None and len(states) != 2:
+        raise MalformedProblemError(
+            "/cost", f"a gridded uncertainty function needs two states, got {len(states)}")
     return ProblemInstance(decisions=tuple(decisions), states=tuple(states),
                            output=output, prior=prior,
                            capacity=float(capacity), cost_model=model)

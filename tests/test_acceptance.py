@@ -7,13 +7,12 @@ import numpy as np
 
 from infocontracts import (Contract, Experiment, EnvelopeCurve, Garbling,
                            NoPatternFoundError, ProblemInstance, ShannonCost,
-                           agent_kkt_residual, apply_transfer,
-                           best_response_capacity, best_response_shannon,
-                           brute_force_pareto, check_blackwell_monotone,
-                           concavify, cost_grad_hess, entropy,
+                           agent_kkt_residual, best_response_capacity,
+                           best_response_shannon, brute_force_pareto,
+                           check_blackwell_monotone, concavify, entropy,
                            evaluate_profile, first_best_frontier,
                            net_utility_curve, posterior_matrix,
-                           second_best_solve, scale, StateTransfer)
+                           second_best_solve)
 from conftest import (comparative_advantage_instance, random_experiment,
                       random_prior)
 
@@ -163,10 +162,10 @@ def test_criterion_8_property_suites():
     worst = 0.0
     for _ in range(100):
         b = Contract(rng.uniform(0, 5, size=(2, 2)))
-        beta = StateTransfer(rng.uniform(-2, 2, size=2))
+        beta = rng.uniform(-2, 2, size=2)
         pi = random_prior(rng, 2)
         p1 = best_response_shannon(b, pi).experiment.conditionals
-        p2 = best_response_shannon(apply_transfer(b, beta), pi).experiment.conditionals
+        p2 = best_response_shannon(Contract(b.payments - beta), pi).experiment.conditionals
         worst = max(worst, float(np.max(np.abs(p1 - p2))))
     assert worst < 1e-6
     notes.append(f"transfer {worst:.1e}")
@@ -176,7 +175,7 @@ def test_criterion_8_property_suites():
     alpha_bind = 1.0 / (1.0 + base.mu)
     worst = 0.0
     for alpha in np.linspace(alpha_bind + 1e-4, 1.0, 6):
-        p = best_response_capacity(scale(Y, alpha), PI, 0.5, model)
+        p = best_response_capacity(Contract(alpha * Y.payments), PI, 0.5, model)
         worst = max(worst, float(np.max(np.abs(p.experiment.conditionals
                                                - base.experiment.conditionals))))
     assert worst < 1e-5
@@ -227,8 +226,9 @@ def test_criterion_8_property_suites():
     p = best_response_capacity(Y, PI, 0.5, model)
     rep = evaluate_profile(Y, p.experiment, inst)
     for alpha in (0.3, 0.6, 0.9):
-        pa = best_response_capacity(scale(Y, alpha), PI, 0.5, model)
-        rep_a = evaluate_profile(scale(Y, alpha), pa.experiment, inst)
+        y_a = Contract(alpha * Y.payments)
+        pa = best_response_capacity(y_a, PI, 0.5, model)
+        rep_a = evaluate_profile(y_a, pa.experiment, inst)
         gap_y = rep.expected_output - rep_a.expected_output
         gap_c = rep.cost - rep_a.cost
         assert gap_y >= gap_c - 1e-8 >= alpha * gap_y - 2e-8
@@ -252,9 +252,9 @@ def test_criterion_8_property_suites():
     for _ in range(3):
         p = Experiment(random_experiment(rng, 2, 2, interior=0.3))
         pi = random_prior(rng, 2, low=0.3)
-        ev = cost_grad_hess(model, p, pi)
+        hess = model.hessian(p, pi)
         h = 1e-5
-        fd = np.empty_like(ev.hessian)
+        fd = np.empty_like(hess)
         cond = p.conditionals
         for j in range(4):
             d, s = divmod(j, 2)
@@ -267,7 +267,7 @@ def test_criterion_8_property_suites():
             object.__setattr__(ed, "conditionals", dn)
             fd[:, j] = ((model.gradient(eu, pi) - model.gradient(ed, pi))
                         / (2 * h)).ravel()
-        worst = max(worst, float(np.max(np.abs(ev.hessian - fd))))
+        worst = max(worst, float(np.max(np.abs(hess - fd))))
     assert worst < 1e-5
     notes.append(f"hessian FD {worst:.1e}")
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infocontracts import (AgentSolution, BoundaryPointError,
-                           BregmanMatrixCost, Contract, CostModel, Experiment,
-                           NoConvergenceError, PosteriorSeparableCost,
-                           ShannonCost, StateTransfer, agent,
-                           agent_kkt_residual, apply_transfer,
+                           BregmanMatrixCost, Contract, DimensionMismatchError,
+                           Experiment, NoConvergenceError,
+                           PosteriorSeparableCost, ShannonCost, agent,
+                           agent_kkt_residual,
                            best_response_capacity, best_response_general,
                            best_response_shannon, entropy, evaluate_profile,
                            marginal, posterior_matrix)
@@ -96,13 +96,13 @@ def test_transfer_invariance_of_best_response():
     rng = np.random.default_rng(1)
     for _ in range(100):
         b = Contract(rng.uniform(0, 5, size=(2, 2)))
-        beta = StateTransfer(rng.uniform(-2, 2, size=2))
+        beta = rng.uniform(-2, 2, size=2)
         pi = random_prior(rng, 2)
         s1 = best_response_shannon(b, pi)
-        s2 = best_response_shannon(apply_transfer(b, beta), pi)
+        s2 = best_response_shannon(Contract(b.payments - beta), pi)
         assert np.max(np.abs(s1.experiment.conditionals
                              - s2.experiment.conditionals)) < 1e-6
-        shift = float(pi @ beta.values)
+        shift = float(pi @ beta)
         assert abs((s1.value - s2.value) - shift) < 1e-8
 
 
@@ -216,23 +216,23 @@ def test_general_solver_matches_pairwise_oracle():
         assert abs(sol.value - oracle) < 1e-4
 
 
-class _GenericEntropy(CostModel):
-    """The entropy cost with the logit route turned off, so that more than
-    two states take mirror ascent."""
+def test_table_needs_two_states():
+    # a table has one route, the two-state hull; three states once raised a
+    # ValueError from the table's gradient
+    table = PosteriorSeparableCost({"grid": [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]})
+    b = Contract([[0.0, 10.0, 1.0], [5.0, 5.0, 5.0]])
+    pi = np.array([0.5, 0.25, 0.25])
+    with pytest.raises(DimensionMismatchError, match="two states"):
+        best_response_general(b, pi, table)
+    with pytest.raises(DimensionMismatchError, match="two states"):
+        best_response_capacity(b, pi, 0.1, table)
 
-    logit_scale = None
 
-
-@pytest.mark.parametrize("seed", [4, 6, 15])
-def test_general_solver_three_states_mirror_ascent(seed):
-    rng = np.random.default_rng(seed)
-    b = Contract(rng.uniform(0, 3, size=(2, 3)))
-    pi = random_prior(rng, 3)
-    model = _GenericEntropy()
-    sol = best_response_general(b, pi, model, tol=1e-8)
-    assert sol.residual < 1e-8
-    logit = best_response_shannon(b, pi)
-    assert abs(sol.value - logit.value) < 1e-7
+def test_both_routes_refuse_a_negative_dual():
+    table = PosteriorSeparableCost({"grid": [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]})
+    for model in (ShannonCost(), table):
+        with pytest.raises(ValueError, match="nonnegative"):
+            best_response_general(Y, PI, model, mu=-0.5)
 
 
 def test_single_decision_is_trivial():
@@ -642,8 +642,8 @@ def test_capacity_under_a_table_binds_by_mixing_across_the_jump(monkeypatch, cap
     solves = []
     general = agent.best_response_general
 
-    def counted(b, pi, m):
-        solves.append(general(b, pi, m))
+    def counted(b, pi, m, mu=0.0):
+        solves.append(general(b, pi, m, mu))
         return solves[-1]
 
     monkeypatch.setattr(agent, "best_response_general", counted)

@@ -300,6 +300,51 @@ def test_gridded_upsilon_commands_exit_cleanly(tmp_path, capsys, argv):
         assert len(captured.err.strip().splitlines()) == 1
 
 
+HAT_TABLE = {"grid": [[0.0, 0.0], [0.25, 0.375], [0.5, 0.5], [0.75, 0.375], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("mu", ["0", "1", "2.5"])
+def test_solve_agent_under_a_table_reports_the_unpenalized_cost(tmp_path, contract_file,
+                                                               capsys, mu):
+    # at --mu 1 the cost read 0.8333 (not 0.4167) and the value 5.8333 (not
+    # 6.25): the cost of the penalized problem, where the Shannon route
+    # reports the unpenalized one
+    problem = dict(EXAMPLE_PROBLEM, cost={"type": "posterior_separable",
+                                          "upsilon": HAT_TABLE})
+    path = tmp_path / "hat.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve-agent", "--problem", str(path), "--contract", contract_file,
+                 "--mu", mu]) == 0
+    out = json.loads(capsys.readouterr().out)
+    exp = infocontracts.Experiment(out["experiment"])
+    prior = np.array(EXAMPLE_PROBLEM["prior"])
+    model = infocontracts.PosteriorSeparableCost(HAT_TABLE)
+    assert out["mu"] == float(mu)
+    assert out["cost"] == pytest.approx(model.value(exp, prior), abs=1e-12)
+    e_b = float(np.sum(exp.conditionals * prior * np.array(EXAMPLE_PROBLEM["output"])))
+    assert out["value"] == pytest.approx(e_b - out["cost"], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-agent", "--contract", None],
+    ["first-best", "--reservation", "3"],
+])
+def test_gridded_upsilon_without_two_states_is_malformed(tmp_path, capsys, argv):
+    # both once loaded the problem and died in a ValueError traceback, exit 1
+    problem = dict(GRIDDED_PROBLEM, states=["a", "b", "c"],
+                   output=[[0.0, 10.0, 1.0], [5.0, 5.0, 5.0]], prior=[0.5, 0.25, 0.25])
+    ppath = tmp_path / "p3.json"
+    ppath.write_text(json.dumps(problem))
+    cpath = tmp_path / "c3.json"
+    cpath.write_text(json.dumps(problem["output"]))
+    argv = [str(cpath) if a is None else a for a in argv]
+    assert main([argv[0], "--problem", str(ppath), *argv[1:]]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "malformed input")
+    assert "/cost" in captured.err
+
+
 def test_import_loads_no_scipy():
     # a fresh CLI call pays every import, and scipy.optimize alone once took
     # 0.6 s of its 1 s
@@ -318,3 +363,5 @@ def test_all_lists_the_public_names_and_no_modules():
     exec(f"from infocontracts import {', '.join(infocontracts.__all__)}", namespace)
     for name in infocontracts.__all__:
         assert not isinstance(namespace[name], types.ModuleType), name
+    # thin wrappers of model methods and of Contract arithmetic stay out
+    assert len(infocontracts.__all__) <= 63

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infocontracts import cli, contracts
-from infocontracts import (BregmanMatrixCost, Contract, CostModel,
-                           Experiment, InconsistentProfileError,
+from infocontracts import (BregmanMatrixCost, Contract, Experiment,
+                           InconsistentProfileError,
                            NoConvergenceError, NoPatternFoundError,
                            OutOfRangeError,
                            PosteriorSeparableCost, ProblemInstance,
@@ -462,15 +462,7 @@ def test_no_pattern_for_dominant_decision_instance():
 
 
 # ---------------------------------------------------------------------------
-# one cost core: every constructor of the entropy cost takes the logit route,
-# and the generic Hessian route reaches the same contracts
-
-
-class _GenericEntropy(CostModel):
-    """The entropy cost with the logit route turned off, so the contract
-    layer uses the cost gradient and Hessian."""
-
-    logit_scale = None
+# one cost core: every constructor of the entropy cost takes the logit route
 
 
 def _example_with(model):
@@ -491,18 +483,6 @@ def test_second_best_same_for_every_entropy_constructor(example, xi):
         sol = second_best_solve(_example_with(model), xi, 1.0)
         assert np.array_equal(sol.contract.payments, ref.contract.payments)
         assert np.array_equal(sol.decomposition.gamma_hat, ref.decomposition.gamma_hat)
-
-
-@pytest.mark.parametrize("xi", XI_TABLE)
-def test_second_best_generic_route_matches_logit_route(example, xi):
-    ref = second_best_solve(example, xi, 1.0)
-    sol = second_best_solve(_example_with(_GenericEntropy()), xi, 1.0)
-    assert sol.pattern == ref.pattern
-    assert sol.decomposition.gamma_hat is None
-    assert np.max(np.abs(sol.contract.payments - ref.contract.payments)) < 1e-8
-    assert np.max(np.abs(sol.experiment.conditionals - ref.experiment.conditionals)) < 1e-8
-    assert np.max(np.abs(sol.decomposition.gamma - ref.decomposition.gamma)) < 1e-8
-    assert sol.residual < 1e-6
 
 
 # ---------------------------------------------------------------------------

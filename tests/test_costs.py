@@ -3,8 +3,7 @@ import pytest
 
 from infocontracts import (BoundaryPointError, BregmanMatrixCost, Experiment,
                            Garbling, PosteriorSeparableCost, ShannonCost,
-                           check_blackwell_monotone, cost_grad_hess,
-                           cost_shannon, cost_value, entropy,
+                           check_blackwell_monotone, entropy,
                            inverse_fisher_matrix, posterior_matrix)
 from conftest import random_experiment, random_prior
 
@@ -17,7 +16,7 @@ TRUNCATED = np.array([[0.211, 0.963], [0.789, 0.037]])
 
 def test_uninformative_costs_nothing():
     p = Experiment.uninformative(2, 2)
-    assert cost_shannon(p, PI) == 0.0
+    assert ShannonCost().value(p, PI) == 0.0
 
 
 @pytest.mark.parametrize("model", [ShannonCost(), BregmanMatrixCost(),
@@ -30,11 +29,11 @@ def test_uninformed_experiment_costs_exactly_zero(model, cond):
 
 
 def test_first_best_cost_value():
-    assert abs(cost_shannon(Experiment(FIRST_BEST), PI) - 0.596) < 0.005
+    assert abs(ShannonCost().value(Experiment(FIRST_BEST), PI) - 0.596) < 0.005
 
 
 def test_truncated_contract_cost_value():
-    assert abs(cost_shannon(Experiment(TRUNCATED), PI) - 0.293) < 0.005
+    assert abs(ShannonCost().value(Experiment(TRUNCATED), PI) - 0.293) < 0.005
 
 
 def test_shannon_cost_bounded_by_prior_entropy():
@@ -42,7 +41,7 @@ def test_shannon_cost_bounded_by_prior_entropy():
     for _ in range(50):
         p = Experiment(random_experiment(rng, 3, 3))
         pi = random_prior(rng, 3)
-        c = cost_shannon(p, pi)
+        c = ShannonCost().value(p, pi)
         assert -1e-12 <= c <= entropy(pi) + 1e-12
 
 
@@ -54,13 +53,13 @@ def test_bregman_inverse_fisher_equals_shannon():
         n_d, n_s = rng.integers(2, 5), rng.integers(2, 4)
         p = Experiment(random_experiment(rng, n_d, n_s))
         pi = random_prior(rng, n_s)
-        assert abs(cost_value(shannon, p, pi) - cost_value(bregman, p, pi)) < 1e-8
+        assert abs(shannon.value(p, pi) - bregman.value(p, pi)) < 1e-8
 
 
 def test_bregman_cost_zero_at_uninformative():
     pi = np.array([0.3, 0.7])
     p = Experiment.uninformative(3, 2)
-    assert abs(cost_value(BregmanMatrixCost(), p, pi)) < 1e-14
+    assert abs(BregmanMatrixCost().value(p, pi)) < 1e-14
 
 
 def test_inverse_fisher_matrix_structure():
@@ -104,9 +103,8 @@ def test_hessian_matches_finite_differences(model):
     for _ in range(5):
         p = Experiment(random_experiment(rng, 2, 2, interior=0.3))
         pi = random_prior(rng, 2, low=0.3)
-        ev = cost_grad_hess(model, p, pi)
         fd = _fd_hessian_of_gradient(model, p, pi)
-        assert np.max(np.abs(ev.hessian - fd)) < 1e-5
+        assert np.max(np.abs(model.hessian(p, pi) - fd)) < 1e-5
 
 
 def test_generic_upsilon_derivatives_match_shannon():
@@ -117,13 +115,12 @@ def test_generic_upsilon_derivatives_match_shannon():
     shannon = ShannonCost()
     p = Experiment(random_experiment(rng, 2, 2, interior=0.3))
     pi = random_prior(rng, 2, low=0.3)
-    eg = cost_grad_hess(generic, p, pi)
-    es = cost_grad_hess(shannon, p, pi)
-    assert abs(eg.value - es.value) < 1e-12
-    centered_g = eg.gradient - eg.gradient.mean(axis=0, keepdims=True)
-    centered_s = es.gradient - es.gradient.mean(axis=0, keepdims=True)
+    assert abs(generic.value(p, pi) - shannon.value(p, pi)) < 1e-12
+    g_g, g_s = generic.gradient(p, pi), shannon.gradient(p, pi)
+    centered_g = g_g - g_g.mean(axis=0, keepdims=True)
+    centered_s = g_s - g_s.mean(axis=0, keepdims=True)
     assert np.max(np.abs(centered_g - centered_s)) < 1e-7
-    assert np.max(np.abs(eg.hessian - es.hessian)) < 1e-4
+    assert np.max(np.abs(generic.hessian(p, pi) - shannon.hessian(p, pi))) < 1e-4
 
 
 def test_hessian_block_diagonal_across_decisions():
@@ -197,9 +194,9 @@ def test_cost_convexity(model):
         pi = random_prior(rng, 2)
         t = rng.uniform()
         mixed = Experiment(t * p1 + (1 - t) * p2)
-        c_mix = cost_value(model, mixed, pi)
-        c1 = cost_value(model, Experiment(p1), pi)
-        c2 = cost_value(model, Experiment(p2), pi)
+        c_mix = model.value(mixed, pi)
+        c1 = model.value(Experiment(p1), pi)
+        c2 = model.value(Experiment(p2), pi)
         assert c_mix <= t * c1 + (1 - t) * c2 + 1e-10
 
 
@@ -230,8 +227,8 @@ def test_gridded_upsilon_approximates_entropy():
     for _ in range(10):
         p = Experiment(random_experiment(rng, 2, 2, interior=0.05))
         pi = random_prior(rng, 2)
-        assert abs(cost_value(grid_model, p, pi)
-                   - cost_value(shannon, p, pi)) < 5e-4
+        assert abs(grid_model.value(p, pi)
+                   - shannon.value(p, pi)) < 5e-4
 
 
 def test_gridded_upsilon_requires_two_states():

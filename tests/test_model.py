@@ -3,10 +3,9 @@ import pytest
 
 from infocontracts import (Contract, DimensionMismatchError, Experiment,
                            Garbling, ProblemInstance, ShannonCost,
-                           StateTransfer, ZeroMarginalError, apply_transfer,
-                           best_response_general, cost_shannon,
+                           ZeroMarginalError, best_response_general,
                            evaluate_profile, garble, is_feasible, marginal,
-                           posterior, scale)
+                           posterior)
 from conftest import random_experiment, random_prior
 
 # experiment published for the second-best contract (conditionals)
@@ -126,21 +125,20 @@ def test_welfare_identity_exact(example):
 
 def test_transfer_shift_matches_figure():
     b = Contract([[0.0, 2.0], [1.0, 1.0]])
-    shifted = apply_transfer(b, StateTransfer([0.0, 1.0]))
+    shifted = Contract(b.payments - np.array([0.0, 1.0]))
     assert np.array_equal(shifted.payments, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_transfer_zero_is_identity():
     b = Contract([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(apply_transfer(b, StateTransfer([0.0, 0.0])).payments,
-                          b.payments)
+    assert np.array_equal(Contract(b.payments - np.zeros(2)).payments, b.payments)
 
 
 def test_scaled_transferred_output_is_boundary_contract(example):
     # alpha' (y - beta') with beta' = (0, 5) puts the state minima at zero
     alpha_p = 0.692
-    shifted = apply_transfer(example.output_contract, StateTransfer([0.0, 5.0]))
-    b = scale(shifted, alpha_p)
+    shifted = Contract(example.output - np.array([0.0, 5.0]))
+    b = Contract(alpha_p * shifted.payments)
     assert np.allclose(b.payments, alpha_p * np.array([[0.0, 5.0], [5.0, 0.0]]))
     assert np.allclose(b.payments.min(axis=0), 0.0)
     assert is_feasible(b, example.output)
@@ -167,7 +165,8 @@ def test_garbling_never_raises_shannon_cost():
         p = Experiment(random_experiment(rng, 3, 3))
         pi = random_prior(rng, 3)
         g = Garbling(random_experiment(rng, 3, 3).T)
-        assert cost_shannon(garble(p, g), pi) <= cost_shannon(p, pi) + 1e-10
+        cost = ShannonCost()
+        assert cost.value(garble(p, g), pi) <= cost.value(p, pi) + 1e-10
 
 
 def test_garble_composition_is_matrix_product():
@@ -190,7 +189,7 @@ def test_values_are_immutable(example):
 
 def test_infeasible_contracts_are_representable(example):
     # y - beta has negative cells before truncation; still a valid value
-    b = apply_transfer(example.output_contract, StateTransfer([3.836, 6.596]))
+    b = Contract(example.output - np.array([3.836, 6.596]))
     assert not is_feasible(b, example.output)
     assert is_feasible(Contract(np.maximum(b.payments, 0.0)), example.output)
 
