@@ -7,13 +7,16 @@ codes:
 
 * 0 success;
 * 1 golden mismatch in `reproduce`;
-* 2 usage error, including a problem the command cannot take
+* 2 usage error, including a NaN or infinite `--xi`, `--alpha`, `--mu`
+  or `--reservation` (`oracle --reservation` may be -inf), an `--xi`
+  outside [0, 1], and a problem the command cannot take
   (`DimensionMismatchError`, `DegeneratePriorError`), such as a
   `geometry` export of a problem without two states or with a prior
   outside the posterior grid;
 * 3 requested utility outside the achievable range (`OutOfRangeError`);
-* 4 no sign-consistent binding pattern (`NoPatternFoundError`), which
-  includes every contract request under a tabulated uncertainty function;
+* 4 the binding pattern has no sign-consistent solution
+  (`NoPatternFoundError`), which includes every contract request under a
+  tabulated uncertainty function;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes a reservation search whose agent utility misses the target;
 * 6 problem too large for the grid oracle (`TooLargeError`);
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 
@@ -68,6 +72,20 @@ SOLVER_EXITS = {
 log = logging.getLogger("infocontracts")
 
 
+def _number(text, finite=True, unit=False):
+    """argparse type of a numeric option: a float that is not NaN, finite
+    unless `finite` is false, and in [0, 1] when `unit` is true."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if unit and not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"outside [0, 1]: {text!r}")
+    return value
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process."""
@@ -80,18 +98,18 @@ def _parser():
     agent = sub.add_parser("solve-agent", help="agent's optimal experiment for a contract")
     agent.add_argument("--problem", required=True)
     agent.add_argument("--contract", required=True)
-    agent.add_argument("--mu", type=float, default=None,
+    agent.add_argument("--mu", type=_number, default=None,
                        help="fixed capacity dual (unconstrained response)")
     agent.add_argument("--capacity", action="store_true",
                        help="enforce the problem's capacity constraint")
 
     contract = sub.add_parser("solve-contract", help="Pareto-optimal contract")
     contract.add_argument("--problem", required=True)
-    contract.add_argument("--xi", type=float, default=None,
+    contract.add_argument("--xi", type=functools.partial(_number, unit=True), default=None,
                           help="participation multiplier in [0, 1]")
-    contract.add_argument("--alpha", type=float, default=None,
+    contract.add_argument("--alpha", type=_number, default=None,
                           help="piece rate (defaults to 1)")
-    contract.add_argument("--reservation", type=float, default=None,
+    contract.add_argument("--reservation", type=_number, default=None,
                           help="agent utility floor; searches xi at alpha*")
     contract.add_argument("--oracle", action="store_true",
                           help="cross-check against the exhaustive grid oracle")
@@ -100,28 +118,29 @@ def _parser():
 
     first = sub.add_parser("first-best", help="first-best contract at a utility target")
     first.add_argument("--problem", required=True)
-    first.add_argument("--reservation", type=float, required=True)
+    first.add_argument("--reservation", type=_number, required=True)
 
     ap = sub.add_parser("alpha-prime", help="piece rate where capacity starts binding")
     ap.add_argument("--problem", required=True)
 
     ast = sub.add_parser("alpha-star", help="capacity-equivalent piece rate")
     ast.add_argument("--problem", required=True)
-    ast.add_argument("--reservation", type=float, required=True)
+    ast.add_argument("--reservation", type=_number, required=True)
 
     geo = sub.add_parser("geometry", help="export figure data for a contract")
     geo.add_argument("--problem", required=True)
     geo.add_argument("--contract", required=True)
     geo.add_argument("--out", required=True)
     geo.add_argument("--tag", default="contract")
-    geo.add_argument("--mu", type=float, default=0.0)
+    geo.add_argument("--mu", type=_number, default=0.0)
 
     rep = sub.add_parser("reproduce", help="recompute the built-in worked example")
     rep.add_argument("--out", required=True)
 
     orc = sub.add_parser("oracle", help="exhaustive grid oracle for tiny problems")
     orc.add_argument("--problem", required=True)
-    orc.add_argument("--reservation", type=float, default=-np.inf)
+    orc.add_argument("--reservation", type=functools.partial(_number, finite=False),
+                     default=-np.inf)
     orc.add_argument("--grid-n", type=int, default=21)
     return parser
 

@@ -3,8 +3,8 @@ capacity-equivalent scaling, and second-best contracts with the optimal
 distortion recovered from a KKT system.
 
 The second-best solver takes the mutual-information cost, scale s, and
-refuses any other.  It works pattern by pattern: fix which payments sit
-on a liability limit, then solve the coupled system
+refuses any other.  It fixes which payments sit on a liability limit (the
+binding pattern), then solves the coupled system
 
 * agent optimality (within each state, pi b minus the cost gradient is
   constant across decisions: b is s log(p(d|theta) / p(d)) up to a
@@ -21,9 +21,10 @@ on a liability limit, then solve the coupled system
 as one root-finding problem in the experiment's logits, reconstructing
 multipliers by a linear solve at every iterate.  The root is found by a
 damped Newton method (`_newton`: forward-difference Jacobian, Armijo
-backtracking).  The first pattern whose solution
-satisfies all sign and feasibility requirements wins; patterns are ordered
-"one payment at zero per state, lowest-output cell first".
+backtracking).  There is one pattern (`_pattern`): each state pays zero at
+its lowest-output cell, and so does every cell with no positive output.
+Its root must pass every sign, feasibility and KKT check; else the solve
+raises NoPatternFoundError.
 
 A reservation utility r picks one point of the frontier that xi traces.
 The search solves one point, then the same pattern system bordered with
@@ -35,14 +36,13 @@ closed in on the same way, one such search per alpha (`_alpha_search`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agent import (_logit_kernel, agent_kkt_residual, best_response_capacity,
                     best_response_general, best_response_shannon)
-from .errors import (InconsistentProfileError, NoConvergenceError,
+from .errors import (BoundaryPointError, InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
                     evaluate_profile, marginal)
@@ -145,42 +145,17 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
 # second-best KKT machinery
 
 
-def _binding_patterns(inst, alpha, max_patterns=512):
-    """Yield (zeros, tops) binding patterns, heuristic ordering first.
+_ROOT_TOL = 1e-9   # max |residual| of a certified pattern root
 
-    Cells with y = 0 are forced to zero (both limits coincide).  Every
-    pattern places at least one zero payment in every state.
-    """
-    n_d, n_s = inst.output.shape
-    forced = frozenset((d, s) for d in range(n_d) for s in range(n_s)
-                       if inst.output[d, s] <= 0)
-    per_state = []
-    for s in range(n_s):
-        order = sorted(range(n_d), key=lambda d: (alpha * inst.output[d, s], d))
-        per_state.append(order)
 
-    count = 0
-    seen = set()
-    for choice in itertools.product(*per_state):
-        zeros = frozenset(forced | {(d, s) for s, d in enumerate(choice)})
-        if zeros in seen:
-            continue
-        seen.add(zeros)
-        yield zeros, frozenset()
-        count += 1
-        if count >= max_patterns:
-            return
-    # fallback: allow payments pinned at the principal's limit as well
-    base_patterns = list(seen)
-    all_cells = [(d, s) for d in range(n_d) for s in range(n_s)]
-    for zeros in base_patterns:
-        rest = [c for c in all_cells if c not in zeros and inst.output[c] > 0]
-        for k in range(1, len(rest) + 1):
-            for tops in itertools.combinations(rest, k):
-                yield zeros, frozenset(tops)
-                count += 1
-                if count >= max_patterns:
-                    return
+def _pattern(inst, alpha):
+    """The binding pattern: the cells paid zero.  Each state pays zero at
+    its lowest-alpha-y cell (the lowest index on ties), and so does every
+    cell with y <= 0, where both liability limits coincide."""
+    y = inst.output
+    lowest = np.argmin(alpha * y, axis=0)
+    return frozenset((d, s) for d in range(inst.n_decisions) for s in range(inst.n_states)
+                     if y[d, s] <= 0 or d == lowest[s])
 
 
 def _gamma_coefficients(s, cond, pi, active):
@@ -196,12 +171,12 @@ def _gamma_coefficients(s, cond, pi, active):
     return coeff
 
 
-def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
-    """Recover (lam, beta) from the binding-cell equations and the
+def _multiplier_solve(inst, alpha, xi, cond, zeros):
+    """Recover (lam, beta) from the zero-payment equations and the
     per-state multiplier sums, at a fixed experiment."""
     pi = inst.prior
     n_d, n_s = cond.shape
-    active = sorted(zeros | tops)
+    active = sorted(zeros)
     n_a = len(active)
     coeff = _gamma_coefficients(inst.cost_model.logit_scale, cond, pi, active)
 
@@ -209,10 +184,9 @@ def _multiplier_solve(inst, alpha, xi, cond, zeros, tops):
     mat = np.zeros((size, size))
     rhs = np.zeros(size)
     for i, (d, s) in enumerate(active):
-        target = 0.0 if (d, s) in zeros else inst.output[d, s]
         mat[i, :n_a] = coeff[d, s]
         mat[i, n_a + s] = 1.0
-        rhs[i] = alpha * inst.output[d, s] - target
+        rhs[i] = alpha * inst.output[d, s]
     for s in range(n_s):
         for i, (da, sa) in enumerate(active):
             if sa == s:
@@ -236,13 +210,13 @@ def _agent_inverse(inst, cond, refs):
     return levels - levels[refs, np.arange(inst.n_states)][None, :]
 
 
-def _pattern_residuals(inst, alpha, zeros, tops):
+def _pattern_residuals(inst, alpha, zeros):
     """Residual function of the coupled system in logit coordinates.
 
     Returns (cond_of, fun): `cond_of(x)` is the experiment of the logits
     x, and `fun(x, xi)` returns the residuals at participation weight xi
     with that experiment and the principal's payments alpha y - beta -
-    gamma, which equal the limits at the pattern's binding cells.  Each
+    gamma, which are zero at the pattern's cells `zeros`.  Each
     reference cell (the first zero of its state) pays zero and has no
     residual.  Conditionals are floored at 1e-11 so the residuals stay
     finite wherever the root finder wanders; roots of interest are
@@ -265,14 +239,12 @@ def _pattern_residuals(inst, alpha, zeros, tops):
     def fun(x, xi):
         cond = cond_of(x)
         b_agent = _agent_inverse(inst, cond, refs)
-        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros, tops)
+        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
         b_principal = alpha * inst.output - beta[None, :] - gamma
         res = np.empty(len(free_cells))
         for i, (d, s) in enumerate(free_cells):
             if (d, s) in zeros:
                 res[i] = b_agent[d, s]
-            elif (d, s) in tops:
-                res[i] = b_agent[d, s] - inst.output[d, s]
             else:
                 res[i] = b_agent[d, s] - b_principal[d, s]
         return res, cond, b_principal
@@ -280,24 +252,23 @@ def _pattern_residuals(inst, alpha, zeros, tops):
     return cond_of, fun
 
 
-def second_best_solve(inst: ProblemInstance, xi, alpha,
-                      max_patterns=512, root_tol=1e-9, *,
+def second_best_solve(inst: ProblemInstance, xi, alpha, *,
                       _warm=None) -> ContractSolution:
     """Second-best Pareto contract at participation weight xi and piece
     rate alpha, capacity handled upstream through alpha.
 
-    Returns the first binding pattern whose solution passes the sign,
-    feasibility, and KKT residual checks.  Each pattern is solved from the
-    zero logits and then from the unconstrained best response to alpha y.
-    When every pattern fails at xi > 0, the patterns are tried once more
-    from the xi = 0 solution at the same alpha, if that one solves.
-    Raises NoPatternFoundError at once for a model without a logit scale
-    (a tabulated uncertainty function): its Hessian is zero, so no pattern
-    system has a smooth root.
+    Solves the binding pattern (`_pattern`) from the logits of the
+    unconstrained best response to alpha y.  When that fails at xi > 0,
+    the pattern is solved once more from the xi = 0 solution at the same
+    alpha, if that one solves.  Raises NoPatternFoundError, naming the
+    pattern and why it failed, when no root passes the sign, feasibility,
+    and KKT residual checks; and at once for a model without a logit scale
+    (a tabulated uncertainty function), whose Hessian is zero, so that the
+    pattern system has no smooth root.
 
-    `_warm` is internal to the reservation search: the pattern of a
-    solution at a nearby (xi, alpha) and starting logits for it, tried
-    before the patterns are enumerated; the xi = 0 retry is then skipped.
+    `_warm` is internal to the reservation search: starting logits from
+    solutions at a nearby (xi, alpha), tried before the best response; the
+    xi = 0 retry is then skipped.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
@@ -306,24 +277,18 @@ def second_best_solve(inst: ProblemInstance, xi, alpha,
             "the Hessian of a tabulated uncertainty function is zero, so no "
             "binding pattern has a smooth root; the contract layer needs the "
             "mutual-information cost")
-    cold = _cold_starts(inst, alpha)
+    zeros = _pattern(inst, alpha)
+    response = _response_start(inst, alpha)
     if _warm is not None:
-        (zeros, tops), starts = _warm
-        attempts = itertools.chain([(frozenset(zeros), frozenset(tops), lambda: starts)],
-                                   _enumerate(inst, alpha, max_patterns, cold))
-        return _first_solved(inst, xi, alpha, attempts, root_tol)
+        return _solve_pattern(inst, xi, alpha, zeros, [_warm, response()])
     try:
-        return _first_solved(inst, xi, alpha, _enumerate(inst, alpha, max_patterns, cold),
-                             root_tol)
+        return _solve_pattern(inst, xi, alpha, zeros, [response()])
     except NoPatternFoundError as exc:
         if xi == 0.0:
             raise
         try:
-            base = _first_solved(inst, 0.0, alpha, _enumerate(inst, alpha, max_patterns, cold),
-                                 root_tol)
-            start = [_logits(base.experiment)]
-            return _first_solved(inst, xi, alpha,
-                                 _enumerate(inst, alpha, max_patterns, lambda: start), root_tol)
+            base = _solve_pattern(inst, 0.0, alpha, zeros, [response()])
+            return _solve_pattern(inst, xi, alpha, zeros, [[_logits(base.experiment)]])
         except NoPatternFoundError:
             raise exc from None
 
@@ -333,20 +298,13 @@ def _logits(exp):
     return (logits[:-1] - logits[-1:]).reshape(-1)
 
 
-def _enumerate(inst, alpha, max_patterns, starts):
-    for zeros, tops in _binding_patterns(inst, alpha, max_patterns):
-        yield zeros, tops, starts
-
-
-def _cold_starts(inst, alpha):
-    """Starting logits of the cold pattern solves: zero, then those of the
-    unconstrained best response to alpha y, computed once when first
-    needed."""
-    n_d, n_s = inst.output.shape
+def _response_start(inst, alpha):
+    """Starting logits of the cold solves: those of the unconstrained best
+    response to alpha y, computed once when first needed, or none when it
+    does not converge."""
     response = []
 
     def starts():
-        yield np.zeros((n_d - 1) * n_s)
         if not response:
             try:
                 guess = best_response_general(Contract(alpha * inst.output), inst.prior,
@@ -361,51 +319,53 @@ def _cold_starts(inst, alpha):
     return starts
 
 
-def _first_solved(inst, xi, alpha, attempts, root_tol):
-    """The first (pattern, starts) attempt whose root passes every check."""
-    failures = []
-    for zeros, tops, starts in attempts:
-        outcome = _solve_pattern(inst, xi, alpha, zeros, tops, starts(), root_tol)
-        if isinstance(outcome, ContractSolution):
-            return outcome
-        failures.append(outcome)
-    raise NoPatternFoundError(
-        f"no sign-consistent binding pattern among {len(failures)} tried: "
-        + "; ".join(failures[:4])
-    )
-
-
-def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
-    """Solve one binding pattern; a ContractSolution or the failure reason."""
-    pi = inst.prior
-    cond_of, residuals = _pattern_residuals(inst, alpha, zeros, tops)
+def _solve_pattern(inst, xi, alpha, zeros, groups):
+    """Solve the binding pattern `zeros` from each group of starting logits
+    in turn: the first root that a group reaches is checked, and the first
+    that passes every check is returned.  Raises NoPatternFoundError with
+    the reason each group failed."""
+    cond_of, residuals = _pattern_residuals(inst, alpha, zeros)
 
     def fun(x):
         return residuals(x, xi)[0]
 
-    solved = None
+    reasons = []
+    for starts in groups:
+        root = _first_root(fun, starts)
+        outcome = "no root" if root is None else _certify(inst, xi, alpha, zeros,
+                                                          cond_of(root))
+        if isinstance(outcome, ContractSolution):
+            return outcome
+        reasons.append(outcome)
+    raise NoPatternFoundError(
+        f"binding pattern {sorted(zeros)} at xi={xi}, alpha={alpha}: "
+        + "; ".join(reasons))
+
+
+def _first_root(fun, starts):
+    """The first Newton root of fun from `starts`, or None."""
     for x0 in starts:
         try:
-            root = _newton(fun, x0, 1e-3 * root_tol)
+            root = _newton(fun, x0, 1e-3 * _ROOT_TOL)
         except np.linalg.LinAlgError:
             continue
-        if root is not None and np.max(np.abs(fun(root))) < root_tol:
-            solved = root
-            break
-    if solved is None:
-        return "no root"
+        if root is not None and np.max(np.abs(fun(root))) < _ROOT_TOL:
+            return root
+    return None
 
-    cond = cond_of(solved)
+
+def _certify(inst, xi, alpha, zeros, cond):
+    """The solution of the pattern at the root experiment `cond`, or the
+    reason it fails the sign, feasibility, or KKT checks."""
+    pi = inst.prior
     try:
-        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros, tops)
+        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
     except np.linalg.LinAlgError:
         return "singular multipliers"
     payments = alpha * inst.output - beta[None, :] - gamma
     for d, s in zeros:
         payments[d, s] = 0.0
-    for d, s in tops:
-        payments[d, s] = inst.output[d, s]
-    checks = _pattern_checks(inst, payments, lam, zeros, tops)
+    checks = _pattern_checks(inst, payments, lam, zeros)
     if checks:
         return checks
 
@@ -424,8 +384,7 @@ def _solve_pattern(inst, xi, alpha, zeros, tops, starts, root_tol):
     report = evaluate_profile(b, exp, inst)
     return ContractSolution(contract=b, experiment=exp, duals=duals,
                             decomposition=deco, report=report,
-                            pattern=(tuple(sorted(zeros)), tuple(sorted(tops))),
-                            residual=residual)
+                            pattern=tuple(sorted(zeros)), residual=residual)
 
 
 _FD_STEP = float(np.sqrt(np.finfo(float).eps))
@@ -482,15 +441,11 @@ def _jacobian(fun, x, f):
     return jac
 
 
-def _pattern_checks(inst, payments, lam, zeros, tops, tol=1e-7):
+def _pattern_checks(inst, payments, lam, zeros, tol=1e-7):
     """Sign and feasibility screens; returns a reason string or None."""
-    forced = {(d, s) for (d, s) in zeros if inst.output[d, s] <= 0}
-    for (d, s) in zeros - forced:
-        if lam[d, s] < -tol:
+    for d, s in zeros:
+        if inst.output[d, s] > 0 and lam[d, s] < -tol:
             return f"lambda[{d},{s}] negative at a zero payment"
-    for (d, s) in tops:
-        if lam[d, s] > tol:
-            return f"lambda[{d},{s}] positive at a top payment"
     if np.any(payments < -1e-9) or np.any(payments > inst.output + 1e-9):
         return "interior payment escaped the liability limits"
     return None
@@ -502,7 +457,7 @@ def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha):
     pi = inst.prior
     try:
         agent_res, rho = agent_kkt_residual(b, pi, inst.cost_model, exp)
-    except Exception:
+    except BoundaryPointError:
         return None
     if agent_res > 1e-6:
         return None
@@ -628,10 +583,9 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
 class _Path:
     """The second-best solutions found so far in one public call.
 
-    Every new solve first tries the binding pattern of the nearest of them
-    in (xi, alpha).  It starts from the experiment logits interpolated (or
-    extrapolated) in xi between that solution and the next nearest one at
-    the same alpha and with the same pattern, then from the nearest
+    Every new solve first starts from the experiment logits interpolated
+    (or extrapolated) in xi between the nearest of them in (xi, alpha) and
+    the next nearest one at the same alpha, then from the nearest
     solution's own logits.  `_land` adds the solutions it certifies.
     """
 
@@ -646,13 +600,13 @@ class _Path:
             near, *rest = sorted(reversed(self.solved), key=lambda s: (
                 abs(s.duals.xi - xi) + abs(s.decomposition.alpha - alpha)))
             starts = [_logits(near.experiment)]
-            other = next((s for s in rest if s.pattern == near.pattern
-                          and s.decomposition.alpha == near.decomposition.alpha == alpha
+            other = next((s for s in rest
+                          if s.decomposition.alpha == near.decomposition.alpha == alpha
                           and s.duals.xi != near.duals.xi), None)
             if other is not None:
                 t = (xi - near.duals.xi) / (other.duals.xi - near.duals.xi)
                 starts.insert(0, (1.0 - t) * starts[0] + t * _logits(other.experiment))
-            warm = (near.pattern, starts)
+            warm = starts
         sol = second_best_solve(self.inst, xi, alpha, _warm=warm)
         self.solved.append(sol)
         return sol
@@ -740,12 +694,13 @@ def _land(path, sol, r, v_tol):
     """The solution at the piece rate of `sol` whose agent utility is r,
     or None.
 
-    The binding-pattern system of `sol`, bordered with V_A(x, xi) - r = 0,
-    is solved for the experiment logits x and xi together, from `sol`
-    (the bordered system of continuation methods; Allgower & Georg), and
-    the root is certified by one solve warm from it.  V_A comes from the
-    principal's payments of the same multiplier solve.  A root at xi < 0
-    means participation is slack: the landing is the xi = 0 solution.
+    The pattern system at the piece rate of `sol`, bordered with
+    V_A(x, xi) - r = 0, is solved for the experiment logits x and xi
+    together, from `sol` (the bordered system of continuation methods;
+    Allgower & Georg), and the root is certified by one solve warm from it.
+    V_A comes from the principal's payments of the same multiplier solve.
+    A root at xi < 0 means participation is slack: the landing is the
+    xi = 0 solution.
 
     Each of two optimal contracts does at least as well as the other at
     its own weight, so (xi' - xi)(V_A' - V_A) >= 0.  A root where V_A
@@ -756,8 +711,7 @@ def _land(path, sol, r, v_tol):
     xi = 0: falls short of r).  Only an accepted landing joins the path.
     """
     inst, alpha, pi = path.inst, sol.decomposition.alpha, path.inst.prior
-    zeros, tops = (frozenset(cells) for cells in sol.pattern)
-    _, residuals = _pattern_residuals(inst, alpha, zeros, tops)
+    _, residuals = _pattern_residuals(inst, alpha, _pattern(inst, alpha))
 
     def bordered(z):
         res, cond, pay = residuals(z[:-1], z[-1])
@@ -778,7 +732,7 @@ def _land(path, sol, r, v_tol):
     else:
         return None
     try:
-        landed = second_best_solve(inst, xi, alpha, _warm=(sol.pattern, [start]))
+        landed = second_best_solve(inst, xi, alpha, _warm=[start])
     except NoPatternFoundError:
         return None
     v = landed.report.agent_utility

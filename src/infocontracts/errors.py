@@ -22,7 +22,8 @@ class DegeneratePriorError(ValueError):
 
 
 class NoPatternFoundError(RuntimeError):
-    """No liability-limit binding pattern produced a sign-consistent solution."""
+    """The liability-limit binding pattern has no root that passes the sign,
+    feasibility, and KKT checks, or the cost has no smooth pattern system."""
 
 
 class InconsistentProfileError(ValueError):

@@ -63,6 +63,41 @@ def test_solve_agent_flag_exclusivity(problem_file, contract_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # each ended in a traceback (exit 1), a futile search (exit 3 or 5) or,
+    # for --mu inf, in exit 0 with "mu": Infinity, which is not JSON
+    ["solve-contract", "--xi", "1.5"],
+    ["solve-contract", "--xi", "-0.1"],
+    ["solve-contract", "--xi", "nan"],
+    ["solve-contract", "--alpha", "nan"],
+    ["solve-contract", "--alpha", "inf"],
+    ["solve-contract", "--reservation", "nan"],
+    ["alpha-star", "--reservation", "nan"],
+    ["first-best", "--reservation", "nan"],
+    ["first-best", "--reservation=-inf"],
+    ["solve-agent", "--contract", "CONTRACT", "--mu", "nan"],
+    ["solve-agent", "--contract", "CONTRACT", "--mu", "inf"],
+    ["geometry", "--contract", "CONTRACT", "--out", "OUT", "--mu", "nan"],
+    ["oracle", "--reservation", "nan"],
+])
+def test_non_finite_or_out_of_range_options_are_usage_errors(problem_file, contract_file,
+                                                             tmp_path, capsys, argv):
+    argv = [{"CONTRACT": contract_file, "OUT": str(tmp_path)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--problem", problem_file, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
+    assert f"argument {option}: " in captured.err
+
+
+def test_oracle_takes_an_infinite_reservation(problem_file, capsys):
+    assert main(["oracle", "--problem", problem_file, "--reservation=-inf",
+                 "--grid-n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]
+
+
 def test_parser_is_built_once_and_keeps_no_state(problem_file, contract_file, capsys):
     assert cli._parser() is cli._parser()
     base = ["solve-agent", "--problem", problem_file, "--contract", contract_file]

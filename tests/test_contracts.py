@@ -461,6 +461,55 @@ def test_no_pattern_for_dominant_decision_instance():
         second_best_solve(inst, xi=0.0, alpha=1.0)
 
 
+def _seeded_failures():
+    dominant = ProblemInstance(("good", "bad"), ("s", "t"),
+                               [[4.0, 4.0], [1.0, 1.0]], [0.5, 0.5], 1.0, ShannonCost())
+    rng = np.random.default_rng(3)
+    draws = []
+    for n_d, n_s in ((3, 3), (4, 4)):
+        y = rng.uniform(0.0, 10.0, (n_d, n_s))
+        pi = rng.dirichlet(np.full(n_s, 3.0))
+        draws.append(ProblemInstance(tuple(f"d{d}" for d in range(n_d)),
+                                     tuple(f"s{s}" for s in range(n_s)), y, pi, 5.0,
+                                     ShannonCost()))
+    return [(dominant, 0.0), (draws[0], 0.5), (draws[1], 0.5)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_failed_solve_spends_at_most_two_newton_solves(monkeypatch, case):
+    # one solve from the best response, one more at xi = 0 for the retry;
+    # enumerating binding patterns took 32, 2,043 and 2,011 solves here
+    # (8 s at 3x3 and 27 s at 4x4) to raise the same error
+    inst, xi = _seeded_failures()[case]
+    real = contracts._newton
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(contracts, "_newton", counted)
+    with pytest.raises(NoPatternFoundError, match=r"binding pattern \[\(") as exc:
+        second_best_solve(inst, xi, 1.0)
+    assert 1 <= len(calls) <= 2
+    assert str(sorted(contracts._pattern(inst, 1.0))) in str(exc.value)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.8])
+def test_pattern_is_each_states_lowest_output_cell_and_every_unpaid_cell(example, alpha):
+    y = example.output
+    cells = [(d, s) for d in range(example.n_decisions) for s in range(example.n_states)]
+    lowest = {min(((alpha * y[d, s], d), (d, s)) for d, t in cells if t == s)[1]
+              for s in range(example.n_states)}
+    want = tuple(sorted(lowest | {c for c in cells if y[c] <= 0}))
+    for k in range(0, 101, 5):
+        try:
+            sol = second_best_solve(example, k / 100, alpha)
+        except NoPatternFoundError:
+            continue   # alpha = 0.8 has no solution for xi <= 0.22
+        assert sol.pattern == want
+
+
 # ---------------------------------------------------------------------------
 # one cost core: every constructor of the entropy cost takes the logit route
 
