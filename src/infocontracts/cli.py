@@ -9,7 +9,7 @@ codes:
 * 1 golden mismatch in `reproduce`;
 * 2 usage error, including a NaN or infinite `--xi`, `--alpha`, `--mu`
   or `--reservation` (`oracle --reservation` may be -inf), an `--xi`
-  outside [0, 1], and a problem the command cannot take
+  outside [0, 1], a negative `--mu`, and a problem the command cannot take
   (`DimensionMismatchError`, `DegeneratePriorError`), such as a
   `geometry` export of a problem without two states or with a prior
   outside the posterior grid;
@@ -18,7 +18,8 @@ codes:
   (`NoPatternFoundError`), which includes every contract request under a
   tabulated uncertainty function;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
-  includes a reservation search whose agent utility misses the target;
+  includes a reservation request whose bordered landing fails and whose
+  end of [0, 1] on the side of the miss does not answer either;
 * 6 problem too large for the grid oracle (`TooLargeError`);
 * 65 malformed problem/contract file;
 * 66 missing file.
@@ -72,9 +73,10 @@ SOLVER_EXITS = {
 log = logging.getLogger("infocontracts")
 
 
-def _number(text, finite=True, unit=False):
+def _number(text, finite=True, unit=False, nonnegative=False):
     """argparse type of a numeric option: a float that is not NaN, finite
-    unless `finite` is false, and in [0, 1] when `unit` is true."""
+    unless `finite` is false, in [0, 1] when `unit` is true, and at least 0
+    when `nonnegative` is true."""
     try:
         value = float(text)
     except ValueError:
@@ -83,6 +85,8 @@ def _number(text, finite=True, unit=False):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if unit and not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"outside [0, 1]: {text!r}")
+    if nonnegative and value < 0.0:
+        raise argparse.ArgumentTypeError(f"negative: {text!r}")
     return value
 
 
@@ -94,11 +98,12 @@ def _parser():
         description="Solvers for contracting over costly information acquisition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dual = functools.partial(_number, nonnegative=True)
 
     agent = sub.add_parser("solve-agent", help="agent's optimal experiment for a contract")
     agent.add_argument("--problem", required=True)
     agent.add_argument("--contract", required=True)
-    agent.add_argument("--mu", type=_number, default=None,
+    agent.add_argument("--mu", type=dual, default=None,
                        help="fixed capacity dual (unconstrained response)")
     agent.add_argument("--capacity", action="store_true",
                        help="enforce the problem's capacity constraint")
@@ -132,7 +137,7 @@ def _parser():
     geo.add_argument("--contract", required=True)
     geo.add_argument("--out", required=True)
     geo.add_argument("--tag", default="contract")
-    geo.add_argument("--mu", type=_number, default=0.0)
+    geo.add_argument("--mu", type=dual, default=0.0)
 
     rep = sub.add_parser("reproduce", help="recompute the built-in worked example")
     rep.add_argument("--out", required=True)
@@ -159,8 +164,6 @@ def _solution_json(sol):
 def _cmd_solve_agent(args, parser):
     if args.mu is not None and args.capacity:
         parser.error("--mu and --capacity are mutually exclusive")
-    if args.mu is not None and args.mu < 0:
-        parser.error("--mu must be nonnegative")
     inst = load_problem(args.problem)
     b = load_contract(args.contract, inst)
     if args.capacity:

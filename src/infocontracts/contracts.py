@@ -29,9 +29,10 @@ raises NoPatternFoundError.
 A reservation utility r picks one point of the frontier that xi traces.
 The search solves one point, then the same pattern system bordered with
 V_A - r = 0 for the logits and xi at once (`_land`), and certifies the
-root with one more solve; safeguarded regula falsi in xi (`_Root`) is the
-fallback.  The piece rate alpha* that stands in for the capacity is
-closed in on the same way, one such search per alpha (`_alpha_search`).
+root with one more solve; when that fails, only the end of [0, 1] on the
+side of the miss is checked.  The piece rate alpha* that stands in for
+the capacity is closed in on by safeguarded regula falsi (`_Root`), one
+such search per alpha (`_alpha_search`).
 """
 
 from __future__ import annotations
@@ -583,10 +584,8 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
 class _Path:
     """The second-best solutions found so far in one public call.
 
-    Every new solve first starts from the experiment logits interpolated
-    (or extrapolated) in xi between the nearest of them in (xi, alpha) and
-    the next nearest one at the same alpha, then from the nearest
-    solution's own logits.  `_land` adds the solutions it certifies.
+    Every new solve first starts from the experiment logits of the nearest
+    of them in (xi, alpha).  `_land` adds the solutions it certifies.
     """
 
     def __init__(self, inst):
@@ -597,16 +596,9 @@ class _Path:
         warm = None
         if self.solved:
             # nearest first, the latest first among equals
-            near, *rest = sorted(reversed(self.solved), key=lambda s: (
+            near = min(reversed(self.solved), key=lambda s: (
                 abs(s.duals.xi - xi) + abs(s.decomposition.alpha - alpha)))
-            starts = [_logits(near.experiment)]
-            other = next((s for s in rest
-                          if s.decomposition.alpha == near.decomposition.alpha == alpha
-                          and s.duals.xi != near.duals.xi), None)
-            if other is not None:
-                t = (xi - near.duals.xi) / (other.duals.xi - near.duals.xi)
-                starts.insert(0, (1.0 - t) * starts[0] + t * _logits(other.experiment))
-            warm = starts
+            warm = [_logits(near.experiment)]
         sol = second_best_solve(self.inst, xi, alpha, _warm=warm)
         self.solved.append(sol)
         return sol
@@ -619,25 +611,19 @@ class _Root:
     Points come back through `add`, with their value or with None for a
     point that counts as below the root but has no value; the next step
     after such a point bisects.  While the root is not bracketed by two
-    values, the step is a secant (or, from one point, a Newton step with a
-    given slope) when that goes at most half way toward the side that lacks
-    a value; else the end on that side when it has not been evaluated, or
-    the midpoint.  Once bracketed, a side kept twice in a row has its value
-    halved (Illinois); evaluating an end does not count toward that.
+    values, the step is a secant when that goes at most half way toward
+    the side that lacks a value, else the midpoint.  Once bracketed, a side
+    kept twice in a row has its value halved (Illinois).
     """
 
-    def __init__(self, lo, hi, min_step, ends=()):
+    def __init__(self, lo, hi, min_step):
         self.lo, self.hi, self.min_step = lo, hi, min_step
         self.f_lo = self.f_hi = None
-        self.ends = list(ends)
         self.points = []
         self.side = 0
         self.failed = False
 
     def add(self, x, f):
-        end = x in self.ends
-        if end:
-            self.ends.remove(x)
         self.failed = f is None
         if f is None:
             self.lo, self.f_lo, self.side = x, None, 0
@@ -651,13 +637,11 @@ class _Root:
             if self.side == 1 and self.f_lo is not None:
                 self.f_lo *= 0.5
             self.hi, self.f_hi, self.side = x, f, 1
-        if end:
-            self.side = 0
 
     def width(self):
         return self.hi - self.lo
 
-    def next(self, slope=None):
+    def next(self):
         lo, hi = self.lo, self.hi
         step = min(self.min_step, 0.25 * (hi - lo))
         if self.f_lo is not None and self.f_hi is not None:
@@ -670,24 +654,12 @@ class _Root:
             (x0, f0), (x1, f1) = self.points
             if f1 != f0:
                 x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        elif self.points and slope:
-            x1, f1 = self.points[0]
-            x = x1 - f1 / slope
         mid = 0.5 * (lo + hi)
         if self.f_hi is None:
-            inside, end = x is not None and lo + step <= x <= mid, hi
+            inside = x is not None and lo + step <= x <= mid
         else:
-            inside, end = x is not None and mid <= x <= hi - step, lo
-        if inside:
-            return x
-        return end if end in self.ends else mid
-
-    def slope(self):
-        """Secant slope of the last two values, or None."""
-        if len(self.points) < 2:
-            return None
-        (x0, f0), (x1, f1) = self.points
-        return (f1 - f0) / (x1 - x0)
+            inside = x is not None and mid <= x <= hi - step
+        return x if inside else mid
 
 
 def _land(path, sol, r, v_tol):
@@ -754,60 +726,53 @@ def _branch_slope(bordered, z):
     return jac[-1, :-1] @ dx + jac[-1, -1]
 
 
-def _xi_search(path, r, alpha, v_tol, guess=None, slope=None):
-    """Participation weight xi whose agent utility is r within v_tol.
+def _xi_search(path, r, alpha, v_tol, guess=None):
+    """Solution at piece rate alpha whose agent utility is r within v_tol.
 
-    The first point solved (`guess` when it is known, else xi = 1) is
-    carried onto r by `_land`.  When that fails, the search goes on by
-    safeguarded regula falsi on V_A(xi) - r (`_Root`) from that point,
-    with a Newton step of the given slope when it is known.
-
-    Returns (solution, slope of V_A at the end of the search: the secant
-    from the first point after a landing).  The solution is the xi = 0
-    one when the participation constraint is slack at r.  A xi with no
-    solution counts as delivering too little utility, except the guess,
-    which is then dropped.
+    The first point solved (`guess` when it is known and solves, else
+    xi = 1) is carried onto r by `_land`, or returned when it already hits
+    r.  Else the end of [0, 1] on the side of the miss is solved once, and
+    returned when it hits r or, at xi = 0, when participation is slack at
+    r.  Raises OutOfRangeError when the utility at xi = 1 falls short of r,
+    and NoConvergenceError in every other case.
     """
-    root = _Root(0.0, 1.0, 1e-12, ends=(0.0, 1.0))
-    at_guess = guess is not None and 0.0 < guess < 1.0
-    x = guess if at_guess else 1.0
-    best = None
-    landing = True
-    for _ in range(200):
+    def solve(xi):
+        sol = path.solve(xi, alpha)
+        if xi == 1.0 and sol.report.agent_utility < r - v_tol:
+            raise OutOfRangeError(
+                f"utility {r} above the second-best range at alpha={alpha} "
+                f"(max {sol.report.agent_utility:.6f})"
+            )
+        return sol
+
+    first = None
+    if guess is not None and 0.0 < guess < 1.0:
         try:
-            sol = path.solve(x, alpha)
+            first = path.solve(guess, alpha)
         except NoPatternFoundError:
-            if x == 1.0:
-                raise
-            if not at_guess:
-                root.add(x, None)
-        else:
-            v = sol.report.agent_utility
-            if x == 1.0 and v < r - v_tol:
-                raise OutOfRangeError(
-                    f"utility {r} above the second-best range at alpha={alpha} "
-                    f"(max {v:.6f})"
-                )
-            if landing:
-                landing = False
-                landed = _land(path, sol, r, v_tol)
-                if landed is not None:
-                    step = landed.duals.xi - x
-                    return landed, (landed.report.agent_utility - v) / step if step else slope
-            if (x == 0.0 and v >= r) or abs(v - r) <= v_tol:
-                return sol, root.slope() or slope
-            if best is None or abs(v - r) < abs(best.report.agent_utility - r):
-                best = sol
-            root.add(x, v - r)
-        if root.width() < 1e-13:
-            break
-        at_guess = False
-        x = root.next(slope)
-    miss = "no solution" if best is None else \
-        f"agent utility {best.report.agent_utility:.6f}"
+            pass
+    if first is None:
+        first = solve(1.0)
+    landed = _land(path, first, r, v_tol)
+    if landed is not None:
+        return landed
+    v = first.report.agent_utility
+    if abs(v - r) <= v_tol:
+        return first
+    end_xi, end = (0.0 if v > r else 1.0), None
+    try:
+        end = solve(end_xi)
+    except NoPatternFoundError:
+        if end_xi == 1.0:
+            raise
+    if end is not None:
+        v_end = end.report.agent_utility
+        if abs(v_end - r) <= v_tol or (end_xi == 0.0 and v_end > r):
+            return end
+    miss = "no solution" if end is None else f"agent utility {v_end:.6f}"
     raise NoConvergenceError(
-        f"xi search at alpha={alpha} ended on [{root.lo:.15g}, {root.hi:.15g}] "
-        f"with {miss}, not within {v_tol:g} of {r}"
+        f"xi search for utility {r} at alpha={alpha}: agent utility {v:.6f} at "
+        f"xi={first.duals.xi:.6g} and {miss} at xi={end_xi:g}, not within {v_tol:g}"
     )
 
 
@@ -815,17 +780,14 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
                           v_tol=1e-4) -> ContractSolution:
     """Second-best contract at piece rate alpha whose agent utility is r
     within v_tol.  The participation weight xi is found by one bordered
-    Newton solve from the xi = 1 solution (`_land`), else by safeguarded
-    regula falsi, each solve warm-started from the nearest solved xi.
+    Newton solve from the xi = 1 solution (`_land`).
 
     Returns the xi = 0 solution directly when the participation constraint
-    is slack at r.  A participation weight at which no interior critical
-    point exists (the informative regime is not stationary there) is
-    treated as delivering too little utility, pushing xi upward.  Raises
-    OutOfRangeError when r exceeds the utility at xi = 1, and
-    NoConvergenceError when the search ends without hitting r.
+    is slack at r.  Raises OutOfRangeError when r exceeds the utility at
+    xi = 1, and NoConvergenceError when the landing fails and neither the
+    xi = 1 solution nor the xi = 0 one answers.
     """
-    return _xi_search(_Path(inst), r, alpha, v_tol)[0]
+    return _xi_search(_Path(inst), r, alpha, v_tol)
 
 
 def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
@@ -838,24 +800,22 @@ def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
     and lands on r from there (`_land`).
     """
     path = _Path(inst)
-    solved = {}    # alpha -> (solution, slope of V_A in xi)
+    solved = {}    # alpha -> xi of its solution
     outcome = {}   # alpha -> solution, or the OutOfRangeError raised there
 
     def cost_gap(alpha):
         near = sorted(solved, key=lambda a: abs(a - alpha))[:2]
-        guess = slope = None
-        if near:
-            guess, slope = solved[near[0]][0].duals.xi, solved[near[0]][1]
+        guess = solved[near[0]] if near else None
         if len(near) == 2:
             a0, a1 = near
-            x0, x1 = solved[a0][0].duals.xi, solved[a1][0].duals.xi
+            x0, x1 = solved[a0], solved[a1]
             guess = x0 + (x1 - x0) * (alpha - a0) / (a1 - a0)
         try:
-            sol, v_slope = _xi_search(path, r, alpha, v_tol, guess, slope)
+            sol = _xi_search(path, r, alpha, v_tol, guess)
         except OutOfRangeError as exc:
             outcome[alpha] = exc
             return None
-        solved[alpha] = (sol, v_slope)
+        solved[alpha] = sol.duals.xi
         outcome[alpha] = sol
         return sol.report.cost - inst.capacity
 

@@ -78,6 +78,8 @@ def test_solve_agent_flag_exclusivity(problem_file, contract_file):
     ["solve-agent", "--contract", "CONTRACT", "--mu", "nan"],
     ["solve-agent", "--contract", "CONTRACT", "--mu", "inf"],
     ["geometry", "--contract", "CONTRACT", "--out", "OUT", "--mu", "nan"],
+    ["geometry", "--contract", "CONTRACT", "--out", "OUT", "--mu", "-2"],
+    ["solve-agent", "--contract", "CONTRACT", "--mu", "-1"],
     ["oracle", "--reservation", "nan"],
 ])
 def test_non_finite_or_out_of_range_options_are_usage_errors(problem_file, contract_file,
