@@ -9,7 +9,8 @@ codes:
 * 1 golden mismatch in `reproduce`;
 * 2 usage error, including a NaN or infinite `--xi`, `--alpha`, `--mu`
   or `--reservation` (`oracle --reservation` may be -inf), an `--xi`
-  outside [0, 1], a negative `--mu`, and a problem the command cannot take
+  outside [0, 1], a negative `--mu` or `--alpha`, an `oracle --grid-n`
+  below 2, and a problem the command cannot take
   (`DimensionMismatchError`, `DegeneratePriorError`), such as a
   `geometry` export of a problem without two states or with a prior
   outside the posterior grid;
@@ -90,6 +91,18 @@ def _number(text, finite=True, unit=False, nonnegative=False):
     return value
 
 
+def _grid_points(text):
+    """argparse type of `oracle --grid-n`: an integer of at least 2, the
+    fewest points of a grid over [0, y]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"fewer than 2 points: {text!r}")
+    return value
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process."""
@@ -98,12 +111,12 @@ def _parser():
         description="Solvers for contracting over costly information acquisition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dual = functools.partial(_number, nonnegative=True)
+    nonnegative = functools.partial(_number, nonnegative=True)
 
     agent = sub.add_parser("solve-agent", help="agent's optimal experiment for a contract")
     agent.add_argument("--problem", required=True)
     agent.add_argument("--contract", required=True)
-    agent.add_argument("--mu", type=dual, default=None,
+    agent.add_argument("--mu", type=nonnegative, default=None,
                        help="fixed capacity dual (unconstrained response)")
     agent.add_argument("--capacity", action="store_true",
                        help="enforce the problem's capacity constraint")
@@ -112,7 +125,7 @@ def _parser():
     contract.add_argument("--problem", required=True)
     contract.add_argument("--xi", type=functools.partial(_number, unit=True), default=None,
                           help="participation multiplier in [0, 1]")
-    contract.add_argument("--alpha", type=_number, default=None,
+    contract.add_argument("--alpha", type=nonnegative, default=None,
                           help="piece rate (defaults to 1)")
     contract.add_argument("--reservation", type=_number, default=None,
                           help="agent utility floor; searches xi at alpha*")
@@ -137,7 +150,7 @@ def _parser():
     geo.add_argument("--contract", required=True)
     geo.add_argument("--out", required=True)
     geo.add_argument("--tag", default="contract")
-    geo.add_argument("--mu", type=dual, default=0.0)
+    geo.add_argument("--mu", type=nonnegative, default=0.0)
 
     rep = sub.add_parser("reproduce", help="recompute the built-in worked example")
     rep.add_argument("--out", required=True)
@@ -146,7 +159,7 @@ def _parser():
     orc.add_argument("--problem", required=True)
     orc.add_argument("--reservation", type=functools.partial(_number, finite=False),
                      default=-np.inf)
-    orc.add_argument("--grid-n", type=int, default=21)
+    orc.add_argument("--grid-n", type=_grid_points, default=21)
     return parser
 
 

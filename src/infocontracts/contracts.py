@@ -37,7 +37,7 @@ such search per alpha (`_alpha_search`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,14 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
     alpha' is read off the capacity solve at y: the best response to
     alpha y is the one to y at cost scale 1/alpha, so the capacity binds
     from alpha' = 1/(1 + mu) on.
+
+    The agent is solved once, at y.  Neither alpha nor beta changes the
+    experiment: E_p[alpha y - beta] - (1 + mu') c(p) is alpha (E_p[y] -
+    (1 + mu) c(p)) less the constant E_pi[beta] when 1 + mu' = alpha (1 +
+    mu), so the solution at y answers for the contract with the same
+    experiment and cost, mu' = alpha (1 + mu) - 1, rho shifted to alpha
+    rho - pi beta, and the residual, in payment units of the penalized
+    problem, scaled by alpha; an Everett mixture at y stays one.
     """
     if inst.capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -138,7 +146,10 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
         t = (v_mid - r) / (ap * e_min) if e_min > 0 else 0.0
         beta = min(t, 1.0) * ap * min_y
     contract = Contract(alpha * inst.output - beta[None, :])
-    sol = best_response_capacity(contract, inst.prior, inst.capacity, inst.cost_model)
+    sol = replace(base, mu=max(alpha * (1.0 + base.mu) - 1.0, 0.0),
+                  rho=alpha * base.rho - inst.prior * beta,
+                  value=float(np.sum(joint * contract.payments)) - cost,
+                  residual=alpha * base.residual)
     return contract, sol
 
 
@@ -273,6 +284,8 @@ def second_best_solve(inst: ProblemInstance, xi, alpha, *,
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
+    if not alpha >= 0.0:
+        raise ValueError("alpha must be nonnegative")
     if inst.cost_model.logit_scale is None:
         raise NoPatternFoundError(
             "the Hessian of a tabulated uncertainty function is zero, so no "
@@ -849,6 +862,8 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     contract maximizes the principal's payoff subject to the agent
     clearing utility r.  Only for tiny instances.
     """
+    if grid_n < 2:
+        raise ValueError("oracle grid needs at least 2 points per payment")
     n_d, n_s = inst.output.shape
     if n_d * n_s > 4:
         raise TooLargeError("oracle supports at most 4 payment cells")

@@ -83,8 +83,8 @@ def problem_from_dict(data) -> ProblemInstance:
         raise MalformedProblemError("/prior", f"must sum to 1, got {prior.sum()!r}")
 
     capacity = data["capacity"]
-    if not isinstance(capacity, (int, float)) or not np.isfinite(capacity) or capacity < 0:
-        raise MalformedProblemError("/capacity", "must be a nonnegative number")
+    if not isinstance(capacity, (int, float)) or not np.isfinite(capacity) or capacity <= 0:
+        raise MalformedProblemError("/capacity", "must be a positive number")
 
     model = parse_cost(data["cost"])
     if model.knots is not None and len(states) != 2:

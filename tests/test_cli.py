@@ -81,6 +81,13 @@ def test_solve_agent_flag_exclusivity(problem_file, contract_file):
     ["geometry", "--contract", "CONTRACT", "--out", "OUT", "--mu", "-2"],
     ["solve-agent", "--contract", "CONTRACT", "--mu", "-1"],
     ["oracle", "--reservation", "nan"],
+    # --grid-n 0 and -3 ended in a traceback (exit 1); --grid-n 1 returned
+    # the all-zero contract, the one point of its grid; --alpha -1 exited 4
+    # as if the pattern solve had failed
+    ["oracle", "--grid-n", "0"],
+    ["oracle", "--grid-n", "-3"],
+    ["oracle", "--grid-n", "1"],
+    ["solve-contract", "--alpha", "-1"],
 ])
 def test_non_finite_or_out_of_range_options_are_usage_errors(problem_file, contract_file,
                                                              tmp_path, capsys, argv):
@@ -380,6 +387,24 @@ def test_gridded_upsilon_without_two_states_is_malformed(tmp_path, capsys, argv)
     assert captured.out == ""
     _one_error_line(captured.err, "malformed input")
     assert "/cost" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha-prime"],
+    ["first-best", "--reservation", "3"],
+    ["solve-agent", "--contract", None, "--capacity"],
+])
+def test_zero_capacity_is_malformed(tmp_path, contract_file, capsys, argv):
+    # each loaded the problem and died in a "capacity must be positive"
+    # ValueError traceback, exit 1
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, capacity=0)))
+    argv = [contract_file if a is None else a for a in argv]
+    assert main([argv[0], "--problem", str(path), *argv[1:]]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "malformed input")
+    assert "/capacity" in captured.err
 
 
 def test_import_loads_no_scipy():

@@ -257,6 +257,18 @@ def test_oracle_size_guards(example):
         brute_force_pareto(example, r=-np.inf, grid_n=81)
 
 
+def test_short_oracle_grid_and_negative_piece_rate_raise(example):
+    # grid_n 0 and -3 died inside numpy and grid_n 1 returned the all-zero
+    # contract; alpha = -1 searched for a pattern and raised
+    # NoPatternFoundError
+    for grid_n in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            brute_force_pareto(example, grid_n=grid_n)
+    for alpha in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            second_best_solve(example, 0.0, alpha)
+
+
 def _oracle_grid(inst, grid_n):
     axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])
             for top in inst.output.ravel()]
@@ -581,6 +593,65 @@ def test_first_best_frontier_alpha_prime_from_capacity_dual(model):
     for r in (2.9, 4.0, 6.0):
         contract, _ = first_best_frontier(inst, r)
         assert np.max(np.abs(contract.payments - _frontier_by_bisection(inst, r))) < 1e-6
+
+
+@pytest.mark.parametrize("r", [2.853, 4.5, 6.0])
+def test_first_best_frontier_solves_the_agent_once(example, monkeypatch, r):
+    # it once solved the capacity problem again for the contract alpha y - beta
+    calls = []
+    real = contracts.best_response_capacity
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, "best_response_capacity", counting)
+    first_best_frontier(example, r)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", [ShannonCost(), BregmanMatrixCost()])
+@pytest.mark.parametrize("r", [2.853, 3.0, 4.5, 6.0, 6.014])
+def test_first_best_solution_matches_a_capacity_solve_of_its_contract(model, r):
+    # the solution at y, re-expressed for alpha y - beta, against a capacity
+    # search on the contract itself, which stops within its cost_tol = 1e-8
+    inst = _example_with(model)
+    contract, sol = first_best_frontier(inst, r)
+    ref = best_response_capacity(contract, inst.prior, inst.capacity, inst.cost_model)
+    assert np.max(np.abs(sol.experiment.conditionals - ref.experiment.conditionals)) <= 1e-8
+    assert abs(sol.mu - ref.mu) <= 1e-7
+    assert abs(sol.cost - ref.cost) <= 1e-8
+    assert abs(sol.value - ref.value) <= 1e-9
+    assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-7
+    assert abs(sol.residual - ref.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("capacity", [0.05, 0.2])
+def test_first_best_solution_under_a_table_matches_a_capacity_solve(capacity):
+    # the table's optimum is not unique: a capacity search on the contract
+    # may return another experiment (up to 2.8e-3 away) of the same value
+    # and cost, so only those and the penalized objective are compared
+    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                             for q in np.linspace(0.0, 1.0, 201)]})
+    inst = ProblemInstance(("d1", "d2"), ("theta1", "theta2"), [[0.0, 10.0], [5.0, 5.0]],
+                           [2.0 / 3.0, 1.0 / 3.0], capacity, table)
+    base = best_response_capacity(inst.output_contract, inst.prior, capacity, table)
+    e_y = float(np.sum(base.experiment.conditionals * inst.prior * inst.output))
+    e_min = float(inst.prior @ inst.output.min(axis=0))
+    top = e_y - base.cost
+    bottom = (e_y - e_min) / (1.0 + base.mu) - base.cost
+    for share in (0.0, 0.2, 0.5, 0.8, 1.0):
+        contract, sol = first_best_frontier(inst, bottom + share * (top - bottom))
+        ref = best_response_capacity(contract, inst.prior, capacity, table)
+        assert abs(sol.value - ref.value) <= 1e-12
+        assert abs(sol.cost - ref.cost) <= 1e-12
+        general = best_response_general(contract, inst.prior, table, sol.mu)
+
+        def penalized(s):
+            e_b = float(np.sum(s.experiment.conditionals * inst.prior * contract.payments))
+            return e_b - (1.0 + sol.mu) * s.cost
+
+        assert abs(penalized(sol) - penalized(general)) <= 1e-12
 
 
 def test_no_holes_along_xi_at_full_piece_rate(example):
