@@ -14,15 +14,18 @@ codes:
   (`DimensionMismatchError`, `DegeneratePriorError`), such as a
   `geometry` export of a problem without two states or with a prior
   outside the posterior grid;
-* 3 requested utility outside the achievable range (`OutOfRangeError`);
+* 3 requested utility outside the achievable range (`OutOfRangeError`),
+  which `alpha-star` refuses as `solve-contract --reservation` does;
 * 4 the binding pattern has no sign-consistent solution
   (`NoPatternFoundError`), which includes every contract request under a
   tabulated uncertainty function;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes a reservation request whose bordered landing fails and whose
-  end of [0, 1] on the side of the miss does not answer either;
+  xi = 0 solution does not answer either, and one whose landing in xi
+  and alpha misses the reservation or the capacity;
 * 6 problem too large for the grid oracle (`TooLargeError`);
-* 65 malformed problem/contract file;
+* 65 malformed problem/contract file, including a NaN or infinite prior
+  entry, cost scale or payment, and a boolean capacity;
 * 66 missing file.
 
 Every nonzero code but 1 and argparse's own usage errors comes with a
@@ -45,7 +48,7 @@ from . import reproduce as repro
 from .agent import best_response_capacity, best_response_general
 from .contracts import (_alpha_search, alpha_prime, alpha_star,
                         brute_force_pareto, first_best_frontier,
-                        second_best_solve, solve_for_reservation)
+                        second_best_solve)
 from .errors import (DegeneratePriorError, DimensionMismatchError,
                      MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
@@ -195,10 +198,6 @@ def _cmd_solve_contract(args, parser):
     if args.reservation is not None:
         alpha, sol = _alpha_search(inst, args.reservation)
         log.info("alpha* = %.6f", alpha)
-        if isinstance(sol, OutOfRangeError):
-            raise sol
-        if sol is None:
-            sol = solve_for_reservation(inst, args.reservation, alpha)
     else:
         sol = second_best_solve(inst, args.xi if args.xi is not None else 0.0,
                                 args.alpha if args.alpha is not None else 1.0)

@@ -27,12 +27,13 @@ Its root must pass every sign, feasibility and KKT check; else the solve
 raises NoPatternFoundError.
 
 A reservation utility r picks one point of the frontier that xi traces.
-The search solves one point, then the same pattern system bordered with
+The search solves xi = 1, then the same pattern system bordered with
 V_A - r = 0 for the logits and xi at once (`_land`), and certifies the
-root with one more solve; when that fails, only the end of [0, 1] on the
-side of the miss is checked.  The piece rate alpha* that stands in for
-the capacity is closed in on by safeguarded regula falsi (`_Root`), one
-such search per alpha (`_alpha_search`).
+root with one more solve; when that fails, only xi = 0 is checked.  The
+piece rate alpha* that stands in for the capacity is a multiplier, 1 / (1
++ nu): where the answer at alpha = 1 costs more than the capacity, the
+system bordered by both V_A - r and cost - capacity is solved for the
+logits, xi and alpha at once (`_alpha_search`).
 """
 
 from __future__ import annotations
@@ -222,17 +223,17 @@ def _agent_inverse(inst, cond, refs):
     return levels - levels[refs, np.arange(inst.n_states)][None, :]
 
 
-def _pattern_residuals(inst, alpha, zeros):
+def _pattern_residuals(inst, zeros):
     """Residual function of the coupled system in logit coordinates.
 
     Returns (cond_of, fun): `cond_of(x)` is the experiment of the logits
-    x, and `fun(x, xi)` returns the residuals at participation weight xi
-    with that experiment and the principal's payments alpha y - beta -
-    gamma, which are zero at the pattern's cells `zeros`.  Each
-    reference cell (the first zero of its state) pays zero and has no
-    residual.  Conditionals are floored at 1e-11 so the residuals stay
-    finite wherever the root finder wanders; roots of interest are
-    interior, far from the floor.
+    x, and `fun(x, xi, alpha)` returns the residuals at participation
+    weight xi and piece rate alpha with that experiment and the
+    principal's payments alpha y - beta - gamma, which are zero at the
+    pattern's cells `zeros`.  Each reference cell (the first zero of its
+    state) pays zero and has no residual.  Conditionals are floored at
+    1e-11 so the residuals stay finite wherever the root finder wanders;
+    roots of interest are interior, far from the floor.
     """
     n_d, n_s = inst.output.shape
     floor = 1e-11
@@ -248,7 +249,7 @@ def _pattern_residuals(inst, alpha, zeros):
         cond = np.clip(cond, floor, None)
         return cond / cond.sum(axis=0, keepdims=True)
 
-    def fun(x, xi):
+    def fun(x, xi, alpha):
         cond = cond_of(x)
         b_agent = _agent_inverse(inst, cond, refs)
         lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
@@ -338,10 +339,10 @@ def _solve_pattern(inst, xi, alpha, zeros, groups):
     in turn: the first root that a group reaches is checked, and the first
     that passes every check is returned.  Raises NoPatternFoundError with
     the reason each group failed."""
-    cond_of, residuals = _pattern_residuals(inst, alpha, zeros)
+    cond_of, residuals = _pattern_residuals(inst, zeros)
 
     def fun(x):
-        return residuals(x, xi)[0]
+        return residuals(x, xi, alpha)[0]
 
     reasons = []
     for starts in groups:
@@ -594,88 +595,45 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     return deco, duals
 
 
-class _Path:
-    """The second-best solutions found so far in one public call.
-
-    Every new solve first starts from the experiment logits of the nearest
-    of them in (xi, alpha).  `_land` adds the solutions it certifies.
-    """
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.solved = []
-
-    def solve(self, xi, alpha):
-        warm = None
-        if self.solved:
-            # nearest first, the latest first among equals
-            near = min(reversed(self.solved), key=lambda s: (
-                abs(s.duals.xi - xi) + abs(s.decomposition.alpha - alpha)))
-            warm = [_logits(near.experiment)]
-        sol = second_best_solve(self.inst, xi, alpha, _warm=warm)
-        self.solved.append(sol)
-        return sol
+_CAPACITY_MARGIN = 1e-9   # relative gap below the capacity at which the cost row aims
 
 
-class _Root:
-    """Root of an increasing function on [lo, hi] by safeguarded secant and
-    Illinois regula falsi.
+def _bordered(inst, zeros, r, xi=None, alpha=None):
+    """The pattern system of the cells `zeros`, bordered by V_A - r = 0
+    when xi is free (None) and by cost - capacity = 0 when alpha is free,
+    as a function of z: the experiment logits, then the free ones of xi
+    and alpha in that order.  V_A comes from the principal's payments of
+    the same multiplier solve.  The cost row aims `_CAPACITY_MARGIN` below
+    the capacity, so that its certified root does not exceed it."""
+    pi = inst.prior
+    _, residuals = _pattern_residuals(inst, zeros)
+    n_free = (xi is None) + (alpha is None)
+    target = inst.capacity * (1.0 - _CAPACITY_MARGIN)
 
-    Points come back through `add`, with their value or with None for a
-    point that counts as below the root but has no value; the next step
-    after such a point bisects.  While the root is not bracketed by two
-    values, the step is a secant when that goes at most half way toward
-    the side that lacks a value, else the midpoint.  Once bracketed, a side
-    kept twice in a row has its value halved (Illinois).
-    """
+    def fun(z):
+        k = len(z) - n_free
+        res, cond, pay = residuals(z[:k], z[k] if xi is None else xi,
+                                   z[-1] if alpha is None else alpha)
+        cost = inst.cost_model.value(Experiment(cond), pi)
+        rows = [res]
+        if xi is None:
+            rows.append([float(np.sum(cond * pi[None, :] * pay)) - cost - r])
+        if alpha is None:
+            rows.append([cost - target])
+        return np.concatenate(rows)
 
-    def __init__(self, lo, hi, min_step):
-        self.lo, self.hi, self.min_step = lo, hi, min_step
-        self.f_lo = self.f_hi = None
-        self.points = []
-        self.side = 0
-        self.failed = False
-
-    def add(self, x, f):
-        self.failed = f is None
-        if f is None:
-            self.lo, self.f_lo, self.side = x, None, 0
-            return
-        self.points = [*self.points[-1:], (x, f)]
-        if f < 0:
-            if self.side == -1 and self.f_hi is not None:
-                self.f_hi *= 0.5
-            self.lo, self.f_lo, self.side = x, f, -1
-        else:
-            if self.side == 1 and self.f_lo is not None:
-                self.f_lo *= 0.5
-            self.hi, self.f_hi, self.side = x, f, 1
-
-    def width(self):
-        return self.hi - self.lo
-
-    def next(self):
-        lo, hi = self.lo, self.hi
-        step = min(self.min_step, 0.25 * (hi - lo))
-        if self.f_lo is not None and self.f_hi is not None:
-            x = lo - self.f_lo * (hi - lo) / (self.f_hi - self.f_lo)
-            return min(max(x, lo + step), hi - step)
-        if self.failed:
-            return 0.5 * (lo + hi)
-        x = None
-        if len(self.points) == 2:
-            (x0, f0), (x1, f1) = self.points
-            if f1 != f0:
-                x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        mid = 0.5 * (lo + hi)
-        if self.f_hi is None:
-            inside = x is not None and lo + step <= x <= mid
-        else:
-            inside = x is not None and mid <= x <= hi - step
-        return x if inside else mid
+    return fun
 
 
-def _land(path, sol, r, v_tol):
+def _bordered_root(fun, z0):
+    """Newton root of a bordered system from z0, or None."""
+    try:
+        return _newton(fun, z0, 1e-12)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _land(inst, sol, r, v_tol):
     """The solution at the piece rate of `sol` whose agent utility is r,
     or None.
 
@@ -683,7 +641,6 @@ def _land(path, sol, r, v_tol):
     V_A(x, xi) - r = 0, is solved for the experiment logits x and xi
     together, from `sol` (the bordered system of continuation methods;
     Allgower & Georg), and the root is certified by one solve warm from it.
-    V_A comes from the principal's payments of the same multiplier solve.
     A root at xi < 0 means participation is slack: the landing is the
     xi = 0 solution.
 
@@ -693,21 +650,11 @@ def _land(path, sol, r, v_tol):
     a branch of stationary points that is not optimal, which a Newton
     step can jump to; it is refused.  None as well when there is no root,
     xi > 1, or the certified solution misses r by more than v_tol (at
-    xi = 0: falls short of r).  Only an accepted landing joins the path.
+    xi = 0: falls short of r).
     """
-    inst, alpha, pi = path.inst, sol.decomposition.alpha, path.inst.prior
-    _, residuals = _pattern_residuals(inst, alpha, _pattern(inst, alpha))
-
-    def bordered(z):
-        res, cond, pay = residuals(z[:-1], z[-1])
-        v_a = float(np.sum(cond * pi[None, :] * pay)) \
-            - inst.cost_model.value(Experiment(cond), pi)
-        return np.append(res, v_a - r)
-
-    try:
-        z = _newton(bordered, np.append(_logits(sol.experiment), sol.duals.xi), 1e-12)
-    except np.linalg.LinAlgError:
-        return None
+    alpha = sol.decomposition.alpha
+    bordered = _bordered(inst, _pattern(inst, alpha), r, alpha=alpha)
+    z = _bordered_root(bordered, np.append(_logits(sol.experiment), sol.duals.xi))
     if z is None or z[-1] > 1.0:
         return None
     if z[-1] < 0.0:
@@ -723,7 +670,6 @@ def _land(path, sol, r, v_tol):
     v = landed.report.agent_utility
     if abs(v - r) > v_tol and not (xi == 0.0 and v >= r):
         return None
-    path.solved.append(landed)
     return landed
 
 
@@ -739,53 +685,37 @@ def _branch_slope(bordered, z):
     return jac[-1, :-1] @ dx + jac[-1, -1]
 
 
-def _xi_search(path, r, alpha, v_tol, guess=None):
-    """Solution at piece rate alpha whose agent utility is r within v_tol.
+def _xi_search(inst, r, alpha, v_tol):
+    """(solution at piece rate alpha whose agent utility is r within
+    v_tol, the xi = 1 solution at alpha).
 
-    The first point solved (`guess` when it is known and solves, else
-    xi = 1) is carried onto r by `_land`, or returned when it already hits
-    r.  Else the end of [0, 1] on the side of the miss is solved once, and
-    returned when it hits r or, at xi = 0, when participation is slack at
-    r.  Raises OutOfRangeError when the utility at xi = 1 falls short of r,
-    and NoConvergenceError in every other case.
+    The xi = 1 solution is carried onto r by `_land`, or is the answer
+    when it already hits r.  Else xi = 0 is solved once, warm from it, and
+    answers when participation is slack at r.  Raises OutOfRangeError when
+    the utility at xi = 1 falls short of r, and NoConvergenceError in
+    every other case.
     """
-    def solve(xi):
-        sol = path.solve(xi, alpha)
-        if xi == 1.0 and sol.report.agent_utility < r - v_tol:
-            raise OutOfRangeError(
-                f"utility {r} above the second-best range at alpha={alpha} "
-                f"(max {sol.report.agent_utility:.6f})"
-            )
-        return sol
-
-    first = None
-    if guess is not None and 0.0 < guess < 1.0:
-        try:
-            first = path.solve(guess, alpha)
-        except NoPatternFoundError:
-            pass
-    if first is None:
-        first = solve(1.0)
-    landed = _land(path, first, r, v_tol)
+    top = second_best_solve(inst, 1.0, alpha)
+    v = top.report.agent_utility
+    if v < r - v_tol:
+        raise OutOfRangeError(
+            f"utility {r} above the second-best range at alpha={alpha} (max {v:.6f})")
+    landed = _land(inst, top, r, v_tol)
     if landed is not None:
-        return landed
-    v = first.report.agent_utility
+        return landed, top
     if abs(v - r) <= v_tol:
-        return first
-    end_xi, end = (0.0 if v > r else 1.0), None
+        return top, top
+    end = None
     try:
-        end = solve(end_xi)
+        end = second_best_solve(inst, 0.0, alpha, _warm=[_logits(top.experiment)])
     except NoPatternFoundError:
-        if end_xi == 1.0:
-            raise
-    if end is not None:
-        v_end = end.report.agent_utility
-        if abs(v_end - r) <= v_tol or (end_xi == 0.0 and v_end > r):
-            return end
-    miss = "no solution" if end is None else f"agent utility {v_end:.6f}"
+        pass
+    if end is not None and end.report.agent_utility - r >= -v_tol:
+        return end, top
+    miss = "no solution" if end is None else f"agent utility {end.report.agent_utility:.6f}"
     raise NoConvergenceError(
         f"xi search for utility {r} at alpha={alpha}: agent utility {v:.6f} at "
-        f"xi={first.duals.xi:.6g} and {miss} at xi={end_xi:g}, not within {v_tol:g}"
+        f"xi=1 and {miss} at xi=0, not within {v_tol:g}"
     )
 
 
@@ -800,56 +730,64 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
     xi = 1, and NoConvergenceError when the landing fails and neither the
     xi = 1 solution nor the xi = 0 one answers.
     """
-    return _xi_search(_Path(inst), r, alpha, v_tol)
+    return _xi_search(inst, r, alpha, v_tol)[0]
 
 
-def _alpha_search(inst, r, tol=1e-4, v_tol=1e-4):
-    """(alpha*, the outcome at alpha*): the reservation solution, the
-    OutOfRangeError raised when r is out of range there, or None when
-    alpha* was never solved.
+def _alpha_search(inst, r, v_tol=1e-4):
+    """(alpha*, the reservation solution at alpha*), alpha* the piece rate
+    at which the capacity just binds: alpha* = 1 / (1 + nu), nu the
+    capacity multiplier.
 
-    One path of warm-started solves serves every alpha.  Each alpha's xi
-    search starts at xi* interpolated from the two nearest alphas solved,
-    and lands on r from there (`_land`).
+    The xi search at alpha = 1 answers, with alpha* = 1, when its solution
+    costs at most the capacity.  Else the pattern system, bordered by
+    V_A - r and by cost - capacity (`_bordered`), is solved for the
+    logits, xi and alpha at once from that solution, and the root is
+    certified by one solve warm from it.  A root at xi < 0 lands at xi = 0
+    (participation is slack), and a root at xi > 1, or none, at xi = 1: at
+    that end the cost row alone is solved for alpha, from the xi = 1,
+    alpha = 1 solution (at xi = 0, from the xi search's answer).  Raises
+    OutOfRangeError when the utility at xi = 1 falls short of r, at
+    alpha = 1 or at the end's alpha, and NoConvergenceError when the
+    answer misses r or the capacity.
     """
-    path = _Path(inst)
-    solved = {}    # alpha -> xi of its solution
-    outcome = {}   # alpha -> solution, or the OutOfRangeError raised there
-
-    def cost_gap(alpha):
-        near = sorted(solved, key=lambda a: abs(a - alpha))[:2]
-        guess = solved[near[0]] if near else None
-        if len(near) == 2:
-            a0, a1 = near
-            x0, x1 = solved[a0], solved[a1]
-            guess = x0 + (x1 - x0) * (alpha - a0) / (a1 - a0)
-        try:
-            sol = _xi_search(path, r, alpha, v_tol, guess)
-        except OutOfRangeError as exc:
-            outcome[alpha] = exc
-            return None
-        solved[alpha] = sol.duals.xi
-        outcome[alpha] = sol
-        return sol.report.cost - inst.capacity
-
-    gap = cost_gap(1.0)
-    # vacuously slack when r is unattainable at this alpha
-    if gap is None or gap < 0:
-        return 1.0, outcome[1.0]
-    root = _Root(0.0, 1.0, 0.5 * tol)
-    root.add(1.0, gap)
-    while root.width() > tol:
-        alpha = root.next()
-        root.add(alpha, cost_gap(alpha))
-    return root.lo, outcome.get(root.lo)
+    sol, top = _xi_search(inst, r, 1.0, v_tol)
+    if sol.report.cost <= inst.capacity:
+        return 1.0, sol
+    zeros = _pattern(inst, 1.0)
+    z = _bordered_root(_bordered(inst, zeros, r),
+                       np.append(_logits(sol.experiment), [sol.duals.xi, 1.0]))
+    if z is not None and 0.0 <= z[-2] <= 1.0 and 0.0 < z[-1] <= 1.0:
+        xi, alpha, start = float(z[-2]), float(z[-1]), z[:-2]
+    else:
+        xi, near = (0.0, sol) if z is not None and z[-2] < 0.0 else (1.0, top)
+        end = _bordered_root(_bordered(inst, zeros, r, xi=xi),
+                             np.append(_logits(near.experiment), 1.0))
+        if end is None or not 0.0 < end[-1] <= 1.0:
+            raise NoConvergenceError(
+                f"alpha search for utility {r}: no piece rate where the cost meets "
+                f"the capacity {inst.capacity} at xi={xi:g}")
+        alpha, start = float(end[-1]), end[:-1]
+    landed = second_best_solve(inst, xi, alpha, _warm=[start])
+    v, cost = landed.report.agent_utility, landed.report.cost
+    if xi == 1.0 and v < r - v_tol:
+        raise OutOfRangeError(
+            f"utility {r} above the second-best range at alpha={alpha} (max {v:.6f})")
+    if v - r < -v_tol or (xi > 0.0 and v - r > v_tol) or cost > inst.capacity:
+        raise NoConvergenceError(
+            f"alpha search for utility {r}: agent utility {v:.6f} and cost {cost:.6g} "
+            f"at xi={xi:.6g}, alpha={alpha:.6g}, not within {v_tol:g} of r and "
+            f"at most the capacity {inst.capacity}")
+    return alpha, landed
 
 
-def alpha_star(inst: ProblemInstance, r, tol=1e-4) -> float:
+def alpha_star(inst: ProblemInstance, r) -> float:
     """Piece rate substituting for the capacity constraint in the
-    perturbed (capacity-free) Pareto problem at reservation utility r:
-    the slack end, within tol, of a bracket on cost(alpha) - capacity
-    closed by safeguarded regula falsi."""
-    return _alpha_search(inst, r, tol)[0]
+    perturbed (capacity-free) Pareto problem at reservation utility r: 1
+    when the capacity is slack at the reservation solution at alpha = 1,
+    else the piece rate at which it just binds, solved for together with
+    xi (`_alpha_search`).  Raises what the reservation request raises,
+    OutOfRangeError for a utility beyond the second-best range."""
+    return _alpha_search(inst, r)[0]
 
 
 def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):

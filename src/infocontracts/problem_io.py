@@ -20,20 +20,28 @@ from .errors import MalformedProblemError
 from .model import Contract, ProblemInstance
 
 
+def _positive_number(value, pointer):
+    """`value` as a float when it is a positive finite JSON number (not a
+    boolean); else MalformedProblemError at `pointer`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or value <= 0):
+        raise MalformedProblemError(pointer, "must be a positive finite number")
+    return float(value)
+
+
 def parse_cost(spec, pointer="/cost"):
     """Cost model from its tagged-union JSON spec."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise MalformedProblemError(pointer, "cost must be an object with a 'type' tag")
     kind = spec["type"]
+    scale = _positive_number(spec.get("scale", 1.0), f"{pointer}/scale")
     try:
         if kind == "shannon":
-            return ShannonCost(scale=float(spec.get("scale", 1.0)))
+            return ShannonCost(scale=scale)
         if kind == "bregman":
-            return BregmanMatrixCost(spec.get("matrix", "inverse_fisher"),
-                                     scale=float(spec.get("scale", 1.0)))
+            return BregmanMatrixCost(spec.get("matrix", "inverse_fisher"), scale=scale)
         if kind == "posterior_separable":
-            return PosteriorSeparableCost(spec.get("upsilon", "entropy"),
-                                          scale=float(spec.get("scale", 1.0)))
+            return PosteriorSeparableCost(spec.get("upsilon", "entropy"), scale=scale)
     except (ValueError, TypeError) as exc:
         raise MalformedProblemError(pointer, str(exc)) from exc
     raise MalformedProblemError(f"{pointer}/type", f"unknown cost type {kind!r}")
@@ -77,22 +85,21 @@ def problem_from_dict(data) -> ProblemInstance:
         raise MalformedProblemError("/prior", "must be a numeric vector") from exc
     if prior.shape != (len(states),):
         raise MalformedProblemError("/prior", "length must match the states")
+    if not np.all(np.isfinite(prior)):
+        raise MalformedProblemError("/prior", "entries must be finite")
     if np.any(prior <= 0):
         raise MalformedProblemError("/prior", "entries must be strictly positive")
     if abs(prior.sum() - 1.0) > 1e-9:
         raise MalformedProblemError("/prior", f"must sum to 1, got {prior.sum()!r}")
 
-    capacity = data["capacity"]
-    if not isinstance(capacity, (int, float)) or not np.isfinite(capacity) or capacity <= 0:
-        raise MalformedProblemError("/capacity", "must be a positive number")
-
+    capacity = _positive_number(data["capacity"], "/capacity")
     model = parse_cost(data["cost"])
     if model.knots is not None and len(states) != 2:
         raise MalformedProblemError(
             "/cost", f"a gridded uncertainty function needs two states, got {len(states)}")
     return ProblemInstance(decisions=tuple(decisions), states=tuple(states),
                            output=output, prior=prior,
-                           capacity=float(capacity), cost_model=model)
+                           capacity=capacity, cost_model=model)
 
 
 def load_problem(path) -> ProblemInstance:
@@ -118,6 +125,8 @@ def load_contract(path, inst: ProblemInstance | None = None) -> Contract:
         raise MalformedProblemError("/payments", "must be a numeric matrix") from exc
     if mat.ndim != 2:
         raise MalformedProblemError("/payments", "must be a 2-d matrix")
+    if not np.all(np.isfinite(mat)):
+        raise MalformedProblemError("/payments", "entries must be finite")
     if inst is not None and mat.shape != inst.output.shape:
         raise MalformedProblemError(
             "/payments", f"shape {mat.shape} does not match the problem "

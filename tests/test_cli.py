@@ -254,6 +254,20 @@ def test_out_of_range_exit_code(problem_file, capsys):
     _one_error_line(capsys.readouterr().err, "out of range")
 
 
+@pytest.mark.parametrize("capacity, r", [(0.5, 6.5), (0.5, 3.0), (0.3, 2.0)])
+@pytest.mark.parametrize("command", ["alpha-star", "solve-contract"])
+def test_alpha_star_refuses_what_the_request_refuses(tmp_path, capsys, capacity, r,
+                                                     command):
+    # alpha-star once printed 1.0, 0.7219 and 0.51239 here, bracket ends of a
+    # search that the reservation request refused with exit 3
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, capacity=capacity)))
+    assert main([command, "--problem", str(path), "--reservation", repr(r)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "out of range")
+
+
 @pytest.mark.parametrize("error, code, label", [
     (NoPatternFoundError, 4, "no binding pattern"),
     (NoConvergenceError, 5, "no convergence"),
@@ -405,6 +419,41 @@ def test_zero_capacity_is_malformed(tmp_path, contract_file, capsys, argv):
     assert captured.out == ""
     _one_error_line(captured.err, "malformed input")
     assert "/capacity" in captured.err
+
+
+NAN_PRIOR = {"prior": [float("nan"), 0.5]}
+INFINITE_SCALE = {"cost": {"type": "shannon", "scale": float("inf")}}
+
+
+@pytest.mark.parametrize("change, argv, pointer", [
+    # NaN fails both comparisons of the prior checks: alpha-prime, first-best
+    # and oracle ran 500 Newton steps and exited 5, solve-contract exited 4
+    (NAN_PRIOR, ["alpha-prime"], "/prior"),
+    (NAN_PRIOR, ["first-best", "--reservation", "3"], "/prior"),
+    (NAN_PRIOR, ["oracle"], "/prior"),
+    (NAN_PRIOR, ["solve-contract", "--xi", "0.5"], "/prior"),
+    # alpha-prime printed 1.0 with a RuntimeWarning; first-best died in a
+    # ValueError traceback, exit 1
+    (INFINITE_SCALE, ["alpha-prime"], "/cost/scale"),
+    (INFINITE_SCALE, ["first-best", "--reservation", "3"], "/cost/scale"),
+    # loaded as capacity 1.0
+    ({"capacity": True}, ["alpha-prime"], "/capacity"),
+    # a NaN payment died in a "contract payments must be finite" ValueError
+    # traceback, exit 1
+    ({}, ["solve-agent", "--contract", None], "/payments"),
+])
+def test_non_finite_and_boolean_numbers_are_malformed(tmp_path, capsys, change, argv,
+                                                      pointer):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, **change)))
+    contract = tmp_path / "contract.json"
+    contract.write_text(json.dumps({"payments": [[0.0, float("nan")], [5.0, 5.0]]}))
+    argv = [str(contract) if a is None else a for a in argv]
+    assert main([argv[0], "--problem", str(path), *argv[1:]]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "malformed input")
+    assert f" {pointer}: " in captured.err
 
 
 def test_import_loads_no_scipy():

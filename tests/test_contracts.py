@@ -721,9 +721,10 @@ def test_reservation_off_target_exits_5(example_file, monkeypatch, capsys):
     assert captured.err.startswith("error: no convergence: ")
 
 
-def _count_reservation_request(path, monkeypatch, capsys, r):
+def _count_reservation_request(path, monkeypatch, capsys, r, code=0):
     """second_best_solve calls and NoPatternFoundErrors of one CLI
-    `--reservation` request on the example, and its stdout."""
+    `--reservation` request on the example that exits with `code`, and its
+    stdout."""
     real = contracts.second_best_solve
     counts = {"calls": 0, "holes": 0}
 
@@ -736,10 +737,11 @@ def _count_reservation_request(path, monkeypatch, capsys, r):
             raise
 
     monkeypatch.setattr(contracts, "second_best_solve", counting)
-    assert cli.main(["solve-contract", "--problem", path, "--reservation", repr(r)]) == 0
+    assert cli.main(["solve-contract", "--problem", path, "--reservation", repr(r)]) == code
     monkeypatch.undo()
     out = capsys.readouterr().out
-    assert abs(json.loads(out)["report"]["agent_utility"] - r) <= 1e-4
+    if code == 0:
+        assert abs(json.loads(out)["report"]["agent_utility"] - r) <= 1e-4
     return counts, out
 
 
@@ -753,14 +755,87 @@ def test_reservation_request_work_budget(example_file, monkeypatch, capsys, r, b
         assert counts["holes"] == 0
 
 
-@pytest.mark.parametrize("r, budget", [(0.5, 3), (1.0, 3), (2.0, 3), (2.2, 3), (2.8, 20)])
+@pytest.mark.parametrize("r, budget", [(0.5, 3), (1.0, 3), (2.0, 3), (2.2, 3), (2.8, 4)])
 def test_reservation_request_lands_in_few_solves(example_file, monkeypatch, capsys, r,
                                                  budget):
-    # by regula falsi in xi alone: 5, 9, 9, 9 and 29 calls; the landing
-    # takes the first solve and one certifying solve per piece rate
+    # by regula falsi in xi alone: 5, 9, 9, 9 and 29 calls; by regula falsi
+    # in alpha, 17 at r = 2.8.  The landing takes the first solve and one
+    # certifying solve, and the landing in (xi, alpha) one more
     counts, _ = _count_reservation_request(example_file, monkeypatch, capsys, r)
     assert counts["calls"] <= budget
     assert counts["holes"] == 0
+
+
+@pytest.mark.parametrize("r", [2.9, 3.0])
+def test_reservation_above_the_seam_raises_in_few_solves(example_file, monkeypatch, capsys,
+                                                          r):
+    # regula falsi in alpha took 23 and 24 calls to raise, naming the alpha
+    # where its bracket stopped; the landing in (xi, alpha) has its root at
+    # xi > 1, and the xi = 1 end, solved for the capacity alone, names
+    # alpha' and the first-best floor
+    counts, out = _count_reservation_request(example_file, monkeypatch, capsys, r, code=3)
+    assert counts["calls"] <= 4 and out == ""
+
+
+def test_alpha_star_cost_meets_the_capacity_from_below(example):
+    # regula falsi in alpha stopped at the slack end of its bracket, with
+    # alpha* = 0.7163371 and cost 0.499992
+    alpha, sol = contracts._alpha_search(example, 2.8)
+    assert abs(alpha - 0.7163371) <= 1e-4 and sol.decomposition.alpha == alpha
+    assert example.capacity - 1e-8 <= sol.report.cost <= example.capacity
+
+
+def _seam_utility(inst):
+    """Lowest first-best agent utility of `inst`: alpha' (E_p y - E_pi
+    min_d y) less the cost of the capacity solve at y."""
+    ap = alpha_prime(inst)
+    sol = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
+                                 inst.cost_model)
+    e_y = float(np.sum(sol.experiment.conditionals * inst.prior[None, :] * inst.output))
+    return ap * (e_y - float(inst.prior @ inst.output.min(axis=0))) - sol.cost, ap
+
+
+@pytest.mark.parametrize("capacity", [0.3, 0.5])
+def test_alpha_star_at_the_seam_is_alpha_prime(capacity):
+    # the landing in (xi, alpha) has its root at xi = 1 - 2e-12 there
+    inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, 10.0], [5.0, 5.0]],
+                           [2 / 3, 1 / 3], capacity, ShannonCost())
+    r, ap = _seam_utility(inst)
+    assert abs(alpha_star(inst, r) - ap) <= 1e-8
+
+
+def _seeded_perturbation(index):
+    """Problem `index` of the perturbed examples drawn from default_rng(2024),
+    each as h, s, p2 and capacity in turn."""
+    rng = np.random.default_rng(2024)
+    for _ in range(index + 1):
+        h, s = rng.uniform(9.0, 11.0), rng.uniform(4.5, 5.5)
+        p2, capacity = rng.uniform(0.28, 0.38), rng.uniform(0.3, 0.7)
+    return ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, h], [s, s]], [1.0 - p2, p2],
+                           capacity, ShannonCost())
+
+
+def _bisected_alpha_star(inst, r):
+    """Largest alpha, within 1e-8, at which the reservation solution costs
+    at most the capacity; out of range counts as below alpha*."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        try:
+            over = solve_for_reservation(inst, r, mid).report.cost > inst.capacity
+        except OutOfRangeError:
+            over = False
+        lo, hi = (lo, mid) if over else (mid, hi)
+    return lo
+
+
+@pytest.mark.parametrize("index, r", [(18, 1.4), (31, 2.0)])
+def test_alpha_star_matches_a_bisection_on_the_capacity(index, r):
+    # regula falsi in alpha was 4.6e-5 and 3.5e-5 below the bisection here
+    inst = _seeded_perturbation(index)
+    alpha = alpha_star(inst, r)
+    assert alpha < 1.0
+    assert abs(alpha - _bisected_alpha_star(inst, r)) <= 1e-6
 
 
 def test_reservation_requests_repeat_bit_for_bit(example_file, monkeypatch, capsys):
@@ -781,9 +856,9 @@ def test_reservation_request_residual_evaluations(example_file, monkeypatch, cap
     def counting(*args):
         cond_of, fun = real(*args)
 
-        def counted(x, xi):
+        def counted(x, xi, alpha):
             evaluations.append(xi)
-            return fun(x, xi)
+            return fun(x, xi, alpha)
         return cond_of, counted
 
     monkeypatch.setattr(contracts, "_pattern_residuals", counting)
@@ -809,7 +884,7 @@ def test_reservation_answer_does_not_depend_on_the_path(example, r):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.2, 2.5])
 def test_bordered_solve_lands_on_the_reservation(example, r):
     first = second_best_solve(example, 1.0, 1.0)
-    landed = contracts._land(contracts._Path(example), first, r, 1e-4)
+    landed = contracts._land(example, first, r, 1e-4)
     assert landed is not None and landed.pattern == first.pattern
     assert abs(landed.report.agent_utility - r) <= 1e-9
     assert 0.0 < landed.duals.xi < 1.0
@@ -820,7 +895,7 @@ def test_bordered_solve_lands_on_the_reservation(example, r):
 def test_bordered_solve_below_the_slack_utility_lands_at_zero(example, r):
     # V_A(xi = 0) = 0.4989: the bordered root lies at xi = -0.028, -0.025
     first = second_best_solve(example, 1.0, 1.0)
-    landed = contracts._land(contracts._Path(example), first, r, 1e-4)
+    landed = contracts._land(example, first, r, 1e-4)
     assert landed is not None and landed.duals.xi == 0.0
     assert landed.report.agent_utility >= r
 
@@ -831,9 +906,7 @@ def test_landing_where_utility_falls_along_the_branch_is_refused(example, r):
     # 0.12 and 0.007 with V_A = r, on a branch of stationary points where
     # V_A falls as xi rises; below V_A(xi = 0) = 0.4989 participation is slack
     first = second_best_solve(example, 1.0, 1.0)
-    path = contracts._Path(example)
-    assert contracts._land(path, first, r, 1e-4) is None
-    assert path.solved == []
+    assert contracts._land(example, first, r, 1e-4) is None
     sol = solve_for_reservation(example, r)
     assert sol.duals.xi == 0.0 and sol.report.agent_utility >= r
 
@@ -841,7 +914,7 @@ def test_landing_where_utility_falls_along_the_branch_is_refused(example, r):
 def test_bordered_solve_beyond_full_weight_falls_back(example):
     top = second_best_solve(example, 1.0, 1.0)
     r = top.report.agent_utility + 5e-5
-    assert contracts._land(contracts._Path(example), top, r, 1e-4) is None
+    assert contracts._land(example, top, r, 1e-4) is None
     sol = solve_for_reservation(example, r)
     assert sol.duals.xi == 1.0 and abs(sol.report.agent_utility - r) <= 1e-4
 
@@ -906,21 +979,6 @@ def test_reservation_request_answers_or_raises_a_typed_error(problem, r):
     else:
         assert v_a >= r - 1e-4
     assert answer["report"]["cost"] <= problem["capacity"]
-
-
-def test_failed_guess_does_not_bound_the_xi_search(example, monkeypatch):
-    # r = 2.0 sits at xi = 0.861; after a hole at the guess 0.95 the search
-    # solves xi = 1 and lands from there
-    real = contracts.second_best_solve
-
-    def holed(inst, xi, alpha, *args, **kwargs):
-        if xi == 0.95:
-            raise NoPatternFoundError("hole")
-        return real(inst, xi, alpha, *args, **kwargs)
-
-    monkeypatch.setattr(contracts, "second_best_solve", holed)
-    sol = contracts._xi_search(contracts._Path(example), 2.0, 1.0, 1e-4, guess=0.95)
-    assert abs(sol.report.agent_utility - 2.0) <= 1e-4
 
 
 @pytest.mark.parametrize("r", [0.2, 0.3, 0.4, 0.5])
