@@ -14,15 +14,18 @@ codes:
   (`DimensionMismatchError`, `DegeneratePriorError`), such as a
   `geometry` export of a problem without two states or with a prior
   outside the posterior grid;
-* 3 requested utility outside the achievable range (`OutOfRangeError`),
-  which `alpha-star` refuses as `solve-contract --reservation` does;
+* 3 requested utility outside the achievable range (`OutOfRangeError`):
+  for `solve-contract --reservation` and `alpha-star`, above the agent
+  utility of the full-output contract under the capacity;
 * 4 the binding pattern has no sign-consistent solution
   (`NoPatternFoundError`), which includes every contract request under a
-  tabulated uncertainty function;
+  tabulated uncertainty function and a reservation request on an output
+  below 0;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
-  includes a reservation request whose bordered landing fails and whose
-  xi = 0 solution does not answer either, and one whose landing in xi
-  and alpha misses the reservation or the capacity;
+  includes a reservation request for which neither the reduced problem
+  (surplus less the agent's rent, solved on a support of decisions by an
+  interior-point method) nor any contract paying a single decision gives
+  a certified answer;
 * 6 problem too large for the grid oracle (`TooLargeError`);
 * 65 malformed problem/contract file, including a NaN or infinite prior
   entry, cost scale or payment, and a boolean capacity;
@@ -46,9 +49,9 @@ import numpy as np
 
 from . import reproduce as repro
 from .agent import best_response_capacity, best_response_general
-from .contracts import (_alpha_search, alpha_prime, alpha_star,
-                        brute_force_pareto, first_best_frontier,
-                        second_best_solve)
+from .contracts import (alpha_prime, alpha_star, brute_force_pareto,
+                        first_best_frontier, second_best_solve,
+                        solve_for_reservation)
 from .errors import (DegeneratePriorError, DimensionMismatchError,
                      MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
@@ -131,7 +134,7 @@ def _parser():
     contract.add_argument("--alpha", type=nonnegative, default=None,
                           help="piece rate (defaults to 1)")
     contract.add_argument("--reservation", type=_number, default=None,
-                          help="agent utility floor; searches xi at alpha*")
+                          help="agent utility floor; solves for xi and alpha*")
     contract.add_argument("--oracle", action="store_true",
                           help="cross-check against the exhaustive grid oracle")
     contract.add_argument("--emit-csv", default=None, metavar="DIR",
@@ -196,8 +199,8 @@ def _cmd_solve_contract(args, parser):
         parser.error("give exactly one of --xi/--alpha or --reservation")
     inst = load_problem(args.problem)
     if args.reservation is not None:
-        alpha, sol = _alpha_search(inst, args.reservation)
-        log.info("alpha* = %.6f", alpha)
+        sol = solve_for_reservation(inst, args.reservation)
+        log.info("alpha* = %.6f", sol.decomposition.alpha)
     else:
         sol = second_best_solve(inst, args.xi if args.xi is not None else 0.0,
                                 args.alpha if args.alpha is not None else 1.0)

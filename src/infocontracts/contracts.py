@@ -1,39 +1,28 @@
 """Pareto-optimal contracts: first-best piece rates and transfers, the
 capacity-equivalent scaling, and second-best contracts with the optimal
-distortion recovered from a KKT system.
+distortion recovered from a KKT system, all under the mutual-information
+cost, scale s.
 
-The second-best solver takes the mutual-information cost, scale s, and
-refuses any other.  It fixes which payments sit on a liability limit (the
-binding pattern), then solves the coupled system
+`second_best_solve` takes the participation weight xi and the piece rate
+alpha.  It fixes which payments sit on a liability limit (`_pattern`: each
+state's lowest-output cell and every cell with no positive output), then
+solves agent optimality (b is s log(p(d|theta) / p(d)) up to a per-state
+level), the principal's condition b = alpha y - beta - gamma and the
+multiplier sums sum_d lambda(d,theta) = (1-xi) pi(theta) as one root in
+the experiment's logits (`_newton`).  gamma is the distortion in closed
+form, s sum_theta' lambda(d,theta') / p(d) - s lambda(d,theta) /
+(p(d|theta) pi(theta)), a decision-dependent transfer where lambda = 0
+(Result 4); `gamma_from_duals` certifies it against the Hessian
+contraction.  A root that fails a sign, feasibility or KKT check raises
+NoPatternFoundError.
 
-* agent optimality (within each state, pi b minus the cost gradient is
-  constant across decisions: b is s log(p(d|theta) / p(d)) up to a
-  per-state level),
-* the principal first-order condition b = alpha y - beta - gamma, with
-  gamma the distortion in closed form, linear in the multipliers: s
-  sum_theta' lambda(d,theta') / p(d) - s lambda(d,theta) / (p(d|theta)
-  pi(theta)), a decision-dependent transfer where lambda = 0 (Result 4);
-  `gamma_from_duals` certifies it against the general form, the Hessian
-  contraction with phi = p(1-xi) - lambda/pi,
-* the multiplier accounting sum_d lambda(d,theta) = (1-xi) pi(theta) plus
-  complementary slackness,
-
-as one root-finding problem in the experiment's logits, reconstructing
-multipliers by a linear solve at every iterate.  The root is found by a
-damped Newton method (`_newton`: forward-difference Jacobian, Armijo
-backtracking).  There is one pattern (`_pattern`): each state pays zero at
-its lowest-output cell, and so does every cell with no positive output.
-Its root must pass every sign, feasibility and KKT check; else the solve
-raises NoPatternFoundError.
-
-A reservation utility r picks one point of the frontier that xi traces.
-The search solves xi = 1, then the same pattern system bordered with
-V_A - r = 0 for the logits and xi at once (`_land`), and certifies the
-root with one more solve; when that fails, only xi = 0 is checked.  The
-piece rate alpha* that stands in for the capacity is a multiplier, 1 / (1
-+ nu): where the answer at alpha = 1 costs more than the capacity, the
-system bordered by both V_A - r and cost - capacity is solved for the
-logits, xi and alpha at once (`_alpha_search`).
+A reservation utility r is one reduced problem (`reduced`): an experiment
+on a support of decisions and one level per state, maximizing alpha E_p y
+- s I(p) - pi.c, the surplus less the agent's rent, under the liability
+limits, pi.c >= r and, for `alpha_star`, the capacity.  xi and alpha* =
+1 / (1 + nu) are its multipliers, and its answer passes the checks of
+`second_best_solve` (`_certify`), extended to decisions never taken.
+From the first-best floor up the answer is the first-best contract.
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import reduced
 from .agent import (_logit_kernel, agent_kkt_residual, best_response_capacity,
                     best_response_general, best_response_shannon)
 from .errors import (BoundaryPointError, InconsistentProfileError, NoConvergenceError,
@@ -121,18 +111,26 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
     """
     if inst.capacity <= 0:
         raise ValueError("capacity must be positive")
-    y = inst.output_contract
-    base = best_response_capacity(y, inst.prior, inst.capacity, inst.cost_model)
+    base = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
+                                  inst.cost_model)
+    return _frontier(inst, base, r, slack)[:2]
+
+
+def _frontier_ends(inst, base):
+    """(v_bottom, v_mid, v_top, alpha', E_p y, E_pi min_d y) of the first-best
+    frontier through the capacity solution `base` at y."""
     ap = 1.0 / (1.0 + base.mu)
     joint = base.experiment.conditionals * inst.prior[None, :]
     e_y = float(np.sum(joint * inst.output))
+    e_min = float(inst.prior @ inst.output.min(axis=0))
     cost = base.cost
-    min_y = inst.output.min(axis=0)
-    e_min = float(inst.prior @ min_y)
+    return ap * (e_y - e_min) - cost, ap * e_y - cost, e_y - cost, ap, e_y, e_min
 
-    v_top = e_y - cost
-    v_mid = ap * e_y - cost
-    v_bottom = ap * (e_y - e_min) - cost
+
+def _frontier(inst, base, r, slack):
+    """(contract, agent solution, alpha) of `first_best_frontier` from the
+    capacity solution `base` at y."""
+    v_bottom, v_mid, v_top, ap, e_y, e_min = _frontier_ends(inst, base)
     if r > v_top + slack or r < v_bottom - slack:
         raise OutOfRangeError(
             f"agent utility {r} outside the first-best range "
@@ -140,18 +138,19 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
         )
     r = min(max(r, v_bottom), v_top)
     if r >= v_mid:
-        alpha = min(max((r + cost) / e_y, ap), 1.0)
+        alpha = min(max((r + base.cost) / e_y, ap), 1.0)
         beta = np.zeros(inst.n_states)
     else:
         alpha = ap
         t = (v_mid - r) / (ap * e_min) if e_min > 0 else 0.0
-        beta = min(t, 1.0) * ap * min_y
+        beta = min(t, 1.0) * ap * inst.output.min(axis=0)
     contract = Contract(alpha * inst.output - beta[None, :])
+    joint = base.experiment.conditionals * inst.prior[None, :]
     sol = replace(base, mu=max(alpha * (1.0 + base.mu) - 1.0, 0.0),
                   rho=alpha * base.rho - inst.prior * beta,
-                  value=float(np.sum(joint * contract.payments)) - cost,
+                  value=float(np.sum(joint * contract.payments)) - base.cost,
                   residual=alpha * base.residual)
-    return contract, sol
+    return contract, sol, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,7 @@ def _pattern_residuals(inst, zeros):
     return cond_of, fun
 
 
-def second_best_solve(inst: ProblemInstance, xi, alpha, *,
-                      _warm=None) -> ContractSolution:
+def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
     """Second-best Pareto contract at participation weight xi and piece
     rate alpha, capacity handled upstream through alpha.
 
@@ -278,10 +276,6 @@ def second_best_solve(inst: ProblemInstance, xi, alpha, *,
     and KKT residual checks; and at once for a model without a logit scale
     (a tabulated uncertainty function), whose Hessian is zero, so that the
     pattern system has no smooth root.
-
-    `_warm` is internal to the reservation search: starting logits from
-    solutions at a nearby (xi, alpha), tried before the best response; the
-    xi = 0 retry is then skipped.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
@@ -294,8 +288,6 @@ def second_best_solve(inst: ProblemInstance, xi, alpha, *,
             "mutual-information cost")
     zeros = _pattern(inst, alpha)
     response = _response_start(inst, alpha)
-    if _warm is not None:
-        return _solve_pattern(inst, xi, alpha, zeros, [_warm, response()])
     try:
         return _solve_pattern(inst, xi, alpha, zeros, [response()])
     except NoPatternFoundError as exc:
@@ -347,8 +339,8 @@ def _solve_pattern(inst, xi, alpha, zeros, groups):
     reasons = []
     for starts in groups:
         root = _first_root(fun, starts)
-        outcome = "no root" if root is None else _certify(inst, xi, alpha, zeros,
-                                                          cond_of(root))
+        outcome = "no root" if root is None else _pattern_solution(inst, xi, alpha, zeros,
+                                                                   cond_of(root))
         if isinstance(outcome, ContractSolution):
             return outcome
         reasons.append(outcome)
@@ -369,10 +361,9 @@ def _first_root(fun, starts):
     return None
 
 
-def _certify(inst, xi, alpha, zeros, cond):
+def _pattern_solution(inst, xi, alpha, zeros, cond):
     """The solution of the pattern at the root experiment `cond`, or the
     reason it fails the sign, feasibility, or KKT checks."""
-    pi = inst.prior
     try:
         lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
     except np.linalg.LinAlgError:
@@ -380,26 +371,37 @@ def _certify(inst, xi, alpha, zeros, cond):
     payments = alpha * inst.output - beta[None, :] - gamma
     for d, s in zeros:
         payments[d, s] = 0.0
-    checks = _pattern_checks(inst, payments, lam, zeros)
+    return _certify(inst, xi, alpha, Experiment(cond), payments, lam, beta, gamma,
+                    tuple(sorted(zeros)))
+
+
+def _certify(inst, xi, alpha, exp, payments, lam, beta, gamma, pattern, mu=0.0):
+    """The solution of the profile (payments, exp) with multipliers (lam,
+    xi) and the split alpha y - beta - gamma, or the reason it fails the
+    sign, feasibility, or KKT checks (`_pattern_checks`,
+    `_verify_solution`, at the agent's capacity dual mu)."""
+    pi = inst.prior
+    checks = _pattern_checks(inst, payments, lam)
     if checks:
         return checks
-
     b = Contract(payments)
-    exp = Experiment(cond)
-    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha)
+    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu)
     if resid is None:
         return "verification"
     residual, rho = resid
+    cond = exp.conditionals
     tau = beta * pi - xi * rho
     phi = cond * (1.0 - xi) - lam / pi[None, :]
-    gamma_hat = inst.cost_model.logit_scale * lam.sum(axis=1) / marginal(exp, pi)
-    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi)
+    m = marginal(exp, pi)
+    gamma_hat = np.divide(inst.cost_model.logit_scale * lam.sum(axis=1), m,
+                          out=np.zeros_like(m), where=m > 0)
+    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi, mu=float(mu))
     deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma,
                          gamma_hat=gamma_hat)
     report = evaluate_profile(b, exp, inst)
     return ContractSolution(contract=b, experiment=exp, duals=duals,
                             decomposition=deco, report=report,
-                            pattern=tuple(sorted(zeros)), residual=residual)
+                            pattern=pattern, residual=residual)
 
 
 _FD_STEP = float(np.sqrt(np.finfo(float).eps))
@@ -456,31 +458,43 @@ def _jacobian(fun, x, f):
     return jac
 
 
-def _pattern_checks(inst, payments, lam, zeros, tol=1e-7):
-    """Sign and feasibility screens; returns a reason string or None."""
-    for d, s in zeros:
-        if inst.output[d, s] > 0 and lam[d, s] < -tol:
-            return f"lambda[{d},{s}] negative at a zero payment"
-    if np.any(payments < -1e-9) or np.any(payments > inst.output + 1e-9):
+def _pattern_checks(inst, payments, lam, tol=1e-7):
+    """Sign and feasibility screens; returns a reason string or None.  A
+    multiplier is nonnegative where a positive output is paid zero and
+    nonpositive where a positive payment is the whole output."""
+    y = inst.output
+    for d, s in zip(*np.nonzero((lam < -tol) & (payments <= 0.0) & (y > 0))):
+        return f"lambda[{d},{s}] negative at a zero payment"
+    for d, s in zip(*np.nonzero((lam > tol) & (payments >= y) & (payments > 0.0))):
+        return f"lambda[{d},{s}] positive at a full-output payment"
+    if np.any(payments < -1e-9) or np.any(payments > y + 1e-9):
         return "interior payment escaped the liability limits"
     return None
 
 
-def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha):
-    """Final certification: agent KKT, best-response cross-check, and the
-    principal reconstruction.  Returns (residual, rho) or None."""
+def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu=0.0):
+    """Final certification at the agent's capacity dual mu: agent KKT,
+    best-response cross-check, and the principal reconstruction on the
+    decisions taken.  Returns (residual, rho) or None.
+
+    The best response must reproduce the experiment or, on a smaller
+    support, where decisions may tie, reach no higher agent objective."""
     pi = inst.prior
     try:
-        agent_res, rho = agent_kkt_residual(b, pi, inst.cost_model, exp)
+        agent_res, rho = agent_kkt_residual(b, pi, inst.cost_model, exp, mu)
     except BoundaryPointError:
         return None
     if agent_res > 1e-6:
         return None
-    br = best_response_shannon(b, pi, scale=inst.cost_model.logit_scale)
+    used = exp.conditionals.any(axis=1)
+    br = best_response_shannon(b, pi, mu=mu, scale=inst.cost_model.logit_scale)
     if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
-        return None
+        own = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
+        own -= (1.0 + mu) * inst.cost_model.value(exp, pi)
+        if used.all() or own < br.value - mu * br.cost - 1e-9:
+            return None
     gamma_check = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
-    recon = np.max(np.abs(b.payments - (alpha * inst.output - beta[None, :] - gamma_check)))
+    recon = np.max(np.abs(b.payments - (alpha * inst.output - beta[None, :] - gamma_check))[used])
     slack = np.max(np.abs(lam * np.minimum(b.payments, inst.output - b.payments)))
     sums = np.max(np.abs(lam.sum(axis=0) - (1.0 - xi) * pi))
     residual = max(agent_res, recon, slack, sums)
@@ -494,11 +508,17 @@ def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
 
     For Shannon-form costs the closed-form reduction (decision penalty
     minus the binding-cell correction) is cross-checked against the
-    Hessian contraction; disagreement raises.
+    Hessian contraction; disagreement raises.  A decision never taken
+    (p(d) = 0) has no distortion: its row is 0.
     """
     pi = np.asarray(prior, float)
     lam = np.asarray(lam, float)
     cond = p.conditionals
+    used = cond.any(axis=1)
+    if not used.all():
+        gamma = np.zeros(cond.shape)
+        gamma[used] = gamma_from_duals(Experiment(cond[used]), pi, model, lam[used], xi)
+        return gamma
     hess = model.hessian(p, pi)
     phi = cond * (1.0 - xi) - lam / pi[None, :]
     general = (hess @ phi.ravel()).reshape(cond.shape) / pi[None, :]
@@ -595,199 +615,172 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     return deco, duals
 
 
-_CAPACITY_MARGIN = 1e-9   # relative gap below the capacity at which the cost row aims
+# ---------------------------------------------------------------------------
+# reservation requests: one reduced solve (`reduced`)
 
 
-def _bordered(inst, zeros, r, xi=None, alpha=None):
-    """The pattern system of the cells `zeros`, bordered by V_A - r = 0
-    when xi is free (None) and by cost - capacity = 0 when alpha is free,
-    as a function of z: the experiment logits, then the free ones of xi
-    and alpha in that order.  V_A comes from the principal's payments of
-    the same multiplier solve.  The cost row aims `_CAPACITY_MARGIN` below
-    the capacity, so that its certified root does not exceed it."""
-    pi = inst.prior
-    _, residuals = _pattern_residuals(inst, zeros)
-    n_free = (xi is None) + (alpha is None)
-    target = inst.capacity * (1.0 - _CAPACITY_MARGIN)
+def _reduced_solution(inst, prob, r, v_tol, z, mult, lam):
+    """The contract of a KKT point of the reduced problem, certified, or
+    the reason it fails.  With nu the capacity's multiplier and xi_c the
+    participation one, the piece rate is alpha / (1 + nu), xi is 1 - (1 -
+    xi_c) / (1 + nu), and lambda the net liability multipliers (lower less
+    upper) over 1 + nu.  The agent's utility must reach r within v_tol, and
+    hit it where participation binds (xi_c > 0)."""
+    support, shape = prob.support, inst.output.shape
+    q, u, c = prob.split(z)
+    cond = np.zeros(shape)
+    cond[support] = q[:, None] * np.exp(u) / (q @ np.exp(u))
+    scale = 1.0 + (lam[prob.rows["capacity"]] if "capacity" in prob.rows else 0.0)
+    xi_c = lam[prob.rows["participation"]] if prob.elastic else 0.0
+    net = np.zeros(prob.k * prob.n)
+    net[prob.cells] = lam[prob.rows["lower"]] - lam[prob.rows["upper"]]
+    net[prob.fixed] = mult[prob.k + prob.n:]
+    lam_full = np.zeros(shape)
+    lam_full[support] = net.reshape(prob.k, prob.n) / scale
+    # the payments s u + c, the limits they meet to rounding made exact
+    pay = np.clip(prob.s * u + c, 0.0, prob.y)
+    pay[pay <= 1e-12] = 0.0
+    top = prob.y - pay <= 1e-12
+    pay[top] = prob.y[top]
+    payments = np.zeros(shape)
+    payments[support] = pay
+    sol = _decomposed(inst, Experiment(cond), Contract(payments), lam_full,
+                      1.0 - (1.0 - xi_c) / scale, prob.alpha / scale)
+    if isinstance(sol, ContractSolution):
+        miss = sol.report.agent_utility - r
+        if miss < -v_tol or (xi_c > 0.0 and miss > v_tol):
+            return f"agent utility {sol.report.agent_utility:.6f}, not within {v_tol:g} of {r}"
+    return sol
 
-    def fun(z):
-        k = len(z) - n_free
-        res, cond, pay = residuals(z[:k], z[k] if xi is None else xi,
-                                   z[-1] if alpha is None else alpha)
-        cost = inst.cost_model.value(Experiment(cond), pi)
-        rows = [res]
-        if xi is None:
-            rows.append([float(np.sum(cond * pi[None, :] * pay)) - cost - r])
-        if alpha is None:
-            rows.append([cost - target])
-        return np.concatenate(rows)
 
-    return fun
-
-
-def _bordered_root(fun, z0):
-    """Newton root of a bordered system from z0, or None."""
+def _decomposed(inst, exp, b, lam, xi, alpha, mu=0.0):
+    """Certify the contract b with experiment exp and multipliers (lam,
+    xi) at piece rate alpha: gamma from the duals on the decisions taken,
+    beta the mean of alpha y - b - gamma there, and gamma = alpha y - beta
+    - b on a decision never taken."""
+    used = exp.conditionals.any(axis=1)
     try:
-        return _newton(fun, z0, 1e-12)
-    except np.linalg.LinAlgError:
-        return None
+        gamma = gamma_from_duals(exp, inst.prior, inst.cost_model, lam, xi)
+    except (BoundaryPointError, InconsistentProfileError) as exc:
+        return str(exc)
+    beta = np.mean((alpha * inst.output - b.payments - gamma)[used], axis=0)
+    gamma[~used] = (alpha * inst.output - beta[None, :] - b.payments)[~used]
+    pattern = tuple(zip(*(axis.tolist() for axis in np.nonzero(b.payments == 0.0))))
+    return _certify(inst, xi, alpha, exp, b.payments, lam, beta, gamma, pattern, mu)
 
 
-def _land(inst, sol, r, v_tol):
-    """The solution at the piece rate of `sol` whose agent utility is r,
-    or None.
-
-    The pattern system at the piece rate of `sol`, bordered with
-    V_A(x, xi) - r = 0, is solved for the experiment logits x and xi
-    together, from `sol` (the bordered system of continuation methods;
-    Allgower & Georg), and the root is certified by one solve warm from it.
-    A root at xi < 0 means participation is slack: the landing is the
-    xi = 0 solution.
-
-    Each of two optimal contracts does at least as well as the other at
-    its own weight, so (xi' - xi)(V_A' - V_A) >= 0.  A root where V_A
-    falls as xi rises along its branch of pattern roots therefore lies on
-    a branch of stationary points that is not optimal, which a Newton
-    step can jump to; it is refused.  None as well when there is no root,
-    xi > 1, or the certified solution misses r by more than v_tol (at
-    xi = 0: falls short of r).
-    """
-    alpha = sol.decomposition.alpha
-    bordered = _bordered(inst, _pattern(inst, alpha), r, alpha=alpha)
-    z = _bordered_root(bordered, np.append(_logits(sol.experiment), sol.duals.xi))
-    if z is None or z[-1] > 1.0:
-        return None
-    if z[-1] < 0.0:
-        xi, start = 0.0, _logits(sol.experiment)
-    elif _branch_slope(bordered, z) > 0.0:
-        xi, start = float(z[-1]), z[:-1]
+def _single_solution(inst, d, r, alpha):
+    """The uninformative contract that pays only decision d, t y_d with
+    pi.(t y_d) = max(r, 0): participation binds (xi = 1, no liability
+    multiplier) when r > 0; else it pays nothing, with xi = 0 and lambda =
+    pi on d's cells."""
+    payments, cond, lam = (np.zeros(inst.output.shape) for _ in range(3))
+    cond[d] = 1.0
+    if r > 0.0:
+        payments[d] = r / (inst.prior @ inst.output[d]) * inst.output[d]
     else:
-        return None
+        lam[d] = inst.prior
+    return _decomposed(inst, Experiment(cond), Contract(payments), lam, float(r > 0.0), alpha)
+
+
+def _full_output_response(sub):
+    """The agent's solution to the full-output contract of `sub` under its
+    capacity, solved 1e-10 of the capacity below it and to that tolerance,
+    so that its cost does not exceed the capacity."""
+    tol = 1e-10 * sub.capacity if np.isfinite(sub.capacity) else 1e-8
+    return best_response_capacity(sub.output_contract, sub.prior, sub.capacity - tol,
+                                  sub.cost_model, cost_tol=tol)
+
+
+def _first_best_on(inst, support, r, alpha, capacity, v_tol, base=None):
+    """The first-best contract (`first_best_frontier`) on the decisions
+    `support` at output alpha y and the given capacity whose agent utility
+    is r, certified with lambda = 0 and xi = 1 at the agent's dual, or the
+    reason it fails; `base` is `_full_output_response` there, when known.
+    Raises OutOfRangeError outside the first-best range."""
+    sub = replace(inst, decisions=[inst.decisions[d] for d in support],
+                  output=alpha * inst.output[support], capacity=capacity)
+    contract, agent, rate = _frontier(sub, base or _full_output_response(sub), r, v_tol)
+    payments, cond = np.zeros(inst.output.shape), np.zeros(inst.output.shape)
+    payments[support], cond[support] = contract.payments, agent.experiment.conditionals
+    return _decomposed(inst, Experiment(cond), Contract(payments), np.zeros(cond.shape),
+                       1.0, alpha * rate, agent.mu)
+
+
+def _reduced_candidate(inst, r, alpha, capacity, v_tol, start):
+    """The certified answer of the reduced problem (`reduced.solve`) from
+    the experiment `start`, or the reason there is none."""
     try:
-        landed = second_best_solve(inst, xi, alpha, _warm=[start])
-    except NoPatternFoundError:
-        return None
-    v = landed.report.agent_utility
-    if abs(v - r) > v_tol and not (xi == 0.0 and v >= r):
-        return None
-    return landed
+        prob, point = reduced.solve(inst, r, alpha, capacity, start)
+        if point is None:
+            return _first_best_on(inst, prob.support, r, alpha, capacity, v_tol)
+    except (NoConvergenceError, OutOfRangeError) as exc:
+        return str(exc)
+    return _reduced_solution(inst, prob, r, v_tol, *point)
 
 
-def _branch_slope(bordered, z):
-    """Derivative of the last residual of `bordered` in the last unknown,
-    along the roots of the other residuals through z: their tangent
-    (dx, 1) has F_x dx + F_xi = 0.  NaN where F_x is singular."""
-    jac = _jacobian(bordered, z, bordered(z))
-    try:
-        dx = np.linalg.solve(jac[:-1, :-1], -jac[:-1, -1])
-    except np.linalg.LinAlgError:
-        return np.nan
-    return jac[-1, :-1] @ dx + jac[-1, -1]
-
-
-def _xi_search(inst, r, alpha, v_tol):
-    """(solution at piece rate alpha whose agent utility is r within
-    v_tol, the xi = 1 solution at alpha).
-
-    The xi = 1 solution is carried onto r by `_land`, or is the answer
-    when it already hits r.  Else xi = 0 is solved once, warm from it, and
-    answers when participation is slack at r.  Raises OutOfRangeError when
-    the utility at xi = 1 falls short of r, and NoConvergenceError in
-    every other case.
-    """
-    top = second_best_solve(inst, 1.0, alpha)
-    v = top.report.agent_utility
-    if v < r - v_tol:
-        raise OutOfRangeError(
-            f"utility {r} above the second-best range at alpha={alpha} (max {v:.6f})")
-    landed = _land(inst, top, r, v_tol)
-    if landed is not None:
-        return landed, top
-    if abs(v - r) <= v_tol:
-        return top, top
-    end = None
-    try:
-        end = second_best_solve(inst, 0.0, alpha, _warm=[_logits(top.experiment)])
-    except NoPatternFoundError:
-        pass
-    if end is not None and end.report.agent_utility - r >= -v_tol:
-        return end, top
-    miss = "no solution" if end is None else f"agent utility {end.report.agent_utility:.6f}"
-    raise NoConvergenceError(
-        f"xi search for utility {r} at alpha={alpha}: agent utility {v:.6f} at "
-        f"xi=1 and {miss} at xi=0, not within {v_tol:g}"
-    )
-
-
-def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
+def solve_for_reservation(inst: ProblemInstance, r, alpha=None,
                           v_tol=1e-4) -> ContractSolution:
-    """Second-best contract at piece rate alpha whose agent utility is r
-    within v_tol.  The participation weight xi is found by one bordered
-    Newton solve from the xi = 1 solution (`_land`).
+    """Pareto contract whose agent utility is r within v_tol, or at least
+    r where participation is slack: one reduced solve (`reduced`).
 
-    Returns the xi = 0 solution directly when the participation constraint
-    is slack at r.  Raises OutOfRangeError when r exceeds the utility at
-    xi = 1, and NoConvergenceError when the landing fails and neither the
-    xi = 1 solution nor the xi = 0 one answers.
+    A contract is an experiment and one level per state (the logit rule),
+    and the problem maximizes alpha E_p y - s I(p) - pi.c under the
+    liability limits, pi.c >= r and, with alpha None, s I(p) <= capacity
+    at alpha = 1; then the piece rate alpha* = 1 / (1 + nu), nu the
+    capacity's multiplier, is the decomposition's alpha.  With alpha given
+    the capacity is not imposed.  The participation weight xi is the
+    multiplier of pi.c >= r, normalized as in `second_best_solve`.
+
+    From the first-best floor up (the agent utility of the first-best
+    experiment paying 0 in each state's lowest cell) the answer is the
+    first-best contract (`first_best_frontier`; at alpha given, that of
+    alpha y without capacity).  Below it the answer is the better, by
+    alpha E_p y - E_p b, of the reduced problem's and the contracts that
+    pay a single decision.  Raises OutOfRangeError above the first-best
+    range, NoPatternFoundError for a model without a logit scale or an
+    output below 0, and NoConvergenceError when no candidate is certified.
     """
-    return _xi_search(inst, r, alpha, v_tol)[0]
+    if inst.cost_model.logit_scale is None:
+        raise NoPatternFoundError(
+            "the reservation problem needs the logit rule of the mutual-information cost")
+    if np.any(inst.output < 0.0):
+        raise NoPatternFoundError("an output below 0 leaves no payment within both "
+                                  "liability limits")
+    if alpha is not None and not alpha > 0.0:
+        raise ValueError("alpha must be positive")
+    piece, capacity = (1.0, inst.capacity) if alpha is None else (float(alpha), np.inf)
+    top = replace(inst, output=piece * inst.output, capacity=capacity)
+    base = _full_output_response(top)
+    every = np.arange(inst.n_decisions)
+    if r >= _frontier_ends(top, base)[0]:
+        answer = _first_best_on(inst, every, r, piece, capacity, v_tol, base)
+        if isinstance(answer, str):
+            raise NoConvergenceError(f"reservation utility {r}: {answer}")
+        return answer
 
+    def value(sol):
+        return piece * sol.report.expected_output - sol.report.expected_payment
 
-def _alpha_search(inst, r, v_tol=1e-4):
-    """(alpha*, the reservation solution at alpha*), alpha* the piece rate
-    at which the capacity just binds: alpha* = 1 / (1 + nu), nu the
-    capacity multiplier.
-
-    The xi search at alpha = 1 answers, with alpha* = 1, when its solution
-    costs at most the capacity.  Else the pattern system, bordered by
-    V_A - r and by cost - capacity (`_bordered`), is solved for the
-    logits, xi and alpha at once from that solution, and the root is
-    certified by one solve warm from it.  A root at xi < 0 lands at xi = 0
-    (participation is slack), and a root at xi > 1, or none, at xi = 1: at
-    that end the cost row alone is solved for alpha, from the xi = 1,
-    alpha = 1 solution (at xi = 0, from the xi search's answer).  Raises
-    OutOfRangeError when the utility at xi = 1 falls short of r, at
-    alpha = 1 or at the end's alpha, and NoConvergenceError when the
-    answer misses r or the capacity.
-    """
-    sol, top = _xi_search(inst, r, 1.0, v_tol)
-    if sol.report.cost <= inst.capacity:
-        return 1.0, sol
-    zeros = _pattern(inst, 1.0)
-    z = _bordered_root(_bordered(inst, zeros, r),
-                       np.append(_logits(sol.experiment), [sol.duals.xi, 1.0]))
-    if z is not None and 0.0 <= z[-2] <= 1.0 and 0.0 < z[-1] <= 1.0:
-        xi, alpha, start = float(z[-2]), float(z[-1]), z[:-2]
-    else:
-        xi, near = (0.0, sol) if z is not None and z[-2] < 0.0 else (1.0, top)
-        end = _bordered_root(_bordered(inst, zeros, r, xi=xi),
-                             np.append(_logits(near.experiment), 1.0))
-        if end is None or not 0.0 < end[-1] <= 1.0:
-            raise NoConvergenceError(
-                f"alpha search for utility {r}: no piece rate where the cost meets "
-                f"the capacity {inst.capacity} at xi={xi:g}")
-        alpha, start = float(end[-1]), end[:-1]
-    landed = second_best_solve(inst, xi, alpha, _warm=[start])
-    v, cost = landed.report.agent_utility, landed.report.cost
-    if xi == 1.0 and v < r - v_tol:
-        raise OutOfRangeError(
-            f"utility {r} above the second-best range at alpha={alpha} (max {v:.6f})")
-    if v - r < -v_tol or (xi > 0.0 and v - r > v_tol) or cost > inst.capacity:
-        raise NoConvergenceError(
-            f"alpha search for utility {r}: agent utility {v:.6f} and cost {cost:.6g} "
-            f"at xi={xi:.6g}, alpha={alpha:.6g}, not within {v_tol:g} of r and "
-            f"at most the capacity {inst.capacity}")
-    return alpha, landed
+    found = [_reduced_candidate(inst, r, piece, capacity, v_tol, base.experiment.conditionals)]
+    for d in every:
+        reach = float(inst.prior @ inst.output[d])
+        best = max((value(s) for s in found if isinstance(s, ContractSolution)), default=-np.inf)
+        if r <= reach and piece * reach - max(r, 0.0) > best:
+            found.append(_single_solution(inst, d, r, piece))
+    answers = [s for s in found if isinstance(s, ContractSolution)]
+    if not answers:
+        raise NoConvergenceError(f"reservation utility {r}: " + "; ".join(found))
+    return max(answers, key=value)
 
 
 def alpha_star(inst: ProblemInstance, r) -> float:
-    """Piece rate substituting for the capacity constraint in the
-    perturbed (capacity-free) Pareto problem at reservation utility r: 1
-    when the capacity is slack at the reservation solution at alpha = 1,
-    else the piece rate at which it just binds, solved for together with
-    xi (`_alpha_search`).  Raises what the reservation request raises,
-    OutOfRangeError for a utility beyond the second-best range."""
-    return _alpha_search(inst, r)[0]
+    """Piece rate substituting for the capacity constraint at reservation
+    utility r: the decomposition's alpha of `solve_for_reservation` under
+    the capacity, 1 / (1 + nu) with nu the capacity's multiplier (1 where
+    it is slack), and the frontier's piece rate from the first-best floor
+    up.  Raises what the reservation request raises."""
+    return solve_for_reservation(inst, r).decomposition.alpha
 
 
 def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):

@@ -259,13 +259,27 @@ def test_out_of_range_exit_code(problem_file, capsys):
 def test_alpha_star_refuses_what_the_request_refuses(tmp_path, capsys, capacity, r,
                                                      command):
     # alpha-star once printed 1.0, 0.7219 and 0.51239 here, bracket ends of a
-    # search that the reservation request refused with exit 3
+    # search that the reservation request refused with exit 3.  Above the
+    # first-best floor both now answer on the frontier (r = 3.0 at capacity
+    # 0.5, r = 2.0 at 0.3), alpha-star with the answer's piece rate; above
+    # the first-best range (r = 6.5) both refuse
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, capacity=capacity)))
-    assert main([command, "--problem", str(path), "--reservation", repr(r)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    _one_error_line(captured.err, "out of range")
+    other = "solve-contract" if command == "alpha-star" else "alpha-star"
+    outcomes = {}
+    for name in (command, other):
+        code = main([name, "--problem", str(path), "--reservation", repr(r)])
+        outcomes[name] = code, capsys.readouterr()
+    code, captured = outcomes[command]
+    assert code == outcomes[other][0] == (3 if r > 6.0 else 0)
+    if code:
+        assert captured.out == ""
+        _one_error_line(captured.err, "out of range")
+        return
+    answer = json.loads(outcomes["solve-contract"][1].out)
+    alpha = json.loads(outcomes["alpha-star"][1].out)["alpha_star"]
+    assert alpha == answer["decomposition"]["alpha"] < 1.0
+    assert abs(answer["report"]["agent_utility"] - r) <= 1e-4
 
 
 @pytest.mark.parametrize("error, code, label", [

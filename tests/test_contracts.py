@@ -6,10 +6,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infocontracts import cli, contracts
+from infocontracts import cli, contracts, reduced
 from infocontracts import (BregmanMatrixCost, Contract, Experiment,
                            InconsistentProfileError,
                            NoConvergenceError, NoPatternFoundError,
@@ -137,26 +137,28 @@ def test_alpha_star_one_when_capacity_loose(example):
     assert alpha_star(example, base.report.agent_utility) == 1.0
 
 
-def test_alpha_star_monotone_in_capacity():
-    values = []
-    for cap in (0.3, 0.5, 0.8):
-        inst = ProblemInstance(("d1", "d2"), ("t1", "t2"),
-                               [[0.0, 10.0], [5.0, 5.0]], [2 / 3, 1 / 3],
-                               cap, ShannonCost())
-        # the seam utility: lowest first-best agent utility at this capacity
-        ap = alpha_prime(inst)
-        sol = best_response_capacity(inst.output_contract, inst.prior, cap,
-                                     inst.cost_model)
-        joint = sol.experiment.conditionals * inst.prior[None, :]
-        e_y = float(np.sum(joint * inst.output))
-        r = ap * (e_y - float(inst.prior @ inst.output.min(axis=0))) - min(cap, sol.cost)
-        values.append(alpha_star(inst, r))
-    assert values[0] <= values[1] + 1e-3 <= values[2] + 2e-3
-    ap_values = [alpha_prime(ProblemInstance(("d1", "d2"), ("t1", "t2"),
-                                             [[0.0, 10.0], [5.0, 5.0]],
-                                             [2 / 3, 1 / 3], cap, ShannonCost()))
-                 for cap in (0.3, 0.5, 0.8)]
-    assert ap_values == sorted(ap_values)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(9.0, 11.0), st.floats(4.5, 5.5), st.floats(0.28, 0.38), st.floats(0.5, 3.0),
+       st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+@example(10.0, 5.0, 1 / 3, 2.0, [0.3, 0.5, 0.8])
+@example(10.0, 5.0, 1 / 3, 2.8, [0.3, 0.5, 0.8])
+def test_alpha_star_monotone_in_capacity(h, s, p2, r, capacities):
+    # Result 1: the piece rate that stands in for the capacity rises with
+    # the set of experiments the agent can afford.  The worked example at
+    # capacities 0.3, 0.5 and 0.8 once needed slacks of 1e-3 and 2e-3
+    alphas, primes = [], []
+    for cap in sorted(capacities):
+        inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, h], [s, s]],
+                               [1.0 - p2, p2], cap, ShannonCost())
+        try:
+            alphas.append(alpha_star(inst, r))
+        except OutOfRangeError:
+            # r lies above the range at this capacity, which only grows
+            assert not alphas
+            continue
+        primes.append(alpha_prime(inst))
+    assert all(a <= b + 1e-9 for a, b in zip(alphas, alphas[1:]))
+    assert primes == sorted(primes)
 
 
 def test_solve_for_reservation_hits_target(example):
@@ -680,29 +682,6 @@ def test_alpha_star_capacity_binding_reservation(example):
     assert binding.report.cost >= example.capacity
 
 
-def _stepped_solver(monkeypatch, jump_at):
-    """second_best_solve answering with the real xi = 0 and xi = 1
-    solutions on either side of `jump_at`, so V_A(xi) jumps over every
-    utility in between."""
-    low = second_best_solve(_example_with(ShannonCost()), 0.0, 1.0)
-    high = second_best_solve(_example_with(ShannonCost()), 1.0, 1.0)
-    calls = []
-
-    def stepped(inst, xi, alpha, *args, **kwargs):
-        calls.append(xi)
-        return low if xi < jump_at else high
-
-    monkeypatch.setattr(contracts, "second_best_solve", stepped)
-    return calls
-
-
-def test_reservation_off_target_raises(example, monkeypatch):
-    calls = _stepped_solver(monkeypatch, 0.3)
-    with pytest.raises(NoConvergenceError, match="not within"):
-        solve_for_reservation(example, 2.0, alpha=1.0)
-    assert len(calls) <= 3
-
-
 @pytest.fixture
 def example_file(tmp_path):
     path = tmp_path / "example.json"
@@ -713,30 +692,23 @@ def example_file(tmp_path):
     return str(path)
 
 
-def test_reservation_off_target_exits_5(example_file, monkeypatch, capsys):
-    _stepped_solver(monkeypatch, 0.3)
-    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "2.0"]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: no convergence: ")
-
-
 def _count_reservation_request(path, monkeypatch, capsys, r, code=0):
-    """second_best_solve calls and NoPatternFoundErrors of one CLI
-    `--reservation` request on the example that exits with `code`, and its
-    stdout."""
-    real = contracts.second_best_solve
-    counts = {"calls": 0, "holes": 0}
+    """Reduced solves (interior-point calls) and second_best_solve calls of
+    one CLI `--reservation` request on the example that exits with `code`,
+    and its stdout."""
+    counts = {"reduced": 0, "second_best": 0}
+    real_ipm, real_solve = reduced.interior_point, contracts.second_best_solve
 
-    def counting(*args, **kwargs):
-        counts["calls"] += 1
-        try:
-            return real(*args, **kwargs)
-        except NoPatternFoundError:
-            counts["holes"] += 1
-            raise
+    def counting_ipm(*args, **kwargs):
+        counts["reduced"] += 1
+        return real_ipm(*args, **kwargs)
 
-    monkeypatch.setattr(contracts, "second_best_solve", counting)
+    def second_best(*args, **kwargs):
+        counts["second_best"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(reduced, "interior_point", counting_ipm)
+    monkeypatch.setattr(contracts, "second_best_solve", second_best)
     assert cli.main(["solve-contract", "--problem", path, "--reservation", repr(r)]) == code
     monkeypatch.undo()
     out = capsys.readouterr().out
@@ -745,42 +717,95 @@ def _count_reservation_request(path, monkeypatch, capsys, r, code=0):
     return counts, out
 
 
-@pytest.mark.parametrize("r, budget", [(0.5, 15), (1.0, 15), (2.0, 15), (2.2, 20),
-                                       (2.8, 40)])
-def test_reservation_request_work_budget(example_file, monkeypatch, capsys, r, budget):
-    # before warm starts: 28, 30, 32, 100 (60 of them holes) and 263 calls
-    counts, _ = _count_reservation_request(example_file, monkeypatch, capsys, r)
-    assert counts["calls"] <= budget
-    if r == 2.2:
-        assert counts["holes"] == 0
-
-
 @pytest.mark.parametrize("r, budget", [(0.5, 3), (1.0, 3), (2.0, 3), (2.2, 3), (2.8, 4)])
 def test_reservation_request_lands_in_few_solves(example_file, monkeypatch, capsys, r,
                                                  budget):
-    # by regula falsi in xi alone: 5, 9, 9, 9 and 29 calls; by regula falsi
-    # in alpha, 17 at r = 2.8.  The landing takes the first solve and one
-    # certifying solve, and the landing in (xi, alpha) one more
+    # by regula falsi in xi alone: 5, 9, 9, 9 and 29 second_best_solve
+    # calls; by regula falsi in alpha, 17 at r = 2.8; by the bordered
+    # landing 2, 2, 2, 2 and 3.  The reduced problem takes one solve on the
+    # example's full support, and no pattern solve
     counts, _ = _count_reservation_request(example_file, monkeypatch, capsys, r)
-    assert counts["calls"] <= budget
-    assert counts["holes"] == 0
+    assert counts["reduced"] <= budget
+    assert counts["second_best"] == 0
 
 
-@pytest.mark.parametrize("r", [2.9, 3.0])
-def test_reservation_above_the_seam_raises_in_few_solves(example_file, monkeypatch, capsys,
-                                                          r):
-    # regula falsi in alpha took 23 and 24 calls to raise, naming the alpha
-    # where its bracket stopped; the landing in (xi, alpha) has its root at
-    # xi > 1, and the xi = 1 end, solved for the capacity alone, names
-    # alpha' and the first-best floor
-    counts, out = _count_reservation_request(example_file, monkeypatch, capsys, r, code=3)
-    assert counts["calls"] <= 4 and out == ""
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.2, 2.8])
+def test_reservation_request_newton_steps(example, monkeypatch, r):
+    # one interior-point solve and its polish: 9 to 18 Newton steps
+    steps = []
+    real = reduced.ReducedProblem.hessian
+
+    def counted(self, *args):
+        steps.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(reduced.ReducedProblem, "hessian", counted)
+    solve_for_reservation(example, r)
+    assert len(steps) <= 25
+
+
+def _frontier_utility(inst, r):
+    contract, agent = first_best_frontier(inst, r)
+    return evaluate_profile(contract, agent.experiment, inst).principal_utility
+
+
+@pytest.mark.parametrize("r", [2.9, 3.0, 4.5])
+def test_reservation_above_the_seam_answers_on_the_frontier(example_file, example, capsys, r):
+    # both commands exited 3 above the first-best floor 2.853152 ("above the
+    # second-best range at alpha=0.6917..."); the answer is the first-best
+    # contract, U_P = 3.0141114 at r = 3.0 and 1.5141114 at r = 4.5
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", repr(r)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["report"]["principal_utility"] - _frontier_utility(example, r)) <= 1e-9
+    assert abs(out["report"]["agent_utility"] - r) <= 1e-9
+    assert out["report"]["cost"] <= example.capacity
+    assert cli.main(["alpha-star", "--problem", example_file, "--reservation", repr(r)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha_star"] == out["decomposition"]["alpha"]
+
+
+def test_flat_contract_beats_the_interior_point_at_low_reservation(example):
+    # the reservation search returned the xi = 0 interior stationary point,
+    # U_P = 4.756; paying r to d2 in both states gives 4.8
+    for alpha in (None, 1.0):
+        sol = solve_for_reservation(example, 0.2, alpha)
+        assert abs(sol.report.principal_utility - 4.8) <= 1e-9
+        assert sol.experiment.conditionals[1].tolist() == [1.0, 1.0]
+        assert np.array_equal(sol.contract.payments, [[0.0, 0.0], [0.2, 0.2]])
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3, 0.4, 0.5])
+def test_perturbed_low_reservation_answers(tmp_path, capsys, r):
+    # these raised NoConvergenceError ("no solution at xi=0") after the two
+    # ends of the xi search; the flat contract gives U_P = 4.3 at r = 0.2
+    # and an informative one 4.144 at r = 0.4
+    problem = {"decisions": ["d1", "d2"], "states": ["theta1", "theta2"],
+               "output": [[0.0, 9.0], [4.5, 4.5]], "prior": [0.72, 0.28],
+               "capacity": 0.3, "cost": {"type": "shannon", "scale": 1.0}}
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["solve-contract", "--problem", str(path), "--reservation", repr(r)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["report"]["agent_utility"] - r) <= 1e-4
+    assert out["residual"] <= 1e-6 and out["report"]["cost"] <= problem["capacity"]
+    assert out["report"]["principal_utility"] >= 4.5 - r - 1e-9
+
+
+def test_tight_capacity_low_reservation_answers(example):
+    # at capacity 0.03 this raised NoConvergenceError
+    inst = ProblemInstance(example.decisions, example.states, example.output,
+                           example.prior, 0.03, ShannonCost())
+    sol = solve_for_reservation(inst, 0.5)
+    assert sol.residual <= 1e-6 and sol.report.cost <= 0.03
+    assert sol.report.agent_utility >= 0.5 - 1e-4
+    assert sol.decomposition.alpha == alpha_star(inst, 0.5) < 1.0
+    assert sol.report.principal_utility >= 5.0 - 0.5 - 1e-9
 
 
 def test_alpha_star_cost_meets_the_capacity_from_below(example):
     # regula falsi in alpha stopped at the slack end of its bracket, with
     # alpha* = 0.7163371 and cost 0.499992
-    alpha, sol = contracts._alpha_search(example, 2.8)
+    sol = solve_for_reservation(example, 2.8)
+    alpha = alpha_star(example, 2.8)
     assert abs(alpha - 0.7163371) <= 1e-4 and sol.decomposition.alpha == alpha
     assert example.capacity - 1e-8 <= sol.report.cost <= example.capacity
 
@@ -797,7 +822,8 @@ def _seam_utility(inst):
 
 @pytest.mark.parametrize("capacity", [0.3, 0.5])
 def test_alpha_star_at_the_seam_is_alpha_prime(capacity):
-    # the landing in (xi, alpha) has its root at xi = 1 - 2e-12 there
+    # the landing in (xi, alpha) had its root at xi = 1 - 2e-12 there; the
+    # answer is now the frontier's lower end
     inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, 10.0], [5.0, 5.0]],
                            [2 / 3, 1 / 3], capacity, ShannonCost())
     r, ap = _seam_utility(inst)
@@ -849,100 +875,34 @@ def test_reservation_requests_repeat_bit_for_bit(example_file, monkeypatch, caps
 
 
 def test_reservation_request_residual_evaluations(example_file, monkeypatch, capsys):
-    # 145 by regula falsi in xi, 9 pattern solves
-    real = contracts._pattern_residuals
+    # 145 pattern residuals by regula falsi in xi, 9 pattern solves; the
+    # reduced problem is evaluated once per step and line-search trial
+    real = reduced.ReducedProblem.evaluate
     evaluations = []
 
-    def counting(*args):
-        cond_of, fun = real(*args)
+    def counting(self, z):
+        evaluations.append(z)
+        return real(self, z)
 
-        def counted(x, xi, alpha):
-            evaluations.append(xi)
-            return fun(x, xi, alpha)
-        return cond_of, counted
-
-    monkeypatch.setattr(contracts, "_pattern_residuals", counting)
+    monkeypatch.setattr(reduced.ReducedProblem, "evaluate", counting)
     assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "2.0"]) == 0
     capsys.readouterr()
-    assert len(evaluations) <= 60
+    assert len(evaluations) <= 30
 
 
 @pytest.mark.parametrize("r", [2.7, 2.75, 2.8, 2.84])
 def test_reservation_answer_does_not_depend_on_the_path(example, r):
-    # the alpha search reaches alpha* from another xi than a search at
-    # alpha* alone; both land on r, so they differ by the landing's
-    # rounding (up to 7e-15 here) where they once differed by up to v_tol
-    alpha, searched = contracts._alpha_search(example, r)
-    direct = solve_for_reservation(example, r, alpha_star(example, r))
+    # the request under the capacity reaches alpha* as a multiplier; the
+    # request at that piece rate without the capacity, a separate solve of
+    # the same problem, lands on the same contract (within 4e-12 here)
+    searched = solve_for_reservation(example, r)
+    alpha = searched.decomposition.alpha
+    direct = solve_for_reservation(example, r, alpha)
     assert alpha < 1.0 and searched.pattern == direct.pattern
     assert abs(searched.duals.xi - direct.duals.xi) <= 1e-12
     for a, b in ((searched.contract.payments, direct.contract.payments),
                  (searched.experiment.conditionals, direct.experiment.conditionals)):
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-
-@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.2, 2.5])
-def test_bordered_solve_lands_on_the_reservation(example, r):
-    first = second_best_solve(example, 1.0, 1.0)
-    landed = contracts._land(example, first, r, 1e-4)
-    assert landed is not None and landed.pattern == first.pattern
-    assert abs(landed.report.agent_utility - r) <= 1e-9
-    assert 0.0 < landed.duals.xi < 1.0
-    assert abs(solve_for_reservation(example, r).report.agent_utility - r) <= 1e-9
-
-
-@pytest.mark.parametrize("r", [0.4, 0.45])
-def test_bordered_solve_below_the_slack_utility_lands_at_zero(example, r):
-    # V_A(xi = 0) = 0.4989: the bordered root lies at xi = -0.028, -0.025
-    first = second_best_solve(example, 1.0, 1.0)
-    landed = contracts._land(example, first, r, 1e-4)
-    assert landed is not None and landed.duals.xi == 0.0
-    assert landed.report.agent_utility >= r
-
-
-@pytest.mark.parametrize("r", [0.25, 0.3, 0.35])
-def test_landing_where_utility_falls_along_the_branch_is_refused(example, r):
-    # from xi = 1 the bordered Newton method reaches roots at xi = 0.38,
-    # 0.12 and 0.007 with V_A = r, on a branch of stationary points where
-    # V_A falls as xi rises; below V_A(xi = 0) = 0.4989 participation is slack
-    first = second_best_solve(example, 1.0, 1.0)
-    assert contracts._land(example, first, r, 1e-4) is None
-    sol = solve_for_reservation(example, r)
-    assert sol.duals.xi == 0.0 and sol.report.agent_utility >= r
-
-
-def test_bordered_solve_beyond_full_weight_falls_back(example):
-    top = second_best_solve(example, 1.0, 1.0)
-    r = top.report.agent_utility + 5e-5
-    assert contracts._land(example, top, r, 1e-4) is None
-    sol = solve_for_reservation(example, r)
-    assert sol.duals.xi == 1.0 and abs(sol.report.agent_utility - r) <= 1e-4
-
-
-@pytest.mark.parametrize("r", [1.0, 2.2])
-def test_reservation_search_without_the_bordered_solve(example, monkeypatch, r):
-    # the bordered system has one unknown more than the 2x2 pattern system;
-    # without its root only the xi = 1 and xi = 0 ends are solved, and
-    # neither hits r
-    real_newton, real_solve = contracts._newton, contracts.second_best_solve
-    bordered, calls = [], []
-
-    def no_bordered_root(fun, x0, tol):
-        if len(x0) == 3:
-            bordered.append(x0)
-            return None
-        return real_newton(fun, x0, tol)
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(contracts, "_newton", no_bordered_root)
-    monkeypatch.setattr(contracts, "second_best_solve", counting)
-    with pytest.raises(NoConvergenceError, match="at xi=0, not within"):
-        solve_for_reservation(example, r, alpha=1.0)
-    assert len(bordered) == 1
-    assert calls == [1.0, 0.0]
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 @st.composite
@@ -981,32 +941,52 @@ def test_reservation_request_answers_or_raises_a_typed_error(problem, r):
     assert answer["report"]["cost"] <= problem["capacity"]
 
 
-@pytest.mark.parametrize("r", [0.2, 0.3, 0.4, 0.5])
-def test_failed_low_reservation_raises_after_the_two_ends(tmp_path, monkeypatch, capsys, r):
-    # the regula falsi fallback once spent 46 solves here before raising;
-    # xi <= 0.3105 has no solution and the landing is refused on the branch
-    # where V_A falls as xi rises
-    path = tmp_path / "perturbed.json"
-    path.write_text(json.dumps({
-        "decisions": ["d1", "d2"], "states": ["theta1", "theta2"],
-        "output": [[0.0, 9.0], [4.5, 4.5]], "prior": [0.72, 0.28],
-        "capacity": 0.3, "cost": {"type": "shannon", "scale": 1.0}}))
-    real = contracts.second_best_solve
-    calls = []
+def _seeded_draws(n_d, n_s, count, capacity=100.0):
+    """`count` problems of n_d decisions and n_s states from a fresh
+    default_rng(3): outputs U[0, 10], prior Dirichlet(3, ..., 3)."""
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        y = rng.uniform(0.0, 10.0, (n_d, n_s))
+        pi = rng.dirichlet(np.full(n_s, 3.0))
+        yield ProblemInstance(tuple(f"d{d}" for d in range(n_d)),
+                              tuple(f"s{s}" for s in range(n_s)), y, pi, capacity,
+                              ShannonCost())
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(contracts, "second_best_solve", counting)
-    assert cli.main(["solve-contract", "--problem", str(path), "--reservation", repr(r)]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: no convergence: xi search for utility {r} at "
-                                   "alpha=1.0: agent utility ")
-    assert captured.err.endswith("and no solution at xi=0, not within 0.0001\n")
-    assert len(captured.err.strip().splitlines()) == 1
-    assert len(calls) <= 3 and calls[0] == 1.0 and calls[-1] == 0.0
+def _seeded_requests(inst):
+    """A third of the expected best output, and a utility far below any
+    contract's."""
+    return 0.3 * float(inst.prior @ inst.output.max(axis=0)), -5.0
+
+
+@pytest.mark.parametrize("n_d, n_s", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_seeded_reservation_requests_answer_or_raise_a_typed_error(n_d, n_s):
+    # ROADMAP D13's Tier-1 slice: 5 draws of each shape, 2 requests each;
+    # the counts of answers and errors are not pinned
+    for inst in _seeded_draws(n_d, n_s, 5):
+        for r in _seeded_requests(inst):
+            try:
+                sol = solve_for_reservation(inst, r)
+            except (OutOfRangeError, NoPatternFoundError, NoConvergenceError):
+                continue
+            assert sol.residual <= 1e-6
+            assert sol.report.agent_utility >= r - 1e-4
+            if sol.duals.xi > 1.0 - sol.decomposition.alpha + 1e-9:
+                assert abs(sol.report.agent_utility - r) <= 1e-4
+            assert sol.report.cost <= inst.capacity
+            pay, y = sol.contract.payments, inst.output
+            assert np.all(pay >= 0.0) and np.all(pay <= y)
+
+
+def test_seeded_two_by_two_answers_beat_the_grid_oracle():
+    for inst in _seeded_draws(2, 2, 5):
+        for r in _seeded_requests(inst):
+            try:
+                sol = solve_for_reservation(inst, r)
+            except (OutOfRangeError, NoPatternFoundError, NoConvergenceError):
+                continue
+            grid = evaluate_profile(*brute_force_pareto(inst, r, grid_n=21), inst)
+            assert sol.report.principal_utility >= grid.principal_utility - 1e-9
 
 
 @pytest.mark.parametrize("xi", [0.68, 0.77, 0.82])
@@ -1033,22 +1013,26 @@ def test_second_best_refuses_a_tabulated_cost_before_any_pattern(monkeypatch):
 
 def test_reservation_above_the_second_best_range_solves_once(example_file, monkeypatch,
                                                               capsys):
-    # the CLI once solved xi = 1 again only to raise the same error
+    # the CLI once solved xi = 1 again only to raise the same error; above
+    # the whole range (the first-best one, up to the agent utility of the
+    # full-output contract) the request raises after the one agent solve
+    # that finds the range, with no reduced solve
     calls = []
-    real = contracts.second_best_solve
+    real = contracts.best_response_capacity
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(contracts, "second_best_solve", counting)
-    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "6.0"]) == 3
+    monkeypatch.setattr(contracts, "best_response_capacity", counting)
+    monkeypatch.setattr(reduced, "interior_point", None)
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "6.5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: out of range: utility 6.0 above the second-best "
-                                   "range at alpha=1.0 (max 4.370201)")
+    assert captured.err.startswith("error: out of range: agent utility 6.5 outside the "
+                                   "first-best range [2.853152, 6.014111]")
     assert len(captured.err.strip().splitlines()) == 1
-    assert calls == [(1.0, 1.0)]
+    assert len(calls) == 1
 
 
 def _smooth_system(x):
