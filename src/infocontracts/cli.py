@@ -199,7 +199,7 @@ def _cmd_solve_contract(args, parser):
         parser.error("give exactly one of --xi/--alpha or --reservation")
     inst = load_problem(args.problem)
     if args.reservation is not None:
-        sol = solve_for_reservation(inst, args.reservation)
+        sol = solve_for_reservation(inst, args.reservation, None)
         log.info("alpha* = %.6f", sol.decomposition.alpha)
     else:
         sol = second_best_solve(inst, args.xi if args.xi is not None else 0.0,

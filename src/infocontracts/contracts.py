@@ -719,18 +719,18 @@ def _reduced_candidate(inst, r, alpha, capacity, v_tol, start):
     return _reduced_solution(inst, prob, r, v_tol, *point)
 
 
-def solve_for_reservation(inst: ProblemInstance, r, alpha=None,
+def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
                           v_tol=1e-4) -> ContractSolution:
     """Pareto contract whose agent utility is r within v_tol, or at least
     r where participation is slack: one reduced solve (`reduced`).
 
     A contract is an experiment and one level per state (the logit rule),
     and the problem maximizes alpha E_p y - s I(p) - pi.c under the
-    liability limits, pi.c >= r and, with alpha None, s I(p) <= capacity
-    at alpha = 1; then the piece rate alpha* = 1 / (1 + nu), nu the
-    capacity's multiplier, is the decomposition's alpha.  With alpha given
-    the capacity is not imposed.  The participation weight xi is the
-    multiplier of pi.c >= r, normalized as in `second_best_solve`.
+    liability limits and pi.c >= r, at piece rate alpha and without the
+    capacity.  With alpha None it also imposes s I(p) <= capacity at alpha
+    = 1; then the piece rate alpha* = 1 / (1 + nu), nu the capacity's
+    multiplier, is the decomposition's alpha.  The participation weight xi
+    is the multiplier of pi.c >= r, normalized as in `second_best_solve`.
 
     From the first-best floor up (the agent utility of the first-best
     experiment paying 0 in each state's lowest cell) the answer is the
@@ -780,7 +780,7 @@ def alpha_star(inst: ProblemInstance, r) -> float:
     the capacity, 1 / (1 + nu) with nu the capacity's multiplier (1 where
     it is slack), and the frontier's piece rate from the first-best floor
     up.  Raises what the reservation request raises."""
-    return solve_for_reservation(inst, r).decomposition.alpha
+    return solve_for_reservation(inst, r, None).decomposition.alpha
 
 
 def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):

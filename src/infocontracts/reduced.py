@@ -248,7 +248,9 @@ def polish(prob, z, mult, lam, slack):
     an interior-point solution held as equalities and the others dropped:
     (z, equality multipliers, inequality multipliers, exactly 0 off the
     active set), or None when it does not converge to 1e-12 in 8 steps or
-    a multiplier or an inactive row changes sign.  The active rows are
+    a multiplier or an inactive row changes sign.  One step more takes
+    the point to rounding, so that two solves of one problem from
+    different starts agree to rounding too.  The active rows are
     those whose multiplier exceeds the slack; near a degenerate point,
     where multipliers are small, those whose multiplier exceeds 1e-2,
     1e-4 and 1e-6 of it are tried next."""
@@ -256,16 +258,18 @@ def polish(prob, z, mult, lam, slack):
         active = lam > ratio * slack
         duals = np.concatenate([mult, lam[active]])
         full = np.zeros(len(lam))
-        point = z
-        for _ in range(8):
+        point, converged = z, False
+        for _ in range(9):
             _, grad, h, jac_h, g, jac_g = prob.evaluate(point)
             jac = np.vstack([jac_h, jac_g[active]])
             res = np.concatenate([grad - jac.T @ duals, h, g[active]])
             full[active] = duals[len(mult):]
             if np.abs(res).max() <= 1e-12:
-                if np.all(full >= -1e-9) and np.all(g[~active] >= -1e-12):
+                if not (np.all(full >= -1e-9) and np.all(g[~active] >= -1e-12)):
+                    break
+                if converged:
                     return point, duals[:len(mult)], full
-                break
+                converged = True
             size = len(z)
             kkt = np.zeros((size + len(duals), size + len(duals)))
             kkt[:size, :size] = prob.hessian(point, duals[:len(mult)], full)
@@ -284,20 +288,26 @@ def solve(inst, r, alpha, capacity, start):
     alpha and capacity (infinite for none), solved on every decision from
     the experiment `start` and then again without the decisions whose
     weight vanishes, until the support is stable.  The point is (z,
-    equality multipliers, inequality multipliers), polished, or, where
-    the polish fails, the interior-point one with the multipliers of
-    plainly inactive rows set to 0.  It is None where the participation
-    multiplier reaches 1, which leaves the levels free: the answer there
-    is the first-best contract on the problem's support.  Raises
-    NoConvergenceError when the support is down to one decision, r is out
-    of its reach, or the interior-point method fails."""
+    equality multipliers, inequality multipliers), polished (`polish`).
+    It is None where the participation multiplier reaches 1, which leaves
+    the levels free: the answer there is the first-best contract on the
+    problem's support.  Raises NoConvergenceError when the support is down
+    to one decision, r is out of its reach, or the interior-point method
+    or the polish fails."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _solve(inst, r, alpha, capacity, start)
 
 
 def _solve(inst, r, alpha, capacity, start):
-    support = np.arange(inst.n_decisions)
-    cond = start
+    # decisions of equal output are one decision to both parties: the split
+    # of weight among them is free and leaves the KKT system singular, so
+    # the support keeps the first of each and its start their total weight
+    rows, first, which = np.unique(inst.output, axis=0, return_index=True,
+                                   return_inverse=True)
+    cond = np.zeros(rows.shape)
+    np.add.at(cond, which.ravel(), start)
+    order = np.argsort(first)
+    support, cond = first[order], cond[order]
     while len(support) > 1:
         prob = ReducedProblem(inst, support, alpha, r, capacity)
         out = interior_point(prob, prob.start(cond))
@@ -314,6 +324,9 @@ def _solve(inst, r, alpha, capacity, start):
                                      "out of reach")
         if prob.elastic and lam[prob.rows["participation"]] > 1.0 - 1e-6:
             return prob, None
-        return prob, (polish(prob, z, mult, lam, slack)
-                      or (z, mult, np.where(lam > 1e-3 * slack, lam, 0.0)))
+        point = polish(prob, z, mult, lam, slack)
+        if point is None:
+            raise NoConvergenceError(f"support {support.tolist()}: the interior-point "
+                                     "solution does not polish on its active set")
+        return prob, point
     raise NoConvergenceError("one decision left: its contracts are closed-form")

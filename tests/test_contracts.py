@@ -123,6 +123,8 @@ def test_second_best_uniform_prior_is_affine():
 
 
 def test_continuity_seam_with_first_best(example):
+    # alpha* here comes from a polish that holds only the multipliers above
+    # 1e-2 of their slack active
     ast = alpha_star(example, 2.853)
     assert abs(ast - 0.692) < 5e-3
     seam = second_best_solve(example, xi=1.0, alpha=ast)
@@ -731,7 +733,9 @@ def test_reservation_request_lands_in_few_solves(example_file, monkeypatch, caps
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.2, 2.8])
 def test_reservation_request_newton_steps(example, monkeypatch, r):
-    # one interior-point solve and its polish: 9 to 18 Newton steps
+    # one interior-point solve and its polish: 9 to 19 Newton steps; the
+    # polished answer lands on r to rounding, under the capacity and at
+    # alpha = 1 without it
     steps = []
     real = reduced.ReducedProblem.hessian
 
@@ -740,8 +744,10 @@ def test_reservation_request_newton_steps(example, monkeypatch, r):
         return real(self, *args)
 
     monkeypatch.setattr(reduced.ReducedProblem, "hessian", counted)
-    solve_for_reservation(example, r)
+    sol = solve_for_reservation(example, r, None)
     assert len(steps) <= 25
+    assert abs(sol.report.agent_utility - r) <= 1e-9
+    assert abs(solve_for_reservation(example, r).report.agent_utility - r) <= 1e-9
 
 
 def _frontier_utility(inst, r):
@@ -794,17 +800,80 @@ def test_tight_capacity_low_reservation_answers(example):
     # at capacity 0.03 this raised NoConvergenceError
     inst = ProblemInstance(example.decisions, example.states, example.output,
                            example.prior, 0.03, ShannonCost())
-    sol = solve_for_reservation(inst, 0.5)
+    sol = solve_for_reservation(inst, 0.5, None)
     assert sol.residual <= 1e-6 and sol.report.cost <= 0.03
     assert sol.report.agent_utility >= 0.5 - 1e-4
     assert sol.decomposition.alpha == alpha_star(inst, 0.5) < 1.0
     assert sol.report.principal_utility >= 5.0 - 0.5 - 1e-9
 
 
+def _instance(output, prior, scale, capacity):
+    output = np.asarray(output, dtype=float)
+    return ProblemInstance(tuple(f"d{d}" for d in range(output.shape[0])),
+                           tuple(f"t{t}" for t in range(output.shape[1])), output, prior,
+                           capacity, ShannonCost(scale))
+
+
+@pytest.mark.parametrize("output, prior, scale, capacity, r, alpha, value", [
+    ([[5.0, 0.0], [7.5, 2.5], [7.5, 2.5], [0.0, 7.5]], [0.321, 0.679], 1.356, 0.005,
+     0.89, 0.34, 5.0572053096),
+    ([[7.5, 0.0, 5.0], [0.0, 2.5, 2.5], [7.5, 0.0, 5.0]], [0.281, 0.495, 0.224], 0.337,
+     3.039, 1.71, None, 2.5188344521),
+])
+def test_equal_decisions_are_solved_as_one(output, prior, scale, capacity, r, alpha, value):
+    # solved on both copies, the free split of weight between them left the
+    # active-set Newton system singular: the first request returned the
+    # unpolished interior point (agent utility 3e-9 above r), the second a
+    # contract paying one decision (U_P 1.5175)
+    sol = solve_for_reservation(_instance(output, prior, scale, capacity), r, alpha)
+    assert sol.residual <= 1e-12
+    assert abs(sol.report.agent_utility - r) <= 1e-9
+    assert sol.report.principal_utility >= value - 1e-9
+
+
+def test_polish_with_multipliers_a_millionth_of_their_slack():
+    # the multipliers of the active rows are tiny here: only the active set
+    # of multipliers above 1e-6 of their slack polishes, and with the polish
+    # stopped at 1e-4 the answer was the contract paying d1 (U_P 4.3528)
+    inst = _instance([[8.636711881622928, 0.4197054663783484, 1.8022960088180051,
+                       8.93366409458014],
+                      [1.0456113540293965, 9.844237500693108, 4.720264536003011,
+                       9.141533883757521]],
+                     [0.08657932127055502, 0.34099931171238956, 0.3938141162540514,
+                      0.17860725076300388], 0.23629647776229729, 0.10610756077788103)
+    r = 2.586301656151328
+    sol = solve_for_reservation(inst, r, None)
+    assert abs(sol.report.agent_utility - r) <= 1e-9
+    assert sol.report.principal_utility >= 4.9420872109 - 1e-9
+
+
+def _off_target(monkeypatch):
+    """Solve the reduced problem 0.3 above the requested utility and refuse
+    the contracts that pay one decision."""
+    real = reduced.solve
+    monkeypatch.setattr(reduced, "solve", lambda inst, r, *rest: real(inst, r + 0.3, *rest))
+    monkeypatch.setattr(contracts, "_single_solution", lambda *args: "refused")
+
+
+def test_reservation_off_target_raises(example, monkeypatch):
+    _off_target(monkeypatch)
+    with pytest.raises(NoConvergenceError, match="not within 0.0001 of 2.0"):
+        solve_for_reservation(example, 2.0, None)
+
+
+def test_reservation_off_target_exits_5(example_file, monkeypatch, capsys):
+    _off_target(monkeypatch)
+    assert cli.main(["solve-contract", "--problem", example_file, "--reservation", "2.0"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no convergence: reservation utility 2.0: ")
+    assert "not within" in captured.err
+
+
 def test_alpha_star_cost_meets_the_capacity_from_below(example):
     # regula falsi in alpha stopped at the slack end of its bracket, with
     # alpha* = 0.7163371 and cost 0.499992
-    sol = solve_for_reservation(example, 2.8)
+    sol = solve_for_reservation(example, 2.8, None)
     alpha = alpha_star(example, 2.8)
     assert abs(alpha - 0.7163371) <= 1e-4 and sol.decomposition.alpha == alpha
     assert example.capacity - 1e-8 <= sol.report.cost <= example.capacity
@@ -823,7 +892,8 @@ def _seam_utility(inst):
 @pytest.mark.parametrize("capacity", [0.3, 0.5])
 def test_alpha_star_at_the_seam_is_alpha_prime(capacity):
     # the landing in (xi, alpha) had its root at xi = 1 - 2e-12 there; the
-    # answer is now the frontier's lower end
+    # answer is now the frontier's lower end (at capacity 0.5 the polish
+    # holds only the multipliers above 1e-4 of their slack active)
     inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, 10.0], [5.0, 5.0]],
                            [2 / 3, 1 / 3], capacity, ShannonCost())
     r, ap = _seam_utility(inst)
@@ -894,15 +964,16 @@ def test_reservation_request_residual_evaluations(example_file, monkeypatch, cap
 def test_reservation_answer_does_not_depend_on_the_path(example, r):
     # the request under the capacity reaches alpha* as a multiplier; the
     # request at that piece rate without the capacity, a separate solve of
-    # the same problem, lands on the same contract (within 4e-12 here)
-    searched = solve_for_reservation(example, r)
+    # the same problem, lands on the same contract, since both polish to
+    # rounding (within 3e-15 here)
+    searched = solve_for_reservation(example, r, None)
     alpha = searched.decomposition.alpha
     direct = solve_for_reservation(example, r, alpha)
     assert alpha < 1.0 and searched.pattern == direct.pattern
     assert abs(searched.duals.xi - direct.duals.xi) <= 1e-12
     for a, b in ((searched.contract.payments, direct.contract.payments),
                  (searched.experiment.conditionals, direct.experiment.conditionals)):
-        assert np.max(np.abs(a - b)) <= 1e-10
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 @st.composite
@@ -966,7 +1037,7 @@ def test_seeded_reservation_requests_answer_or_raise_a_typed_error(n_d, n_s):
     for inst in _seeded_draws(n_d, n_s, 5):
         for r in _seeded_requests(inst):
             try:
-                sol = solve_for_reservation(inst, r)
+                sol = solve_for_reservation(inst, r, None)
             except (OutOfRangeError, NoPatternFoundError, NoConvergenceError):
                 continue
             assert sol.residual <= 1e-6
