@@ -33,11 +33,12 @@ import numpy as np
 
 from . import geometry
 from .costs import CostModel
-from .errors import BoundaryPointError, DimensionMismatchError, NoConvergenceError
+from .errors import DimensionMismatchError, NoConvergenceError
 from .model import Contract, Experiment
 
 LOGIT_TOL = 1e-12
 LOGIT_MAX_ITER = 500
+ONSET_MAX_ITER = 60
 LINE_TOL = 1e-14
 LINE_MAX_ITER = 60
 # solves of the agent's problem one capacity search may make
@@ -58,7 +59,7 @@ class AgentSolution:
     residual: float
 
 
-def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
+def _logit_kernel(logits, prior):
     """Logit best responses for a batch of contracts, by active-set Newton.
 
     `logits` has shape (n, n_d, n_s) and holds b(d, theta) / temperature.
@@ -73,7 +74,8 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
     direction on the face sum q = 1 of the support, searches along it for
     the maximum (`_line`), and drops a decision exactly when the step
     reaches q_d = 0.  Stops on the logit certificate g_d = sum_s pi_s w_ds
-    / D_s: |g_d - 1| <= tol on the support and g_d <= 1 + tol off it.
+    / D_s: |g_d - 1| <= LOGIT_TOL on the support and g_d <= 1 + LOGIT_TOL
+    off it; raises NoConvergenceError after LOGIT_MAX_ITER Newton steps.
 
     Decisions with identical weight rows solve as one and split its
     marginal equally.  Returns (q, conditionals, iterations), the last
@@ -102,7 +104,7 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
     q[vertex] = np.arange(n_d) == top[vertex, None]
     live = np.arange(n)
     wl, lead_l, support = w, lead, q > 0
-    for it in range(max_iter + 1):
+    for it in range(LOGIT_MAX_ITER + 1):
         dens = (q[:, None, :] @ wl)[:, 0]
         ratio = pi / dens
         gap = (wl @ ratio[:, :, None])[:, :, 0] - 1.0
@@ -110,7 +112,7 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
         outside = np.where(support | ~lead_l, -np.inf, gap)
         enter = outside.argmax(axis=1)
         rows = np.arange(len(live))
-        solved = (face <= tol) & (outside[rows, enter] <= tol)
+        solved = (face <= LOGIT_TOL) & (outside[rows, enter] <= LOGIT_TOL)
         if solved.all():
             q_out[live] = q
             break
@@ -122,13 +124,13 @@ def _logit_kernel(logits, prior, tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER):
             dens, ratio, gap, face, enter = (dens[keep], ratio[keep], gap[keep],
                                              face[keep], enter[keep])
             rows = rows[:len(live)]
-        if it == max_iter:
+        if it == LOGIT_MAX_ITER:
             raise NoConvergenceError(
-                f"logit kernel not certified after {max_iter} Newton steps "
+                f"logit kernel not certified after {LOGIT_MAX_ITER} Newton steps "
                 f"(certificate gap {max(face.max(), gap.max()):.3e})"
             )
         iters[live] += 1
-        admit = face <= tol
+        admit = face <= LOGIT_TOL
         support[rows[admit], enter[admit]] = True
 
         if n_d == 2:
@@ -233,8 +235,7 @@ def _line(rel, pi, t_max):
     return np.where(slope > 0, t, lo)
 
 
-def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0,
-                          tol=LOGIT_TOL, max_iter=LOGIT_MAX_ITER) -> AgentSolution:
+def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolution:
     """Optimal experiment under mutual-information cost and capacity dual mu.
 
     Solves p(d|theta) proportional to p(d) exp(b(d,theta)/(scale (1+mu)))
@@ -245,7 +246,7 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0,
         raise ValueError("capacity dual mu must be nonnegative")
     pi = np.asarray(prior, float)
     temp = scale * (1.0 + mu)
-    q, cond, iters = _logit_kernel(b.payments[None] / temp, pi, tol, max_iter)
+    q, cond, iters = _logit_kernel(b.payments[None] / temp, pi)
     q, cond = q[0], cond[0]
     exp = Experiment(cond)
     cost = CostModel("entropy", scale).value(exp, pi)
@@ -375,7 +376,7 @@ def _quadratic_step(x, cost, slope, capacity):
     return math.nan
 
 
-def _onset(payments, pi, max_iter=60):
+def _onset(payments, pi):
     """Where information starts to pay at unit cost scale: the largest
     inverse temperature beta at which no information is optimal.
 
@@ -400,7 +401,7 @@ def _onset(payments, pi, max_iter=60):
         if sum(p * x for p, x in zip(prior, a)) >= 0:
             return 0.0
         beta = min(starts)
-        for _ in range(max_iter):
+        for _ in range(ONSET_MAX_ITER):
             w = [math.exp(lp + beta * x) for lp, x in zip(log_pi, a)]
             total = sum(w)
             step = math.log(total) * total / sum(wk * x for wk, x in zip(w, a))
@@ -461,22 +462,17 @@ def _mixture(b, pi, model, above, below, capacity, cost_tol, t):
                    cost=cost, residual=max(above.residual, below.residual))
 
 
-def agent_kkt_residual(b: Contract, prior, model, p: Experiment,
-                       mu=0.0, eps=1e-9):
+def agent_kkt_residual(b: Contract, prior, model, p: Experiment, mu=0.0):
     """Max within-state spread of pi(theta) b - (1+mu) dc/dp and implied rho.
 
-    Decisions outside the consideration set (rows uniformly below `eps`)
-    are excluded; a row that is zero in some states but not others is a
-    genuine boundary point and raises.
+    Decisions outside the consideration set (rows exactly zero) are
+    excluded; an entry at or below 1e-12 (`costs.INTERIOR_EPS`) on a live
+    decision is a boundary point, where the cost's gradient raises
+    BoundaryPointError.
     """
     pi = np.asarray(prior, float)
     cond = p.conditionals
-    row_min = cond.min(axis=1)
-    row_max = cond.max(axis=1)
-    dropped = row_max <= eps
-    if np.any((row_min <= eps) & ~dropped):
-        raise BoundaryPointError("experiment touches the boundary on a live decision")
-    active = np.flatnonzero(~dropped)
+    active = np.flatnonzero(cond.any(axis=1))
     sub = Experiment(cond[active] / cond[active].sum(axis=0, keepdims=True))
     grad = model.gradient(sub, pi)
     vals = pi[None, :] * b.payments[active] - (1.0 + mu) * grad

@@ -39,6 +39,9 @@ from .errors import (BoundaryPointError, InconsistentProfileError, NoConvergence
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
                     evaluate_profile, marginal)
 
+FRONTIER_SLACK = 5e-3   # first-best targets this close outside the range clamp
+V_TOL = 1e-4            # how near a reservation answer's agent utility is to r
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -90,13 +93,14 @@ def alpha_prime(inst: ProblemInstance) -> float:
     return 1.0 / (1.0 + base.mu)
 
 
-def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
+def first_best_frontier(inst: ProblemInstance, r):
     """First-best contract alpha y - beta delivering the agent utility r.
 
     Walks the frontier by lowering alpha from 1 to alpha' with beta = 0,
     then raising beta toward the per-state output minima (so that at the
     lower endpoint the minimum payment in each state touches zero).
-    Targets within `slack` of the achievable range clamp to the endpoint.
+    Targets within FRONTIER_SLACK of the achievable range clamp to the
+    endpoint; a NaN target raises ValueError.
     alpha' is read off the capacity solve at y: the best response to
     alpha y is the one to y at cost scale 1/alpha, so the capacity binds
     from alpha' = 1/(1 + mu) on.
@@ -111,9 +115,11 @@ def first_best_frontier(inst: ProblemInstance, r, slack=5e-3):
     """
     if inst.capacity <= 0:
         raise ValueError("capacity must be positive")
+    if np.isnan(r):
+        raise ValueError("agent utility must not be NaN")
     base = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
                                   inst.cost_model)
-    return _frontier(inst, base, r, slack)[:2]
+    return _frontier(inst, base, r, FRONTIER_SLACK)[:2]
 
 
 def _frontier_ends(inst, base):
@@ -158,6 +164,7 @@ def _frontier(inst, base, r, slack):
 
 
 _ROOT_TOL = 1e-9   # max |residual| of a certified pattern root
+_SIGN_TOL = 1e-7   # multiplier size the sign screens tolerate
 
 
 def _pattern(inst, alpha):
@@ -222,17 +229,17 @@ def _agent_inverse(inst, cond, refs):
     return levels - levels[refs, np.arange(inst.n_states)][None, :]
 
 
-def _pattern_residuals(inst, zeros):
+def _pattern_residuals(inst, zeros, xi, alpha):
     """Residual function of the coupled system in logit coordinates.
 
     Returns (cond_of, fun): `cond_of(x)` is the experiment of the logits
-    x, and `fun(x, xi, alpha)` returns the residuals at participation
-    weight xi and piece rate alpha with that experiment and the
-    principal's payments alpha y - beta - gamma, which are zero at the
-    pattern's cells `zeros`.  Each reference cell (the first zero of its
-    state) pays zero and has no residual.  Conditionals are floored at
-    1e-11 so the residuals stay finite wherever the root finder wanders;
-    roots of interest are interior, far from the floor.
+    x, and `fun(x)` returns the residuals at participation weight xi and
+    piece rate alpha with that experiment and the principal's payments
+    alpha y - beta - gamma, which are zero at the pattern's cells `zeros`.
+    Each reference cell (the first zero of its state) pays zero and has no
+    residual.  Conditionals are floored at 1e-11 so the residuals stay
+    finite wherever the root finder wanders; roots of interest are
+    interior, far from the floor.
     """
     n_d, n_s = inst.output.shape
     floor = 1e-11
@@ -248,7 +255,7 @@ def _pattern_residuals(inst, zeros):
         cond = np.clip(cond, floor, None)
         return cond / cond.sum(axis=0, keepdims=True)
 
-    def fun(x, xi, alpha):
+    def fun(x):
         cond = cond_of(x)
         b_agent = _agent_inverse(inst, cond, refs)
         lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
@@ -259,7 +266,7 @@ def _pattern_residuals(inst, zeros):
                 res[i] = b_agent[d, s]
             else:
                 res[i] = b_agent[d, s] - b_principal[d, s]
-        return res, cond, b_principal
+        return res
 
     return cond_of, fun
 
@@ -269,13 +276,14 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
     rate alpha, capacity handled upstream through alpha.
 
     Solves the binding pattern (`_pattern`) from the logits of the
-    unconstrained best response to alpha y.  When that fails at xi > 0,
-    the pattern is solved once more from the xi = 0 solution at the same
-    alpha, if that one solves.  Raises NoPatternFoundError, naming the
-    pattern and why it failed, when no root passes the sign, feasibility,
-    and KKT residual checks; and at once for a model without a logit scale
-    (a tabulated uncertainty function), whose Hessian is zero, so that the
-    pattern system has no smooth root.
+    unconstrained best response to alpha y, computed once.  When that
+    fails at xi > 0, the pattern is solved once more from the xi = 0
+    solution at the same alpha, if that one solves.  Raises
+    NoPatternFoundError, naming the pattern and why it failed, when no
+    root passes the sign, feasibility, and KKT residual checks; and at
+    once for a model without a logit scale (a tabulated uncertainty
+    function), whose Hessian is zero, so that the pattern system has no
+    smooth root.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
@@ -287,15 +295,15 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
             "binding pattern has a smooth root; the contract layer needs the "
             "mutual-information cost")
     zeros = _pattern(inst, alpha)
-    response = _response_start(inst, alpha)
+    start = _response_logits(inst, alpha)
     try:
-        return _solve_pattern(inst, xi, alpha, zeros, [response()])
+        return _solve_pattern(inst, xi, alpha, zeros, start)
     except NoPatternFoundError as exc:
         if xi == 0.0:
             raise
         try:
-            base = _solve_pattern(inst, 0.0, alpha, zeros, [response()])
-            return _solve_pattern(inst, xi, alpha, zeros, [[_logits(base.experiment)]])
+            base = _solve_pattern(inst, 0.0, alpha, zeros, start)
+            return _solve_pattern(inst, xi, alpha, zeros, _logits(base.experiment))
         except NoPatternFoundError:
             raise exc from None
 
@@ -305,60 +313,36 @@ def _logits(exp):
     return (logits[:-1] - logits[-1:]).reshape(-1)
 
 
-def _response_start(inst, alpha):
+def _response_logits(inst, alpha):
     """Starting logits of the cold solves: those of the unconstrained best
-    response to alpha y, computed once when first needed, or none when it
-    does not converge."""
-    response = []
-
-    def starts():
-        if not response:
-            try:
-                guess = best_response_general(Contract(alpha * inst.output), inst.prior,
-                                              inst.cost_model)
-            except NoConvergenceError:
-                response.append(None)
-            else:
-                cond = np.clip(guess.experiment.conditionals, 1e-9, None)
-                response.append(_logits(Experiment(cond / cond.sum(axis=0, keepdims=True))))
-        if response[0] is not None:
-            yield response[0]
-    return starts
+    response to alpha y, or None when it does not converge."""
+    try:
+        guess = best_response_general(Contract(alpha * inst.output), inst.prior,
+                                      inst.cost_model)
+    except NoConvergenceError:
+        return None
+    cond = np.clip(guess.experiment.conditionals, 1e-9, None)
+    return _logits(Experiment(cond / cond.sum(axis=0, keepdims=True)))
 
 
-def _solve_pattern(inst, xi, alpha, zeros, groups):
-    """Solve the binding pattern `zeros` from each group of starting logits
-    in turn: the first root that a group reaches is checked, and the first
-    that passes every check is returned.  Raises NoPatternFoundError with
-    the reason each group failed."""
-    cond_of, residuals = _pattern_residuals(inst, zeros)
-
-    def fun(x):
-        return residuals(x, xi, alpha)[0]
-
-    reasons = []
-    for starts in groups:
-        root = _first_root(fun, starts)
-        outcome = "no root" if root is None else _pattern_solution(inst, xi, alpha, zeros,
-                                                                   cond_of(root))
+def _solve_pattern(inst, xi, alpha, zeros, start):
+    """Solve the binding pattern `zeros` by Newton's method from the
+    logits `start` (none: no root) and check the root.  Raises
+    NoPatternFoundError with the reason it failed."""
+    cond_of, fun = _pattern_residuals(inst, zeros, xi, alpha)
+    root = None
+    if start is not None:
+        try:
+            root = _newton(fun, start, 1e-3 * _ROOT_TOL)
+        except np.linalg.LinAlgError:
+            pass
+    outcome = "no root"
+    if root is not None and np.max(np.abs(fun(root))) < _ROOT_TOL:
+        outcome = _pattern_solution(inst, xi, alpha, zeros, cond_of(root))
         if isinstance(outcome, ContractSolution):
             return outcome
-        reasons.append(outcome)
     raise NoPatternFoundError(
-        f"binding pattern {sorted(zeros)} at xi={xi}, alpha={alpha}: "
-        + "; ".join(reasons))
-
-
-def _first_root(fun, starts):
-    """The first Newton root of fun from `starts`, or None."""
-    for x0 in starts:
-        try:
-            root = _newton(fun, x0, 1e-3 * _ROOT_TOL)
-        except np.linalg.LinAlgError:
-            continue
-        if root is not None and np.max(np.abs(fun(root))) < _ROOT_TOL:
-            return root
-    return None
+        f"binding pattern {sorted(zeros)} at xi={xi}, alpha={alpha}: {outcome}")
 
 
 def _pattern_solution(inst, xi, alpha, zeros, cond):
@@ -458,14 +442,14 @@ def _jacobian(fun, x, f):
     return jac
 
 
-def _pattern_checks(inst, payments, lam, tol=1e-7):
+def _pattern_checks(inst, payments, lam):
     """Sign and feasibility screens; returns a reason string or None.  A
     multiplier is nonnegative where a positive output is paid zero and
     nonpositive where a positive payment is the whole output."""
     y = inst.output
-    for d, s in zip(*np.nonzero((lam < -tol) & (payments <= 0.0) & (y > 0))):
+    for d, s in zip(*np.nonzero((lam < -_SIGN_TOL) & (payments <= 0.0) & (y > 0))):
         return f"lambda[{d},{s}] negative at a zero payment"
-    for d, s in zip(*np.nonzero((lam > tol) & (payments >= y) & (payments > 0.0))):
+    for d, s in zip(*np.nonzero((lam > _SIGN_TOL) & (payments >= y) & (payments > 0.0))):
         return f"lambda[{d},{s}] positive at a full-output payment"
     if np.any(payments < -1e-9) or np.any(payments > y + 1e-9):
         return "interior payment escaped the liability limits"
@@ -619,12 +603,12 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
 # reservation requests: one reduced solve (`reduced`)
 
 
-def _reduced_solution(inst, prob, r, v_tol, z, mult, lam):
+def _reduced_solution(inst, prob, r, z, mult, lam):
     """The contract of a KKT point of the reduced problem, certified, or
     the reason it fails.  With nu the capacity's multiplier and xi_c the
     participation one, the piece rate is alpha / (1 + nu), xi is 1 - (1 -
     xi_c) / (1 + nu), and lambda the net liability multipliers (lower less
-    upper) over 1 + nu.  The agent's utility must reach r within v_tol, and
+    upper) over 1 + nu.  The agent's utility must reach r within V_TOL, and
     hit it where participation binds (xi_c > 0)."""
     support, shape = prob.support, inst.output.shape
     q, u, c = prob.split(z)
@@ -648,8 +632,8 @@ def _reduced_solution(inst, prob, r, v_tol, z, mult, lam):
                       1.0 - (1.0 - xi_c) / scale, prob.alpha / scale)
     if isinstance(sol, ContractSolution):
         miss = sol.report.agent_utility - r
-        if miss < -v_tol or (xi_c > 0.0 and miss > v_tol):
-            return f"agent utility {sol.report.agent_utility:.6f}, not within {v_tol:g} of {r}"
+        if miss < -V_TOL or (xi_c > 0.0 and miss > V_TOL):
+            return f"agent utility {sol.report.agent_utility:.6f}, not within {V_TOL:g} of {r}"
     return sol
 
 
@@ -692,7 +676,7 @@ def _full_output_response(sub):
                                   sub.cost_model, cost_tol=tol)
 
 
-def _first_best_on(inst, support, r, alpha, capacity, v_tol, base=None):
+def _first_best_on(inst, support, r, alpha, capacity, base=None):
     """The first-best contract (`first_best_frontier`) on the decisions
     `support` at output alpha y and the given capacity whose agent utility
     is r, certified with lambda = 0 and xi = 1 at the agent's dual, or the
@@ -700,28 +684,27 @@ def _first_best_on(inst, support, r, alpha, capacity, v_tol, base=None):
     Raises OutOfRangeError outside the first-best range."""
     sub = replace(inst, decisions=[inst.decisions[d] for d in support],
                   output=alpha * inst.output[support], capacity=capacity)
-    contract, agent, rate = _frontier(sub, base or _full_output_response(sub), r, v_tol)
+    contract, agent, rate = _frontier(sub, base or _full_output_response(sub), r, V_TOL)
     payments, cond = np.zeros(inst.output.shape), np.zeros(inst.output.shape)
     payments[support], cond[support] = contract.payments, agent.experiment.conditionals
     return _decomposed(inst, Experiment(cond), Contract(payments), np.zeros(cond.shape),
                        1.0, alpha * rate, agent.mu)
 
 
-def _reduced_candidate(inst, r, alpha, capacity, v_tol, start):
+def _reduced_candidate(inst, r, alpha, capacity, start):
     """The certified answer of the reduced problem (`reduced.solve`) from
     the experiment `start`, or the reason there is none."""
     try:
         prob, point = reduced.solve(inst, r, alpha, capacity, start)
         if point is None:
-            return _first_best_on(inst, prob.support, r, alpha, capacity, v_tol)
+            return _first_best_on(inst, prob.support, r, alpha, capacity)
     except (NoConvergenceError, OutOfRangeError) as exc:
         return str(exc)
-    return _reduced_solution(inst, prob, r, v_tol, *point)
+    return _reduced_solution(inst, prob, r, *point)
 
 
-def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
-                          v_tol=1e-4) -> ContractSolution:
-    """Pareto contract whose agent utility is r within v_tol, or at least
+def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSolution:
+    """Pareto contract whose agent utility is r within V_TOL, or at least
     r where participation is slack: one reduced solve (`reduced`).
 
     A contract is an experiment and one level per state (the logit rule),
@@ -739,8 +722,11 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
     alpha E_p y - E_p b, of the reduced problem's and the contracts that
     pay a single decision.  Raises OutOfRangeError above the first-best
     range, NoPatternFoundError for a model without a logit scale or an
-    output below 0, and NoConvergenceError when no candidate is certified.
+    output below 0, NoConvergenceError when no candidate is certified, and
+    ValueError for a NaN r.
     """
+    if np.isnan(r):
+        raise ValueError("reservation utility must not be NaN")
     if inst.cost_model.logit_scale is None:
         raise NoPatternFoundError(
             "the reservation problem needs the logit rule of the mutual-information cost")
@@ -754,7 +740,7 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
     base = _full_output_response(top)
     every = np.arange(inst.n_decisions)
     if r >= _frontier_ends(top, base)[0]:
-        answer = _first_best_on(inst, every, r, piece, capacity, v_tol, base)
+        answer = _first_best_on(inst, every, r, piece, capacity, base)
         if isinstance(answer, str):
             raise NoConvergenceError(f"reservation utility {r}: {answer}")
         return answer
@@ -762,7 +748,7 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0,
     def value(sol):
         return piece * sol.report.expected_output - sol.report.expected_payment
 
-    found = [_reduced_candidate(inst, r, piece, capacity, v_tol, base.experiment.conditionals)]
+    found = [_reduced_candidate(inst, r, piece, capacity, base.experiment.conditionals)]
     for d in every:
         reach = float(inst.prior @ inst.output[d])
         best = max((value(s) for s in found if isinstance(s, ContractSolution)), default=-np.inf)

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import BoundaryPointError
 from .model import Experiment, Garbling, garble
 
-INTERIOR_EPS = 1e-12
+INTERIOR_EPS = 1e-12   # derivatives need every experiment entry above this
+BLACKWELL_TOL = 1e-10  # how much a garbling may raise the cost and pass
 
 
 def entropy(q):
@@ -139,11 +140,6 @@ class CostModel:
         """Scaled uncertainty function over the last axis of `q`."""
         return self.scale * self._ups(np.asarray(q, float))
 
-    def upsilon_gradient(self, q):
-        """Gradient of `upsilon` in the ambient coordinates of `q`; only its
-        component along the simplex is meaningful."""
-        return self.scale * self._ups.grad(np.asarray(q, float))
-
     def value(self, p: Experiment, prior) -> float:
         # the formula extends smoothly off the column simplexes: posteriors
         # renormalize by construction
@@ -159,10 +155,10 @@ class CostModel:
             return 0.0
         return out
 
-    def _require_interior(self, p: Experiment, eps):
-        if np.min(p.conditionals) <= eps:
+    def _require_interior(self, p: Experiment):
+        if np.min(p.conditionals) <= INTERIOR_EPS:
             raise BoundaryPointError(
-                f"experiment entry {np.min(p.conditionals):.3e} <= {eps:.0e}; "
+                f"experiment entry {np.min(p.conditionals):.3e} <= {INTERIOR_EPS:.0e}; "
                 "derivatives are undefined at the boundary"
             )
 
@@ -172,20 +168,22 @@ class CostModel:
         g = self._ups.grad(q)
         return np.sum(q * g, axis=-1, keepdims=True) - g - self._ups(q)[..., None]
 
-    def gradient(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
+    def gradient(self, p: Experiment, prior) -> np.ndarray:
         """dc/dp(d|theta), less the per-state constant that makes it the
-        mutual-information gradient for the entropy."""
-        self._require_interior(p, eps)
+        mutual-information gradient for the entropy.  Raises
+        BoundaryPointError at an entry at or below INTERIOR_EPS."""
+        self._require_interior(p)
         pi = np.asarray(prior, float)
         joint = p.conditionals * pi
         post = joint / joint.sum(axis=1, keepdims=True)
         return self.scale * pi * (self._slope(post) - self._slope(pi))
 
-    def hessian(self, p: Experiment, prior, eps=INTERIOR_EPS) -> np.ndarray:
+    def hessian(self, p: Experiment, prior) -> np.ndarray:
         """Dense Hessian over (d, theta) pairs, block diagonal across
         decisions: block d is -scale pi pi^T / p(d) times P^T H P, with H
-        the Hessian of Upsilon at posterior q_d and P = I - q_d 1^T."""
-        self._require_interior(p, eps)
+        the Hessian of Upsilon at posterior q_d and P = I - q_d 1^T.
+        Raises BoundaryPointError at an entry at or below INTERIOR_EPS."""
+        self._require_interior(p)
         pi = np.asarray(prior, float)
         cond = p.conditionals
         n_d, n_s = cond.shape
@@ -240,10 +238,11 @@ class BlackwellWitness:
     cost_after: float
 
 
-def check_blackwell_monotone(model: CostModel, p: Experiment, g: Garbling, prior,
-                             tol=1e-10) -> BlackwellWitness:
-    """Garbling must weakly reduce cost; returns both costs as a witness."""
+def check_blackwell_monotone(model: CostModel, p: Experiment, g: Garbling,
+                             prior) -> BlackwellWitness:
+    """Garbling must weakly reduce cost, within BLACKWELL_TOL; returns both
+    costs as a witness."""
     before = model.value(p, prior)
     after = model.value(garble(p, g), prior)
-    return BlackwellWitness(monotone=after <= before + tol,
+    return BlackwellWitness(monotone=after <= before + BLACKWELL_TOL,
                             cost_before=before, cost_after=after)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ZeroMarginalError
 
 SIMPLEX_TOL = 1e-12
+FEASIBILITY_TOL = 1e-10   # how far a payment may leave the liability limits
 
 
 def _frozen(a, dtype=float):
@@ -225,7 +226,9 @@ def garble(p: Experiment, g: Garbling) -> Experiment:
     return Experiment(g.matrix.T @ p.conditionals)
 
 
-def is_feasible(b: Contract, output, tol=1e-10) -> bool:
-    """Both liability limits hold: 0 <= b(d,theta) <= y(d,theta)."""
+def is_feasible(b: Contract, output) -> bool:
+    """Both liability limits hold, within FEASIBILITY_TOL: 0 <= b(d,theta)
+    <= y(d,theta)."""
     y = np.asarray(output, float)
-    return bool(np.all(b.payments >= -tol) and np.all(b.payments <= y + tol))
+    return bool(np.all(b.payments >= -FEASIBILITY_TOL)
+                and np.all(b.payments <= y + FEASIBILITY_TOL))

@@ -29,12 +29,12 @@ def _positive_number(value, pointer):
     return float(value)
 
 
-def parse_cost(spec, pointer="/cost"):
-    """Cost model from its tagged-union JSON spec."""
+def parse_cost(spec):
+    """Cost model from its tagged-union JSON spec, the problem's `/cost`."""
     if not isinstance(spec, dict) or "type" not in spec:
-        raise MalformedProblemError(pointer, "cost must be an object with a 'type' tag")
+        raise MalformedProblemError("/cost", "cost must be an object with a 'type' tag")
     kind = spec["type"]
-    scale = _positive_number(spec.get("scale", 1.0), f"{pointer}/scale")
+    scale = _positive_number(spec.get("scale", 1.0), "/cost/scale")
     try:
         if kind == "shannon":
             return ShannonCost(scale=scale)
@@ -43,8 +43,8 @@ def parse_cost(spec, pointer="/cost"):
         if kind == "posterior_separable":
             return PosteriorSeparableCost(spec.get("upsilon", "entropy"), scale=scale)
     except (ValueError, TypeError) as exc:
-        raise MalformedProblemError(pointer, str(exc)) from exc
-    raise MalformedProblemError(f"{pointer}/type", f"unknown cost type {kind!r}")
+        raise MalformedProblemError("/cost", str(exc)) from exc
+    raise MalformedProblemError("/cost/type", f"unknown cost type {kind!r}")
 
 
 def problem_from_dict(data) -> ProblemInstance:
@@ -111,8 +111,9 @@ def load_problem(path) -> ProblemInstance:
     return problem_from_dict(data)
 
 
-def load_contract(path, inst: ProblemInstance | None = None) -> Contract:
-    """Contract from JSON: either a bare matrix or {"payments": matrix}."""
+def load_contract(path, inst: ProblemInstance) -> Contract:
+    """Contract from JSON for the problem `inst`: either a bare matrix or
+    {"payments": matrix} of the problem's shape."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -127,7 +128,7 @@ def load_contract(path, inst: ProblemInstance | None = None) -> Contract:
         raise MalformedProblemError("/payments", "must be a 2-d matrix")
     if not np.all(np.isfinite(mat)):
         raise MalformedProblemError("/payments", "entries must be finite")
-    if inst is not None and mat.shape != inst.output.shape:
+    if mat.shape != inst.output.shape:
         raise MalformedProblemError(
             "/payments", f"shape {mat.shape} does not match the problem "
                          f"({inst.output.shape})")

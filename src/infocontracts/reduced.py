@@ -25,6 +25,7 @@ from .errors import NoConvergenceError
 
 PENALTY = 10.0     # price of the elastic slack on the participation row
 TOL = 1e-8         # KKT error at which the interior-point method stops
+MAX_ITER = 100     # interior-point steps before it gives up
 
 
 class ReducedProblem:
@@ -167,7 +168,7 @@ def _boundary_step(v, dv, tau):
     return min(1.0, float(np.min(np.where(dv < 0.0, -tau * v / dv, np.inf))))
 
 
-def interior_point(prob, z, max_iter=100):
+def interior_point(prob, z):
     """Primal-dual interior-point solve of `prob` from z, or None.
 
     Each step solves the condensed Newton system in the null space of the
@@ -177,7 +178,7 @@ def interior_point(prob, z, max_iter=100):
     subproblem is solved.  Returns (z, equality multipliers, inequality
     multipliers, slacks, dropped), `dropped` marking the decisions whose
     weight vanishes (returned as soon as that shows); None when the line
-    search stalls or max_iter steps do not suffice.
+    search stalls or MAX_ITER steps do not suffice.
     """
     k = prob.k
     phi, grad, h, jac_h, g, jac_g = prob.evaluate(z)
@@ -187,7 +188,7 @@ def interior_point(prob, z, max_iter=100):
     left, sv, basis, _ = _svd(jac_h)
     mult = left @ ((basis.T @ (grad - jac_g.T @ lam)) / sv)   # least squares
     penalty = 1.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dual = grad - jac_h.T @ mult - jac_g.T @ lam
         gap = g - slack
         comp = slack * lam

@@ -1,4 +1,6 @@
+import dataclasses
 import filecmp
+import inspect
 import json
 import os
 import subprocess
@@ -490,3 +492,21 @@ def test_all_lists_the_public_names_and_no_modules():
         assert not isinstance(namespace[name], types.ModuleType), name
     # thin wrappers of model methods and of Contract arithmetic stay out
     assert len(infocontracts.__all__) <= 63
+    # options no caller sets are module constants: count the defaulted
+    # parameters of the public functions and of the hand-written
+    # constructors and public methods of the public classes (a dataclass's
+    # generated constructor holds fields, not options)
+    callables = []
+    for name in infocontracts.__all__:
+        obj = namespace[name]
+        if not isinstance(obj, type):
+            callables.append(obj)
+            continue
+        for attr, member in vars(obj).items():
+            generated = attr == "__init__" and dataclasses.is_dataclass(obj)
+            if (inspect.isfunction(member) and not generated
+                    and (attr == "__init__" or not attr.startswith("_"))):
+                callables.append(member)
+    defaulted = sum(param.default is not inspect.Parameter.empty
+                    for fn in callables for param in inspect.signature(fn).parameters.values())
+    assert defaulted <= 23

@@ -847,6 +847,32 @@ def test_polish_with_multipliers_a_millionth_of_their_slack():
     assert sol.report.principal_utility >= 4.9420872109 - 1e-9
 
 
+def test_reservation_answer_with_a_tiny_entry_on_a_decision_taken():
+    # the agent's KKT check once refused every entry at or below 1e-9 on a
+    # decision taken, so this answer (an entry of 3e-10, which the logit
+    # best response reproduces) raised NoConvergenceError "verification"
+    inst = _instance([[6.04, 2.51, 5.22, 6.21], [8.97, 9.39, 0.61, 5.27]],
+                     [0.06, 0.124, 0.684, 0.132], 0.294, 0.5097)
+    sol = solve_for_reservation(inst, 5.1715, None)
+    assert sol.residual <= 1e-12
+    assert abs(sol.report.agent_utility - 5.1715) <= 1e-4
+    assert 0.0 < sol.experiment.conditionals.min() <= 1e-9
+    assert sol.report.cost <= inst.capacity
+    br = best_response_shannon(sol.contract, inst.prior, mu=sol.duals.mu, scale=0.294)
+    assert np.max(np.abs(br.experiment.conditionals - sol.experiment.conditionals)) <= 1e-12
+
+
+def test_nan_utility_is_refused(example):
+    # NaN compares false with every bound: the request answered (U_P
+    # 4.756), alpha_star returned 1.0 and the frontier built a NaN contract
+    with pytest.raises(ValueError, match="NaN"):
+        solve_for_reservation(example, np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        alpha_star(example, np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        first_best_frontier(example, np.nan)
+
+
 def _off_target(monkeypatch):
     """Solve the reduced problem 0.3 above the requested utility and refuse
     the contracts that pay one decision."""
