@@ -5,10 +5,10 @@ Three routes:
 * `best_response_shannon` -- the logit best response for mutual-information
   costs: the decision marginal q maximizing sum_s pi_s log sum_d q_d w_ds
   (Matejka & McKay 2015), found by `_logit_kernel`, an active-set Newton
-  method that starts at the better of the full-information choice and the
-  best single decision, drops decisions exactly and stops on the logit
-  certificate; the same kernel solves the grid oracle in `contracts` in
-  one batch (deterministic, no randomness);
+  method on one contract that starts at the better of the
+  full-information choice and the best single decision, drops decisions
+  exactly and stops on the logit certificate (deterministic, no
+  randomness);
 * `best_response_capacity` -- wraps the above, or the table route when
   the model has no `logit_scale`, in a safeguarded Newton search on
   t = 1/(1 + mu) with the exact slope of the logit path, so the cost
@@ -59,83 +59,63 @@ class AgentSolution:
     residual: float
 
 
-def _logit_kernel(logits, prior):
-    """Logit best responses for a batch of contracts, by active-set Newton.
+def _logit_kernel(z, pi):
+    """Logit best response to one contract, by active-set Newton.
 
-    `logits` has shape (n, n_d, n_s) and holds b(d, theta) / temperature.
-    For each contract, maximizes sum_s pi_s log D_s, D_s = sum_d q_d w_ds,
-    over the decision marginal q in the simplex, with w the per-state
-    shifted exp(logits).  Starts at the better, by this objective, of the
-    full-information choice and the best single decision.  The objective
-    only rises from there, and the full-information choice scores at least
-    sum_s pi_s log pi_s, so no density D_s comes near zero even where
-    weights underflow.  Each iteration admits the decision with the
-    largest g_d once the current support is solved, takes the Newton
-    direction on the face sum q = 1 of the support, searches along it for
-    the maximum (`_line`), and drops a decision exactly when the step
-    reaches q_d = 0.  Stops on the logit certificate g_d = sum_s pi_s w_ds
-    / D_s: |g_d - 1| <= LOGIT_TOL on the support and g_d <= 1 + LOGIT_TOL
-    off it; raises NoConvergenceError after LOGIT_MAX_ITER Newton steps.
+    The logits z, an (n_d, n_s) array, hold b(d, theta) / temperature.
+    Maximizes sum_s pi_s log D_s, D_s = sum_d q_d w_ds, over the decision
+    marginal q in the simplex, with w the per-state shifted exp(z).
+    Starts at the better, by this objective, of the full-information
+    choice and the best single decision.  The objective only rises from
+    there, and the full-information choice scores at least sum_s pi_s
+    log pi_s, so no density D_s comes near zero even where weights
+    underflow.  Each iteration admits the decision with the largest g_d
+    once the current support is solved, takes the Newton direction on the
+    face sum q = 1 of the support, searches along it for the maximum
+    (`_line`), and drops a decision exactly when the step reaches q_d = 0.
+    Stops on the logit certificate g_d = sum_s pi_s w_ds / D_s: |g_d - 1|
+    <= LOGIT_TOL on the support and g_d <= 1 + LOGIT_TOL off it; raises
+    NoConvergenceError after LOGIT_MAX_ITER Newton steps.
 
     Decisions with identical weight rows solve as one and split its
     marginal equally.  Returns (q, conditionals, iterations), the last
-    the number of Newton steps per contract.
+    the number of Newton steps.
     """
-    z = np.asarray(logits, float)
-    pi = np.asarray(prior, float)
-    n, n_d, _ = z.shape
-    w = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
-    same = np.logical_and.reduce(w[:, :, None, :] == w[:, None, :, :], axis=3)
-    group = same.argmax(axis=2)
+    n_d = len(z)
+    w = np.exp(z - z.max(axis=0))
+    same = (w[:, None, :] == w[None, :, :]).all(axis=2)
+    group = same.argmax(axis=1)
     lead = group == np.arange(n_d)
-    q_out = np.zeros((n, n_d))
-    iters = np.zeros(n, dtype=int)
 
     # the full-information choice puts each state's prior mass on a
     # decision paid best there (every D_s >= pi_s); the best vertex, the
     # decision with the best expected payment, is often optimal outright
     # when information barely pays
-    best = np.where(lead[:, :, None], w, -1.0).argmax(axis=1)
-    q = (best[:, None, :] == np.arange(n_d)[:, None]) @ pi
-    top = np.where(lead, z @ pi, -np.inf).argmax(axis=1)
+    best = np.where(lead[:, None], w, -1.0).argmax(axis=0)
+    q = (best == np.arange(n_d)[:, None]) @ pi
+    top = np.where(lead, z @ pi, -np.inf).argmax()
     with np.errstate(divide="ignore"):
-        vertex = np.log(w[np.arange(n), top]) @ pi >= np.log(
-            (q[:, None, :] @ w)[:, 0]) @ pi
-    q[vertex] = np.arange(n_d) == top[vertex, None]
-    live = np.arange(n)
-    wl, lead_l, support = w, lead, q > 0
+        if np.log(w[top]) @ pi >= np.log(q @ w) @ pi:
+            q = (np.arange(n_d) == top).astype(float)
+    support = q > 0
     for it in range(LOGIT_MAX_ITER + 1):
-        dens = (q[:, None, :] @ wl)[:, 0]
+        dens = q @ w
         ratio = pi / dens
-        gap = (wl @ ratio[:, :, None])[:, :, 0] - 1.0
-        face = np.maximum.reduce(np.abs(gap) * support, axis=1)
-        outside = np.where(support | ~lead_l, -np.inf, gap)
-        enter = outside.argmax(axis=1)
-        rows = np.arange(len(live))
-        solved = (face <= LOGIT_TOL) & (outside[rows, enter] <= LOGIT_TOL)
-        if solved.all():
-            q_out[live] = q
+        gap = w @ ratio - 1.0
+        face = (np.abs(gap) * support).max()
+        outside = np.where(support | ~lead, -np.inf, gap)
+        enter = outside.argmax()
+        if face <= LOGIT_TOL and outside[enter] <= LOGIT_TOL:
             break
-        if solved.any():
-            q_out[live[solved]] = q[solved]
-            keep = ~solved
-            live, q, wl, lead_l, support = (live[keep], q[keep], wl[keep],
-                                            lead_l[keep], support[keep])
-            dens, ratio, gap, face, enter = (dens[keep], ratio[keep], gap[keep],
-                                             face[keep], enter[keep])
-            rows = rows[:len(live)]
         if it == LOGIT_MAX_ITER:
-            raise NoConvergenceError(
-                f"logit kernel not certified after {LOGIT_MAX_ITER} Newton steps "
-                f"(certificate gap {max(face.max(), gap.max()):.3e})"
-            )
-        iters[live] += 1
-        admit = face <= LOGIT_TOL
-        support[rows[admit], enter[admit]] = True
+            raise NoConvergenceError(f"logit kernel not certified after {LOGIT_MAX_ITER} "
+                                     f"Newton steps (certificate gap {max(face, gap.max()):.3e})")
+        if face <= LOGIT_TOL:
+            support[enter] = True
 
         if n_d == 2:
             # the face is a segment: its direction, scaled by the line search
-            step = np.sign(gap[:, :1] - gap[:, 1:]) * _SEGMENT
+            step = np.sign(gap[0] - gap[1]) * _SEGMENT
         else:
             # Newton direction on the face sum q = 1, in the coordinates of
             # the support less its largest decision r (whose step is minus the
@@ -146,44 +126,36 @@ def _logit_kernel(logits, prior):
             # 1e-12 ridge: decisions paid almost alike make it singular, and
             # the step then runs along their difference to the boundary,
             # where one of them drops.
-            ref = q.argmax(axis=1)
-            hess = (wl * (ratio / dens)[:, None, :]) @ wl.transpose(0, 2, 1)
-            free = support.copy()
-            free[rows, ref] = False
+            ref = q.argmax()
+            hess = (w * (ratio / dens)) @ w.T
+            free = support & (np.arange(n_d) != ref)
             # (off the support M_dd can underflow to 0)
-            unit = np.divide(1.0, np.sqrt(np.diagonal(hess, axis1=1, axis2=2)),
-                             out=np.zeros_like(q), where=free)
-            cross = hess[rows, ref]
-            hess = (hess - cross[:, :, None] - cross[:, None, :]
-                    + cross[rows, ref][:, None, None])
+            unit = np.divide(1.0, np.sqrt(hess.diagonal()), out=np.zeros_like(q), where=free)
+            hess = hess - hess[ref][:, None] - hess[ref] + hess[ref, ref]
             reduced = 1e-12 * np.eye(n_d) + np.where(
-                free[:, :, None] & free[:, None, :],
-                hess * unit[:, :, None] * unit[:, None, :],
-                np.eye(n_d) * ~free[:, None, :])
-            rhs = (gap - gap[rows, ref][:, None]) * unit
-            step = np.linalg.solve(reduced, rhs[:, :, None])[:, :, 0] * unit
-            step[rows, ref] = -np.add.reduce(step, axis=1)
+                free[:, None] & free[None, :], hess * unit[:, None] * unit[None, :],
+                np.eye(n_d) * ~free)
+            step = np.linalg.solve(reduced, (gap - gap[ref]) * unit) * unit
+            step[ref] = -step.sum()
 
-        shrink = support & (step < 0)
-        limit = np.divide(q, -step, out=np.full_like(q, np.inf), where=shrink)
-        block = limit.argmin(axis=1)
-        t_max = limit[rows, block]
-        t = _line((step[:, None, :] @ wl)[:, 0] / dens, pi, t_max)
-        q = q + t[:, None] * step
-        hit = t == t_max
-        q[rows[hit], block[hit]] = 0.0
+        limit = np.divide(q, -step, out=np.full_like(q, np.inf), where=support & (step < 0))
+        block = limit.argmin()
+        t = _line((step @ w) / dens, pi, limit[block])
+        q = q + t * step
+        if t == limit[block]:
+            q[block] = 0.0
         np.maximum(q, 0.0, out=q)
-        q /= np.add.reduce(q, axis=1, keepdims=True)
+        q /= q.sum()
         support &= q > 0
 
-    if not lead.all():
-        q_out = q_out[np.arange(n)[:, None], group] / same.sum(axis=2)
-    joint = q_out[:, :, None] * w
-    return q_out, joint / np.add.reduce(joint, axis=1, keepdims=True), iters
+    q = q[group] / same.sum(axis=1)
+    joint = q[:, None] * w
+    return q, joint / joint.sum(axis=0), it
 
 
 def _line(rel, pi, t_max):
-    """Step length maximizing sum_s pi_s log(1 + t rel_s) over [0, t_max].
+    """Step length maximizing sum_s pi_s log(1 + t rel_s) over [0, t_max],
+    for one contract's relative density changes rel along a step.
 
     With two states the root of the derivative sum_s pi_s rel_s / (1 + t
     rel_s) is closed form.  Otherwise the derivative P(t) - N(t) splits
@@ -194,17 +166,13 @@ def _line(rel, pi, t_max):
     Far steps do not crawl as Newton steps on P - N would.  Returns t_max
     when the objective still rises there.
     """
-    if rel.shape[1] == 2:
-        cross = rel[:, 0] * rel[:, 1]
-        root = np.divide(rel @ pi, -cross * pi.sum(), out=np.full_like(t_max, np.inf),
-                         where=cross < 0)
-        return np.minimum(root, t_max)
+    if len(rel) == 2:
+        cross = rel[0] * rel[1]
+        return min(rel @ pi / (-cross * pi.sum()), t_max) if cross < 0 else t_max
     rises = pi * (rel > 0)
     falls = pi * (rel < 0)
-    lo = np.zeros_like(t_max)
-    hi = t_max
-    top = t_max
-    t = lo
+    t = lo = 0.0
+    hi = top = t_max
     f = rel
     # a state whose density reaches zero at t_max gives inf and nan
     # values there, which the bracket then excludes
@@ -212,27 +180,30 @@ def _line(rel, pi, t_max):
         for _ in range(LINE_MAX_ITER):
             pf = rises * f
             nf = falls * f
-            p = np.add.reduce(pf, axis=1)
-            n = -np.add.reduce(nf, axis=1)
+            p = pf.sum()
+            n = -nf.sum()
             slope = p - n
-            done = (np.abs(slope) <= LINE_TOL * p) | ((slope >= 0) & (t == t_max))
-            if done.all():
+            if abs(slope) <= LINE_TOL * p or (slope >= 0 and t == t_max):
                 return t
-            up = slope > 0
-            lo = np.where(up, t, lo)
-            hi = np.where(up, hi, t)
-            top = np.where(up | (t < top), top, np.inf)
+            if slope > 0:
+                lo = t
+            else:
+                hi = t
+                if t >= top:
+                    top = np.inf
             # root of P / (1 + d a) = N / (1 - d b), a = -P'/P, b = N'/N
-            dp = np.add.reduce(pf * f, axis=1)
-            dn = np.add.reduce(nf * f, axis=1)
+            dp = (pf * f).sum()
+            dn = (nf * f).sum()
             den = p * p * dn + n * n * dp
-            guess = t + np.divide(slope * p * n, den, out=np.full_like(t, np.inf),
-                                  where=den > 0)
-            guess = np.where(up & (guess >= top), t_max,
-                             np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi)))
-            t = np.where(done, t, guess)
-            f = rel / (1.0 + t[:, None] * rel)
-    return np.where(slope > 0, t, lo)
+            guess = t + slope * p * n / den if den > 0 else np.inf
+            if slope > 0 and guess >= top:
+                t = t_max
+            elif lo < guess < hi:
+                t = guess
+            else:
+                t = 0.5 * (lo + hi)
+            f = rel / (1.0 + t * rel)
+    return t if slope > 0 else lo
 
 
 def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolution:
@@ -246,15 +217,14 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolutio
         raise ValueError("capacity dual mu must be nonnegative")
     pi = np.asarray(prior, float)
     temp = scale * (1.0 + mu)
-    q, cond, iters = _logit_kernel(b.payments[None] / temp, pi)
-    q, cond = q[0], cond[0]
+    q, cond, iters = _logit_kernel(b.payments / temp, pi)
     exp = Experiment(cond)
     cost = CostModel("entropy", scale).value(exp, pi)
     e_b = float(np.sum(cond * pi[None, :] * b.payments))
     residual, rho = _logit_residual(b.payments, pi, temp, q, cond)
     return AgentSolution(experiment=exp, mu=float(mu), rho=rho,
                          value=e_b - cost, cost=cost,
-                         iterations=int(iters[0]), residual=residual)
+                         iterations=iters, residual=residual)
 
 
 def _logit_residual(payments, pi, temp, q, cond):

@@ -19,8 +19,8 @@ codes:
   utility of the full-output contract under the capacity;
 * 4 the binding pattern has no sign-consistent solution
   (`NoPatternFoundError`), which includes every contract request under a
-  tabulated uncertainty function and a reservation request on an output
-  below 0;
+  tabulated uncertainty function, and a reservation request or an
+  `oracle` request on an output below 0;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes a reservation request for which neither the reduced problem
   (surplus less the agent's rent, solved on a support of decisions by an

@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import reduced
-from .agent import (_logit_kernel, agent_kkt_residual, best_response_capacity,
-                    best_response_general, best_response_shannon)
+from .agent import (agent_kkt_residual, best_response_capacity, best_response_general,
+                    best_response_shannon)
 from .errors import (BoundaryPointError, InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
@@ -41,6 +41,7 @@ from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
 
 FRONTIER_SLACK = 5e-3   # first-best targets this close outside the range clamp
 V_TOL = 1e-4            # how near a reservation answer's agent utility is to r
+_NEGATIVE_OUTPUT = "an output below 0 leaves no payment within both liability limits"
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,7 @@ def _solve_pattern(inst, xi, alpha, zeros, start):
         except np.linalg.LinAlgError:
             pass
     outcome = "no root"
-    if root is not None and np.max(np.abs(fun(root))) < _ROOT_TOL:
+    if root is not None and np.max(np.abs(fun(root)), initial=0.0) < _ROOT_TOL:
         outcome = _pattern_solution(inst, xi, alpha, zeros, cond_of(root))
         if isinstance(outcome, ContractSolution):
             return outcome
@@ -407,7 +408,7 @@ def _newton(fun, x0, tol):
     if not np.all(np.isfinite(f)):
         return None
     for _ in range(50):
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f), initial=0.0) < tol:
             return x
         try:
             step = np.linalg.solve(_jacobian(fun, x, f), -f)
@@ -428,7 +429,7 @@ def _newton(fun, x0, tol):
             if t < 1e-3:
                 return None
         x, f = trial, f_trial
-    return x if np.max(np.abs(f)) < tol else None
+    return x if np.max(np.abs(f), initial=0.0) < tol else None
 
 
 def _jacobian(fun, x, f):
@@ -731,8 +732,7 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSoluti
         raise NoPatternFoundError(
             "the reservation problem needs the logit rule of the mutual-information cost")
     if np.any(inst.output < 0.0):
-        raise NoPatternFoundError("an output below 0 leaves no payment within both "
-                                  "liability limits")
+        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     if alpha is not None and not alpha > 0.0:
         raise ValueError("alpha must be positive")
     piece, capacity = (1.0, inst.capacity) if alpha is None else (float(alpha), np.inf)
@@ -773,14 +773,16 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     """Exhaustive verification oracle on a payment grid.
 
     Every payment b(d, theta) ranges over a grid in [0, y(d, theta)]; the
-    agent responds optimally (no capacity constraint), computed for the
-    whole grid in one batch by the agent's logit kernel, with decisions
-    paid identically splitting their marginal equally; the best grid
-    contract maximizes the principal's payoff subject to the agent
-    clearing utility r.  Only for tiny instances.
+    agent responds optimally (no capacity constraint), in closed form and
+    independently of the agent's solvers (`_grid_response`); the best grid
+    contract maximizes the principal's payoff subject to the agent clearing
+    utility r.  Only for at most 4 payment cells.  An output below 0, with
+    no payment within both liability limits, raises NoPatternFoundError.
     """
     if grid_n < 2:
         raise ValueError("oracle grid needs at least 2 points per payment")
+    if np.isnan(r):
+        raise ValueError("reservation utility must not be NaN")
     n_d, n_s = inst.output.shape
     if n_d * n_s > 4:
         raise TooLargeError("oracle supports at most 4 payment cells")
@@ -789,31 +791,54 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     s = inst.cost_model.logit_scale
     if s is None:
         raise TooLargeError("oracle requires a mutual-information cost model")
+    if np.any(inst.output < 0):
+        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     pi = inst.prior
 
-    axes = []
-    for d in range(n_d):
-        for st in range(n_s):
-            top = inst.output[d, st]
-            axes.append(np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0]))
+    axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])
+            for top in inst.output.ravel()]
     mesh = np.meshgrid(*axes, indexing="ij")
     contracts = np.stack([m.ravel() for m in mesh], axis=1).reshape(-1, n_d, n_s)
-    q, p, _ = _logit_kernel(contracts / s, pi)
+    q, p = _grid_response(contracts / s, pi)
 
     joint = p * pi[None, None, :]
     e_y = np.sum(joint * inst.output[None], axis=(1, 2))
     e_b = np.sum(joint * contracts, axis=(1, 2))
-    safe = np.maximum(p, 1e-300)
-    ratio = np.log(safe / np.maximum(q[:, :, None], 1e-300))
+    ratio = np.log(np.maximum(p, 1e-300) / np.maximum(q[:, :, None], 1e-300))
     info = np.sum(np.where(p > 1e-300, joint * ratio, 0.0), axis=(1, 2))
-    cost = s * info
-    v_a = e_b - cost
-    principal = np.where(v_a >= r - 1e-12, e_y - e_b, -np.inf)
+    principal = np.where(e_b - s * info >= r - 1e-12, e_y - e_b, -np.inf)
     best = int(np.argmax(principal))
     if not np.isfinite(principal[best]):
         raise OutOfRangeError(f"no grid contract attains agent utility {r}")
     cond = p[best] / p[best].sum(axis=0, keepdims=True)
     return Contract(contracts[best]), Experiment(cond)
+
+
+def _grid_response(logits, pi):
+    """Logit best responses to a stack of grid contracts, in closed form:
+    `logits` (n, n_d, n_s) holds b / s; returns the marginals q and the
+    conditionals.  With one decision or one state no information pays, and
+    the agent splits equally among the decisions of the best expected
+    payment.  With two of each, q_1 maximizes the concave sum_s pi_s
+    log(c_s + q_1 delta_s), for w = exp(logits) shifted per state, c = w_2
+    and delta = w_1 - w_2: where the deltas differ in sign it is the root
+    of the first-order condition, clipped to [0, 1]; else 1 or 0 as
+    decision 1 dominates or is dominated, and 1/2 for identical rows.
+    """
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    if 1 in logits.shape[1:]:
+        e_b = logits @ pi
+        best = e_b == e_b.max(axis=1, keepdims=True)
+        q = best / best.sum(axis=1, keepdims=True)
+    else:
+        delta, c = w[:, 0] - w[:, 1], w[:, 1]
+        across = delta[:, 0] * delta[:, 1]
+        root = np.divide(delta[:, 0] * c[:, 1] * pi[0] + delta[:, 1] * c[:, 0] * pi[1],
+                         -across * pi.sum(), out=np.zeros(len(w)), where=across < 0)
+        q1 = np.where(across < 0, np.clip(root, 0.0, 1.0), 0.5 + 0.5 * np.sign(delta.sum(axis=1)))
+        q = np.stack([q1, 1.0 - q1], axis=1)
+    joint = q[:, :, None] * w
+    return q, joint / joint.sum(axis=1, keepdims=True)
 
 
 def gamma_risk_averse(p: Experiment, prior, model, lam, xi, b: Contract,

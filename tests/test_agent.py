@@ -440,6 +440,21 @@ def test_logit_duplicate_rows(problem, pick, mu, offset):
     assert sol.residual <= 1e-9
 
 
+def test_logit_kernel_splits_identical_rows_equally():
+    # all-zero logits: every decision is paid the same, no step is taken
+    q, cond, iters = agent._logit_kernel(np.zeros((2, 2)), PI)
+    assert np.array_equal(q, np.full(2, 0.5))
+    assert np.array_equal(cond, np.full((2, 2), 0.5))
+    assert iters == 0
+    # two equal rows out of three share the marginal of the one they solve as
+    z = np.array([[0.0, 3.0], [2.0, 0.5], [0.0, 3.0]])
+    q, cond, _ = agent._logit_kernel(z, PI)
+    assert q[0] == q[2] > 0.0
+    assert np.array_equal(cond[0], cond[2])
+    assert abs(q.sum() - 1.0) <= 1e-15
+    assert _logit_gap(z, PI, cond, 1.0) <= 1e-9
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_logit_problems(max_scale=1.0), st.floats(1e-4, 0.3))
 def test_logit_certificate_where_information_barely_pays(problem, size):

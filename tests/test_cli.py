@@ -309,6 +309,30 @@ def test_too_large_exit_code(tmp_path, capsys):
     _one_error_line(capsys.readouterr().err, "too large")
 
 
+def test_oracle_refuses_an_output_below_zero(tmp_path, capsys):
+    # the oracle paid 0 in the -1 cell, outside the limit b <= y, and exited 0
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, output=[[-1.0, 10.0], [5.0, 5.0]])))
+    assert main(["oracle", "--problem", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "no binding pattern")
+    assert "an output below 0 leaves no payment within both liability limits" in captured.err
+
+
+def test_one_decision_xi_request_answers(tmp_path, capsys):
+    # the pattern system has no free cell: its empty residual once raised an
+    # untyped ValueError, a traceback under exit code 1
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, decisions=["d1"], output=[[3.0, 1.0]],
+                                    prior=[0.5, 0.5])))
+    for xi in ("0", "0.5", "1"):
+        assert main(["solve-contract", "--problem", str(path), "--xi", xi]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["contract"] == [[0.0, 0.0]]
+        assert out["residual"] == 0.0
+
+
 @pytest.mark.parametrize("problem", [
     # three states: the figure export is two-state only
     dict(EXAMPLE_PROBLEM, states=["a", "b", "c"], output=[[0.0, 10.0, 1.0], [5.0, 5.0, 5.0]],

@@ -22,7 +22,6 @@ from infocontracts import (BregmanMatrixCost, Contract, Experiment,
                            first_best_frontier, gamma_from_duals,
                            gamma_risk_averse, gamma_risk_averse_hw, marginal,
                            second_best_solve, solve_for_reservation)
-from infocontracts.agent import _logit_kernel
 from conftest import comparative_advantage_instance
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
@@ -273,6 +272,25 @@ def test_short_oracle_grid_and_negative_piece_rate_raise(example):
             second_best_solve(example, 0.0, alpha)
 
 
+def test_oracle_refuses_an_output_below_zero():
+    # it paid 0 in the -1 cell, outside the limit b <= y
+    inst = ProblemInstance(("d1", "d2"), ("s", "t"), [[-1.0, 10.0], [5.0, 5.0]], PI, 0.5,
+                           ShannonCost())
+    with pytest.raises(NoPatternFoundError,
+                       match="an output below 0 leaves no payment within both liability limits"):
+        brute_force_pareto(inst)
+
+
+def test_one_decision_pattern_has_no_free_cell():
+    # np.max of the pattern system's empty residual raised ValueError
+    inst = ProblemInstance(("d1",), ("s", "t"), [[3.0, 1.0]], [0.5, 0.5], 0.5, ShannonCost())
+    for xi in (0.0, 0.5, 1.0):
+        sol = second_best_solve(inst, xi, 1.0)
+        assert np.array_equal(sol.contract.payments, np.zeros((1, 2)))
+        assert np.array_equal(sol.duals.lam, (1.0 - xi) * inst.prior[None, :])
+        assert sol.residual == 0.0
+
+
 def _oracle_grid(inst, grid_n):
     axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])
             for top in inst.output.ravel()]
@@ -280,25 +298,28 @@ def _oracle_grid(inst, grid_n):
     return np.stack([m.ravel() for m in mesh], axis=1).reshape(-1, *inst.output.shape)
 
 
-def test_oracle_kernel_batch_matches_batch_of_one(example):
-    grid = _oracle_grid(example, 9)
-    q, cond, _ = _logit_kernel(grid, example.prior)
-    for i in range(0, len(grid), 7):
-        q1, cond1, _ = _logit_kernel(grid[i:i + 1], example.prior)
-        assert np.max(np.abs(q1[0] - q[i])) <= 1e-12
-        assert np.max(np.abs(cond1[0] - cond[i])) <= 1e-12
-    # the batch-of-one call is the agent's own solver
-    for i in (0, 100, 400, len(grid) - 1):
-        sol = best_response_shannon(Contract(grid[i]), example.prior)
-        assert np.max(np.abs(sol.experiment.conditionals - cond[i])) <= 1e-12
+def _oracle_cases(example):
+    rng = np.random.default_rng(12)
+    draws = [ProblemInstance(("a", "b"), ("s", "t"), rng.uniform(0.0, 10.0, (2, 2)),
+                             rng.dirichlet([2.0, 2.0]), 1.0, ShannonCost(scale))
+             for scale in (0.3, 2.0)]
+    column = ProblemInstance(("a", "b", "c", "d"), ("s",), [[3.0], [1.0], [3.0], [2.0]],
+                             [1.0], 1.0, ShannonCost(0.5))
+    row = ProblemInstance(("a",), ("s", "t", "u", "v"), [[3.0, 1.0, 4.0, 2.0]],
+                          [0.1, 0.2, 0.3, 0.4], 1.0, ShannonCost(0.5))
+    return [example, *draws, column, row]
 
 
-def test_oracle_kernel_splits_ties_equally(example):
-    # at b = 0 both decisions pay the same: the marginal splits evenly
-    q, cond, iters = _logit_kernel(np.zeros((3, 2, 2)), example.prior)
-    assert np.array_equal(q, np.full((3, 2), 0.5))
-    assert np.array_equal(cond, np.full((3, 2, 2), 0.5))
-    assert np.all(iters == 0)
+def test_oracle_response_matches_the_agent_solver(example):
+    # the oracle's closed-form responses against the agent's Newton kernel
+    for inst in _oracle_cases(example):
+        s = inst.cost_model.logit_scale
+        grid = _oracle_grid(inst, 5)
+        q, cond = contracts._grid_response(grid / s, inst.prior)
+        for i, payments in enumerate(grid):
+            sol = best_response_shannon(Contract(payments), inst.prior, scale=s)
+            assert np.max(np.abs(sol.experiment.conditionals - cond[i])) <= 1e-12
+            assert np.max(np.abs(sol.experiment.conditionals @ inst.prior - q[i])) <= 1e-12
 
 
 @pytest.mark.parametrize("target, contract", [
@@ -871,6 +892,8 @@ def test_nan_utility_is_refused(example):
         alpha_star(example, np.nan)
     with pytest.raises(ValueError, match="NaN"):
         first_best_frontier(example, np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        brute_force_pareto(example, np.nan)
 
 
 def _off_target(monkeypatch):
