@@ -211,20 +211,49 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolutio
 
     Solves p(d|theta) proportional to p(d) exp(b(d,theta)/(scale (1+mu)))
     with marginal consistency by the Newton kernel `_logit_kernel`;
-    decisions outside the consideration set get exactly zero.
+    decisions outside the consideration set get exactly zero.  Raises
+    ValueError, before any solve, for a mu that is negative or NaN and a
+    scale that is not positive (NaN included).
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("capacity dual mu must be nonnegative")
+    model = CostModel("entropy", scale)
     pi = np.asarray(prior, float)
-    temp = scale * (1.0 + mu)
+    return _certified(b, pi, _logit_solve(b, pi, mu, model))
+
+
+class _LogitSolve(NamedTuple):
+    """A logit best response before certification: the kernel's marginal
+    q and experiment at temperature temp, its cost and value (E[b] -
+    cost), and the kernel's Newton steps."""
+
+    experiment: Experiment
+    q: np.ndarray
+    mu: float
+    temp: float
+    cost: float
+    value: float
+    iterations: int
+
+
+def _logit_solve(b, pi, mu, model):
+    """One kernel solve at capacity dual mu under a model with a
+    `logit_scale`, without the certificate (`_certified` adds it)."""
+    temp = model.logit_scale * (1.0 + mu)
     q, cond, iters = _logit_kernel(b.payments / temp, pi)
     exp = Experiment(cond)
-    cost = CostModel("entropy", scale).value(exp, pi)
+    cost = model.value(exp, pi)
     e_b = float(np.sum(cond * pi[None, :] * b.payments))
-    residual, rho = _logit_residual(b.payments, pi, temp, q, cond)
-    return AgentSolution(experiment=exp, mu=float(mu), rho=rho,
-                         value=e_b - cost, cost=cost,
-                         iterations=iters, residual=residual)
+    return _LogitSolve(exp, q, float(mu), temp, cost, e_b - cost, iters)
+
+
+def _certified(b, pi, sol):
+    """The AgentSolution of a logit solve, with its KKT residual and rho."""
+    residual, rho = _logit_residual(b.payments, pi, sol.temp, sol.q,
+                                    sol.experiment.conditionals)
+    return AgentSolution(experiment=sol.experiment, mu=sol.mu, rho=rho,
+                         value=sol.value, cost=sol.cost,
+                         iterations=sol.iterations, residual=residual)
 
 
 def _logit_residual(payments, pi, temp, q, cond):
@@ -265,35 +294,48 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     one step after a solve there returns an end's experiment) or the
     bracket closes, the cost jumps at that t, and `_mixture` of the two
     ends spends the capacity (Everett 1963).  A model with a
-    `logit_scale` takes the logit route at every t; otherwise the search
-    runs on the penalized problem with the cost scaled by 1/t.  Raises
+    `logit_scale` takes the logit route at every t (`_logit_solve`), whose
+    iterates carry only the kernel's output, cost and value: only the
+    answer, or the two ends of a mixture, is certified (`_certified`, as
+    in `best_response_shannon`).  Otherwise the search runs on the
+    penalized problem with the cost scaled by 1/t.  Raises `ValueError`
+    for a capacity or `cost_tol` that is not positive (NaN included) and
     `NoConvergenceError` after `CAPACITY_MAX_SOLVES` solves.
     """
-    if capacity <= 0:
+    if not capacity > 0:
         raise ValueError("capacity must be positive")
+    if not cost_tol > 0:
+        raise ValueError("cost_tol must be positive")
     pi = np.asarray(prior, float)
     logit_scale = model.logit_scale
 
     def solve(t):
         mu = (1.0 - t) / t
         if logit_scale is not None:
-            return best_response_shannon(b, pi, mu=mu, scale=logit_scale)
+            return _logit_solve(b, pi, mu, model)
         return best_response_general(b, pi, model, mu)
+
+    def certified(sol):
+        return sol if logit_scale is None else _certified(b, pi, sol)
+
+    def mixture(t):
+        return _mixture(b, pi, model, certified(above.sol), certified(below.sol),
+                        capacity, cost_tol, t)
 
     free = solve(1.0)
     if free.cost <= capacity:
-        return free
+        return certified(free)
     onset = 0.0 if logit_scale is None else logit_scale * _onset(b.payments, pi)
     if not onset < 1.0:
         # no information pays even at t = 1: the free cost is rounding
-        return free
+        return certified(free)
 
     below = _End(onset, None, 0.0, float(np.max(b.payments @ pi)))
     above = _End(1.0, free, free.cost, free.value + free.cost)
     t, sol, last = 1.0, free, math.inf
     for _ in range(CAPACITY_MAX_SOLVES):
         if below.sol is not None and above.t - below.t <= 1e-15 * above.t:
-            return _mixture(b, pi, model, above.sol, below.sol, capacity, cost_tol, above.t)
+            return mixture(above.t)
         step = math.nan
         # a step that did not halve the excess falls back on the meeting
         excess = abs(sol.cost - capacity)
@@ -309,13 +351,12 @@ def best_response_capacity(b: Contract, prior, capacity, model,
             if above.e_b > below.e_b:
                 cross = (above.cost - below.cost) / (above.e_b - below.e_b)
             if below.sol is not None and (cross <= below.t or cross >= above.t):
-                jump = below.t if cross <= below.t else above.t
-                return _mixture(b, pi, model, above.sol, below.sol, capacity, cost_tol, jump)
+                return mixture(below.t if cross <= below.t else above.t)
             step = cross if below.t < cross < above.t else 0.5 * (below.t + above.t)
         t = step
         sol = solve(t)
         if abs(sol.cost - capacity) < cost_tol:
-            return sol
+            return certified(sol)
         end = _End(t, sol, sol.cost, sol.value + sol.cost)
         if sol.cost > capacity:
             above = end
@@ -327,11 +368,11 @@ def best_response_capacity(b: Contract, prior, capacity, model,
 
 
 class _End(NamedTuple):
-    """An end of the capacity search's bracket: t, the solution there
-    (None for the onset, which is not solved), its cost and E[b]."""
+    """An end of the capacity search's bracket: t, the solve there (None
+    for the onset, which is not solved), its cost and E[b]."""
 
     t: float
-    sol: AgentSolution | None
+    sol: _LogitSolve | AgentSolution | None
     cost: float
     e_b: float
 
@@ -479,7 +520,7 @@ def best_response_general(b: Contract, prior, model, mu=0.0) -> AgentSolution:
     if b.n_states != 2:
         raise DimensionMismatchError(
             f"a tabulated uncertainty function needs two states, got {b.n_states}")
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("capacity dual mu must be nonnegative")
     if not mu:
         return _table_two_state(b, pi, model)

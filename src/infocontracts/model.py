@@ -42,10 +42,11 @@ class Experiment:
         p = _frozen(self.conditionals)
         if p.ndim != 2:
             raise DimensionMismatchError("experiment must be a 2-d matrix")
-        if np.any(p < -SIMPLEX_TOL) or np.any(p > 1 + SIMPLEX_TOL):
+        # one pass each for the range and the column sums; NaN fails both
+        if not (p.min(initial=0.0) >= -SIMPLEX_TOL and p.max(initial=1.0) <= 1 + SIMPLEX_TOL):
             raise ValueError("experiment entries must lie in [0, 1]")
         col = p.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > 1e-12):
+        if not np.abs(col - 1.0).max(initial=0.0) <= 1e-12:
             raise ValueError(f"experiment columns must sum to 1, got {col}")
         object.__setattr__(self, "conditionals", p)
 
@@ -101,10 +102,10 @@ class Garbling:
         g = _frozen(self.matrix)
         if g.ndim != 2:
             raise DimensionMismatchError("garbling must be a 2-d matrix")
-        if np.any(g < 0):
+        if not g.min(initial=0.0) >= 0:
             raise ValueError("garbling entries must be nonnegative")
         rows = g.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
+        if not np.abs(rows - 1.0).max(initial=0.0) <= 1e-9:
             raise ValueError(f"garbling rows must sum to 1, got {rows}")
         object.__setattr__(self, "matrix", g)
 

@@ -3,10 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from infocontracts import (AgentSolution, BoundaryPointError,
+from infocontracts import (BoundaryPointError,
                            BregmanMatrixCost, Contract, DimensionMismatchError,
                            Experiment, NoConvergenceError,
                            PosteriorSeparableCost, ShannonCost, agent,
@@ -341,11 +341,12 @@ def test_logit_certified_where_weights_underflow(y, scale):
 
 
 def _jumping_solve(jump_mu, low_cost):
-    def solve(b, pi, mu=0.0, scale=1.0):
+    # a stand-in for the capacity search's per-iterate logit solve
+    def solve(b, pi, mu, model):
         cost = 1.0 if mu < jump_mu else low_cost
-        return AgentSolution(experiment=Experiment(np.eye(2)), mu=mu,
-                             rho=np.zeros(2), value=-cost, cost=cost,
-                             iterations=0, residual=0.0)
+        return agent._LogitSolve(experiment=Experiment(np.eye(2)), q=np.asarray(pi),
+                                 mu=mu, temp=model.logit_scale * (1.0 + mu),
+                                 cost=cost, value=-cost, iterations=0)
     return solve
 
 
@@ -353,7 +354,7 @@ def test_capacity_jump_returns_the_end_within_capacity(monkeypatch):
     # the cost jumps from 1.0 to 0.5 at mu = 1, across the capacity 0.8:
     # the bracket closes there, and the end above the capacity (nearer to
     # it) was once returned
-    monkeypatch.setattr(agent, "best_response_shannon", _jumping_solve(1.0, 0.5))
+    monkeypatch.setattr(agent, "_logit_solve", _jumping_solve(1.0, 0.5))
     sol = best_response_capacity(Y, PI, 0.8, ShannonCost())
     assert sol.cost == 0.5
     assert abs(sol.mu - 1.0) <= 1e-12
@@ -366,11 +367,11 @@ def test_capacity_bracket_stays_finite(monkeypatch):
     solves = []
     jumping = _jumping_solve(np.inf, 0.0)
 
-    def counted(b, pi, mu=0.0, scale=1.0):
+    def counted(b, pi, mu, model):
         solves.append(mu)
-        return jumping(b, pi, mu=mu, scale=scale)
+        return jumping(b, pi, mu, model)
 
-    monkeypatch.setattr(agent, "best_response_shannon", counted)
+    monkeypatch.setattr(agent, "_logit_solve", counted)
     with pytest.raises(NoConvergenceError):
         best_response_capacity(Y, PI, 0.8, ShannonCost())
     assert len(solves) <= agent.CAPACITY_MAX_SOLVES + 1
@@ -692,15 +693,16 @@ def _wall_time(call):
 # the capacity search: Newton steps in t = 1/(1 + mu) on the exact slope
 
 
-def _counting_shannon():
-    """A wrapper of `best_response_shannon` that records every call, the
-    boundary at which a capacity search's inner solves are counted."""
+def _counting_solves():
+    """A wrapper of `agent._logit_solve` that records the dual mu of every
+    call, the boundary at which a capacity search's inner solves are
+    counted."""
     calls = []
-    shannon = agent.best_response_shannon
+    solve = agent._logit_solve
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("mu"))
-        return shannon(*args, **kwargs)
+    def counted(b, pi, mu, model):
+        calls.append(mu)
+        return solve(b, pi, mu, model)
     return calls, counted
 
 
@@ -756,10 +758,10 @@ def test_onset_is_where_information_starts_to_pay(shape):
 @pytest.mark.parametrize("capacity", [0.5, 0.05, 1e-3, 1e-7])
 def test_capacity_search_on_the_worked_example_is_short(capacity):
     # the doubling and Illinois search took 9, 13, 17 and 27 solves
-    calls, counted = _counting_shannon()
-    with mock.patch.object(agent, "best_response_shannon", counted):
+    calls, counted = _counting_solves()
+    with mock.patch.object(agent, "_logit_solve", counted):
         sol = best_response_capacity(Y, PI, capacity, ShannonCost())
-    assert len(calls) <= 8
+    assert 1 <= len(calls) <= 8
     assert abs(sol.cost - capacity) <= 1e-8
     assert sol.residual <= 1e-9
 
@@ -786,12 +788,70 @@ def test_capacity_search_property(problem, log_share):
     b = Contract(y)
     free = best_response_shannon(b, pi)
     capacity = 10.0 ** log_share * (free.cost if free.cost > 0 else 1.0)
-    calls, counted = _counting_shannon()
-    with mock.patch.object(agent, "best_response_shannon", counted):
+    calls, counted = _counting_solves()
+    with mock.patch.object(agent, "_logit_solve", counted):
         sol = best_response_capacity(b, pi, capacity, ShannonCost())
     cond = sol.experiment.conditionals
     uninformed = np.all(np.abs(cond - cond[:, :1]) <= 1e-12)
     assert abs(sol.cost - capacity) < 1e-8 or (uninformed and sol.cost <= capacity)
     assert sol.mu >= 0
     assert sol.residual <= 1e-9
-    assert len(calls) <= 12
+    assert 1 <= len(calls) <= 12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_logit_problems(), st.floats(-9.0, 0.2), st.sampled_from([1.0, 0.37]))
+def test_capacity_answer_is_the_logit_answer_at_its_dual(problem, log_share, scale):
+    # the search certifies only its answer, by the completion that
+    # best_response_shannon applies to its one solve: unless the answer
+    # mixes two ends (Everett), the two agree field for field
+    y, pi = problem
+    b = Contract(y)
+    free = best_response_shannon(b, pi, scale=scale)
+    capacity = 10.0 ** log_share * (free.cost if free.cost > 0 else 1.0)
+    mixed = []
+    mixture = agent._mixture
+
+    def spied(b, pi, model, above, below, *rest):
+        sol = mixture(b, pi, model, above, below, *rest)
+        mixed.append(sol is not below)
+        return sol
+
+    with mock.patch.object(agent, "_mixture", spied):
+        sol = best_response_capacity(b, pi, capacity, ShannonCost(scale))
+    assume(not any(mixed))
+    logit = best_response_shannon(b, pi, mu=sol.mu, scale=scale)
+    assert np.array_equal(sol.experiment.conditionals, logit.experiment.conditionals)
+    assert np.array_equal(sol.rho, logit.rho)
+    assert (sol.mu, sol.value, sol.cost, sol.iterations, sol.residual) == \
+        (logit.mu, logit.value, logit.cost, logit.iterations, logit.residual)
+
+
+@pytest.mark.parametrize("capacity, cost_tol", [
+    (np.nan, 1e-8), (0.5, np.nan), (0.5, 0.0), (0.5, -1e-8)])
+def test_capacity_search_refuses_nan_and_unmeetable_tolerances(capacity, cost_tol):
+    # a NaN capacity once returned an all-NaN experiment with mu = 0 and
+    # residual 3.7e-16 on the worked example; a tolerance that can never be
+    # met ran the search until its bracket closed
+    with pytest.raises(ValueError, match="must be positive"):
+        best_response_capacity(Y, PI, capacity, ShannonCost(), cost_tol)
+
+
+@pytest.mark.parametrize("mu, scale", [(np.nan, 1.0), (0.0, np.nan), (0.0, 0.0),
+                                       (np.nan, np.nan)])
+def test_logit_refuses_a_nan_dual_or_scale_up_front(monkeypatch, mu, scale):
+    # these once ran LOGIT_MAX_ITER Newton steps on NaN logits and raised
+    # NoConvergenceError
+    def kernel(z, pi):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(agent, "_logit_kernel", kernel)
+    with pytest.raises(ValueError, match="must be"):
+        best_response_shannon(Y, PI, mu=mu, scale=scale)
+
+
+@pytest.mark.parametrize("model", [ShannonCost(), _table(QUAD_KNOTS, QUAD_VALUES)])
+def test_general_refuses_a_nan_dual(monkeypatch, model):
+    monkeypatch.setattr(agent, "_logit_kernel", None)
+    with pytest.raises(ValueError, match="capacity dual mu must be nonnegative"):
+        best_response_general(Y, PI, model, np.nan)

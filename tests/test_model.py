@@ -206,3 +206,30 @@ def test_validation_errors():
                         ShannonCost())
     with pytest.raises(DimensionMismatchError):
         marginal(Experiment([[1.0], [0.0]]), PI)
+
+
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.5], [0.5, 0.5]],
+    [[np.nan, np.nan], [np.nan, np.nan]],
+    [[0.5, 0.5], [0.5, np.nan]],
+])
+def test_nan_entries_are_refused(entries):
+    # every comparison with NaN is false: both types once accepted these
+    with pytest.raises(ValueError, match=r"experiment entries must lie in \[0, 1\]"):
+        Experiment(entries)
+    with pytest.raises(ValueError, match="garbling entries must be nonnegative"):
+        Garbling(entries)
+
+
+def test_validation_messages():
+    with pytest.raises(ValueError, match=r"experiment entries must lie in \[0, 1\]"):
+        Experiment([[1.5, 0.5], [-0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"experiment columns must sum to 1, got \[0.9 1. \]"):
+        Experiment([[0.5, 0.5], [0.4, 0.5]])
+    with pytest.raises(ValueError, match="garbling entries must be nonnegative"):
+        Garbling([[1.5, -0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"garbling rows must sum to 1, got \[0.9 1. \]"):
+        Garbling([[0.5, 0.4], [1.0, 0.0]])
+    # entries within the tolerances pass
+    assert Experiment([[1.0 + 1e-13, 0.5], [-1e-13, 0.5]]).n_states == 2
+    assert Garbling([[1.0 + 1e-10, 0.0], [0.0, 1.0]]).matrix.shape == (2, 2)
