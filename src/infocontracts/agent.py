@@ -33,7 +33,7 @@ import numpy as np
 
 from . import geometry
 from .costs import CostModel
-from .errors import DimensionMismatchError, NoConvergenceError
+from .errors import BoundaryPointError, DimensionMismatchError, NoConvergenceError
 from .model import Contract, Experiment
 
 LOGIT_TOL = 1e-12
@@ -477,15 +477,23 @@ def agent_kkt_residual(b: Contract, prior, model, p: Experiment, mu=0.0):
     """Max within-state spread of pi(theta) b - (1+mu) dc/dp and implied rho.
 
     Decisions outside the consideration set (rows exactly zero) are
-    excluded; an entry at or below 1e-12 (`costs.INTERIOR_EPS`) on a live
-    decision is a boundary point, where the cost's gradient raises
-    BoundaryPointError.
+    excluded.  Under mutual information dc/dp is s pi(theta) log(p(d|theta)
+    / p(d)), taken in log coordinates, so that any positive entry is
+    admitted; an entry of 0 on a live decision is a boundary point and
+    raises BoundaryPointError, as does, for any other cost, an entry at or
+    below 1e-12 (`costs.INTERIOR_EPS`), where its gradient is undefined.
     """
     pi = np.asarray(prior, float)
     cond = p.conditionals
     active = np.flatnonzero(cond.any(axis=1))
-    sub = Experiment(cond[active] / cond[active].sum(axis=0, keepdims=True))
-    grad = model.gradient(sub, pi)
+    live = cond[active]
+    if model.logit_scale is None:
+        grad = model.gradient(Experiment(live / live.sum(axis=0, keepdims=True)), pi)
+    elif np.min(live) <= 0.0:
+        raise BoundaryPointError("experiment entry 0 on a decision taken; the "
+                                 "mutual-information gradient is undefined there")
+    else:
+        grad = model.logit_scale * pi * (np.log(live) - np.log(live @ pi)[:, None])
     vals = pi[None, :] * b.payments[active] - (1.0 + mu) * grad
     residual = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
     return residual, vals.mean(axis=0)

@@ -12,9 +12,8 @@ multiplier sums sum_d lambda(d,theta) = (1-xi) pi(theta) as one root in
 the experiment's logits (`_newton`).  gamma is the distortion in closed
 form, s sum_theta' lambda(d,theta') / p(d) - s lambda(d,theta) /
 (p(d|theta) pi(theta)), a decision-dependent transfer where lambda = 0
-(Result 4); `gamma_from_duals` certifies it against the Hessian
-contraction.  A root that fails a sign, feasibility or KKT check raises
-NoPatternFoundError.
+(Result 4), which `gamma_from_duals` evaluates.  A root that fails a
+sign, feasibility or KKT check raises NoPatternFoundError.
 
 A reservation utility r is one reduced problem (`reduced`): an experiment
 on a support of decisions and one level per state, maximizing alpha E_p y
@@ -41,6 +40,7 @@ from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
 
 FRONTIER_SLACK = 5e-3   # first-best targets this close outside the range clamp
 V_TOL = 1e-4            # how near a reservation answer's agent utility is to r
+_ORACLE_SLICE = 1 << 14  # grid contracts the oracle holds at once
 _NEGATIVE_OUTPUT = "an output below 0 leaves no payment within both liability limits"
 
 
@@ -491,10 +491,11 @@ def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu=0.0):
 def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
     """Evaluate the optimal-distortion formula from multipliers.
 
-    For Shannon-form costs the closed-form reduction (decision penalty
-    minus the binding-cell correction) is cross-checked against the
-    Hessian contraction; disagreement raises.  A decision never taken
-    (p(d) = 0) has no distortion: its row is 0.
+    Under mutual information it is the closed form s sum_theta'
+    lambda(d,theta') / p(d) - s lambda(d,theta) / (p(d|theta) pi(theta)),
+    which needs every entry of a decision taken above 0, however small;
+    other costs contract the multipliers with the cost's Hessian.  A
+    decision never taken (p(d) = 0) has no distortion: its row is 0.
     """
     pi = np.asarray(prior, float)
     lam = np.asarray(lam, float)
@@ -504,19 +505,14 @@ def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
         gamma = np.zeros(cond.shape)
         gamma[used] = gamma_from_duals(Experiment(cond[used]), pi, model, lam[used], xi)
         return gamma
-    hess = model.hessian(p, pi)
-    phi = cond * (1.0 - xi) - lam / pi[None, :]
-    general = (hess @ phi.ravel()).reshape(cond.shape) / pi[None, :]
     s = model.logit_scale
-    if s is not None:
-        m = cond @ pi
-        reduced = (s * lam.sum(axis=1) / m)[:, None] - s * lam / (cond * pi[None, :])
-        if np.max(np.abs(reduced - general)) > 1e-6:
-            raise InconsistentProfileError(
-                "Shannon reduced-form distortion disagrees with the Hessian contraction"
-            )
-        return reduced
-    return general
+    if s is None:
+        phi = cond * (1.0 - xi) - lam / pi[None, :]
+        return (model.hessian(p, pi) @ phi.ravel()).reshape(cond.shape) / pi[None, :]
+    if np.min(cond) <= 0.0:
+        raise BoundaryPointError("a decision taken in some states only has no "
+                                 "mutual-information distortion")
+    return (s * lam.sum(axis=1) / (cond @ pi))[:, None] - s * lam / (cond * pi[None, :])
 
 
 def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
@@ -797,21 +793,29 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
 
     axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])
             for top in inst.output.ravel()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    contracts = np.stack([m.ravel() for m in mesh], axis=1).reshape(-1, n_d, n_s)
-    q, p = _grid_response(contracts / s, pi)
-
-    joint = p * pi[None, None, :]
-    e_y = np.sum(joint * inst.output[None], axis=(1, 2))
-    e_b = np.sum(joint * contracts, axis=(1, 2))
-    ratio = np.log(np.maximum(p, 1e-300) / np.maximum(q[:, :, None], 1e-300))
-    info = np.sum(np.where(p > 1e-300, joint * ratio, 0.0), axis=(1, 2))
-    principal = np.where(e_b - s * info >= r - 1e-12, e_y - e_b, -np.inf)
-    best = int(np.argmax(principal))
-    if not np.isfinite(principal[best]):
+    shape = tuple(len(axis) for axis in axes)
+    total = int(np.prod(shape))
+    best, found = -np.inf, None
+    # slices in the grid's row-major order, keeping the first best, give
+    # the answer of one pass over the whole grid in bounded memory
+    for first in range(0, total, _ORACLE_SLICE):
+        cells = np.unravel_index(np.arange(first, min(first + _ORACLE_SLICE, total)), shape)
+        contracts = np.stack([axis[i] for axis, i in zip(axes, cells)],
+                             axis=1).reshape(-1, n_d, n_s)
+        q, p = _grid_response(contracts / s, pi)
+        joint = p * pi[None, None, :]
+        e_y = np.sum(joint * inst.output[None], axis=(1, 2))
+        e_b = np.sum(joint * contracts, axis=(1, 2))
+        ratio = np.log(np.maximum(p, 1e-300) / np.maximum(q[:, :, None], 1e-300))
+        info = np.sum(np.where(p > 1e-300, joint * ratio, 0.0), axis=(1, 2))
+        principal = np.where(e_b - s * info >= r - 1e-12, e_y - e_b, -np.inf)
+        i = int(np.argmax(principal))
+        if principal[i] > best:
+            best, found = principal[i], (contracts[i], p[i])
+    if found is None:
         raise OutOfRangeError(f"no grid contract attains agent utility {r}")
-    cond = p[best] / p[best].sum(axis=0, keepdims=True)
-    return Contract(contracts[best]), Experiment(cond)
+    payments, p = found
+    return Contract(payments), Experiment(p / p.sum(axis=0, keepdims=True))
 
 
 def _grid_response(logits, pi):

@@ -153,7 +153,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
-        return float(fmt17(obj))
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

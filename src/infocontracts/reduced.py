@@ -14,7 +14,9 @@ capacity's price.
 `solve` runs a primal-dual interior-point method (Nocedal & Wright, ch.
 19; Waechter & Biegler 2006) on every decision, again without the
 decisions whose weight vanishes, and polishes the result by Newton's
-method on its active set.
+method on its active set.  The start meets the participation row where
+the liability limits allow and centres the elastic slack, so that the
+first step is not cut short by either row.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .errors import NoConvergenceError
 PENALTY = 10.0     # price of the elastic slack on the participation row
 TOL = 1e-8         # KKT error at which the interior-point method stops
 MAX_ITER = 100     # interior-point steps before it gives up
+MU_START = 0.1     # barrier parameter the start point is centred for
+ROOM = 0.1         # how far the start clears the participation row
+STALL_TOL = 1e-4   # KKT error from which a stalled solve is still polished
 
 
 class ReducedProblem:
@@ -59,7 +64,7 @@ class ReducedProblem:
         m = len(self.cells)
         # inequality rows: q >= 0, lower limits, upper limits, then the
         # participation row and v >= 0, and last the capacity, whose
-        # nonlinear part `evaluate` adds
+        # nonlinear part `evaluate` and `jacobians` add
         capped = bool(np.isfinite(capacity))
         self.rows = {"lower": k + np.arange(m), "upper": k + m + np.arange(m)}
         lin = np.zeros((k + 2 * m + 2 * self.elastic + capped, self.size))
@@ -89,8 +94,7 @@ class ReducedProblem:
         return z[:k], z[k:k + k * n].reshape(k, n), z[k + k * n:k + k * n + n]
 
     def evaluate(self, z):
-        """(objective, gradient, equalities, their Jacobian, inequalities,
-        their Jacobian) at z."""
+        """(objective, its gradient, equalities, inequalities) at z."""
         k, n, s, pi = self.k, self.n, self.s, self.pi
         q, u, c = self.split(z)
         e = np.exp(u)
@@ -104,22 +108,30 @@ class ReducedProblem:
         if self.elastic:
             phi += PENALTY * z[-1]
             grad[-1] = PENALTY
+        h = np.concatenate([post.sum(axis=1) - 1.0, q @ e - 1.0, self.jac_h[k + n:] @ z])
+        g = self.lin @ z + self.off
+        if "capacity" in self.rows:
+            g[-1] -= s * (q @ (post * u).sum(axis=1))
+        return phi, grad, h, g
+
+    def jacobians(self, z):
+        """(Jacobian of the equalities, Jacobian of the inequalities) at z."""
+        k, n, s = self.k, self.n, self.s
+        q, u, _ = self.split(z)
+        e = np.exp(u)
+        post = self.pi * e
         cu, cd, ct = self.cols
         jac_h = self.jac_h.copy()
         jac_h[cd, cu] = post.ravel()
         jac_h[k + ct, cd] = e.ravel()
         jac_h[k + ct, cu] = (q[:, None] * e).ravel()
-        h = jac_h[k + n:] @ z
-        h = np.concatenate([post.sum(axis=1) - 1.0, q @ e - 1.0, h])
-        g = self.lin @ z + self.off
-        jac_g = self.lin
-        if "capacity" in self.rows:
-            info = post * u
-            jac_g = self.lin.copy()
-            jac_g[-1, :k] = -s * info.sum(axis=1)
-            jac_g[-1, k:k + k * n] = (-s * q[:, None] * (info + post)).ravel()
-            g[-1] += q @ jac_g[-1, :k]
-        return phi, grad, h, jac_h, g, jac_g
+        if "capacity" not in self.rows:
+            return jac_h, self.lin
+        info = post * u
+        jac_g = self.lin.copy()
+        jac_g[-1, :k] = -s * info.sum(axis=1)
+        jac_g[-1, k:k + k * n] = (-s * q[:, None] * (info + post)).ravel()
+        return jac_h, jac_g
 
     def hessian(self, z, mult_h, mult_g):
         """Hessian of the Lagrangian objective - mult_h.h - mult_g.g."""
@@ -140,19 +152,27 @@ class ReducedProblem:
 
     def start(self, cond):
         """A starting point: the experiment `cond` on the support mixed with
-        the uniform one, levels a tenth of the way into the limits, and an
-        elastic slack that meets the participation row with room 1."""
+        the uniform one; levels a tenth of the way into the limits or, where
+        the participation row needs it to clear r by ROOM, further, up to
+        nine tenths; and the elastic slack at the barrier optimum of its two
+        rows for barrier parameter MU_START, the rest held."""
         p = 0.9 * cond / cond.sum(axis=0) + 0.1 / self.k
         m = p @ self.pi
         u = np.log(p / m[:, None])
         lower = np.max(-self.s * u, axis=0)
         upper = np.min(self.y - self.s * u, axis=0)
-        c = np.where(lower < upper, lower + 0.1 * (upper - lower), lower)
+        width = np.maximum(upper - lower, 0.0)
+        share = 0.1
+        if self.elastic and self.pi @ width > 0.0:
+            need = ROOM - self.off[self.rows["participation"]] - self.pi @ lower
+            share = min(max(need / (self.pi @ width), 0.1), 0.9)
+        c = lower + share * width
         z = np.concatenate([m, u.ravel(), c])
         if not self.elastic:
             return z
-        room = self.off[self.rows["participation"]] + self.pi @ c
-        return np.append(z, max(-room, 0.0) + 1.0)
+        # v minimizes PENALTY v - MU_START (log v + log(room + v))
+        half = 0.5 * (self.off[self.rows["participation"]] + self.pi @ c)
+        return np.append(z, MU_START / PENALTY - half + np.hypot(MU_START / PENALTY, half))
 
 
 def _svd(jac):
@@ -174,38 +194,48 @@ def interior_point(prob, z):
     Each step solves the condensed Newton system in the null space of the
     equality Jacobian, the reduced Hessian shifted to be positive definite
     where the problem is not convex, and searches along it on an l1 merit
-    function.  The barrier parameter falls superlinearly once its
-    subproblem is solved.  Returns (z, equality multipliers, inequality
+    function.  The barrier parameter starts at the start point's mean
+    complementarity and falls superlinearly once its subproblem is solved.
+    Line-search trials evaluate values only; derivatives are taken once
+    per accepted point, and the SVD of the equality Jacobian once per step.  Returns (z, equality multipliers, inequality
     multipliers, slacks, dropped), `dropped` marking the decisions whose
-    weight vanishes (returned as soon as that shows); None when the line
-    search stalls or MAX_ITER steps do not suffice.
+    weight vanishes (returned as soon as that shows), or None where the
+    line search stalls or MAX_ITER steps run out within STALL_TOL of a KKT
+    point, which the polish may still reach; None further away.
+    `prob.steps` counts the steps taken.
     """
     k = prob.k
-    phi, grad, h, jac_h, g, jac_g = prob.evaluate(z)
-    mu = 0.1
+    phi, grad, h, g = prob.evaluate(z)
+    jac_h, jac_g = prob.jacobians(z)
     slack = np.maximum(g, 1e-2)
-    lam = mu / slack
-    left, sv, basis, _ = _svd(jac_h)
+    lam = MU_START / slack
+    mu = float(np.mean(slack * lam))
+    factors = _svd(jac_h)   # serves the first step too
+    left, sv, basis, _ = factors
     mult = left @ ((basis.T @ (grad - jac_g.T @ lam)) / sv)   # least squares
     penalty = 1.0
-    for _ in range(MAX_ITER):
+    prob.steps = 0
+    while True:
         dual = grad - jac_h.T @ mult - jac_g.T @ lam
         gap = g - slack
         comp = slack * lam
         primal = max(np.abs(dual).max(), np.abs(h).max(), np.abs(gap).max())
         if max(primal, comp.max()) <= TOL:
             return z, mult, lam, slack, lam[:k] > slack[:k]
+        if prob.steps == MAX_ITER:
+            break
         while max(primal, np.abs(comp - mu).max()) <= 10.0 * mu and mu > 0.1 * TOL:
             mu = max(0.1 * TOL, min(0.2 * mu, mu ** 1.5))
         dropped = (z[:k] <= 10.0 * mu) & (lam[:k] > 10.0 * slack[:k])
         if mu <= 1e-3 and dropped.any():
             return z, mult, lam, slack, dropped
+        left, sv, basis, null = factors or _svd(jac_h)
+        factors = None
         sigma = lam / slack
         hess = prob.hessian(z, mult, lam) + jac_g.T @ (sigma[:, None] * jac_g)
         rhs = -dual - jac_g.T @ (sigma * gap + (comp - mu) / slack)
         if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):
-            return None
-        left, sv, basis, null = _svd(jac_h)
+            break
         dz = -basis @ ((left.T @ h) / sv)
         eig, vec = np.linalg.eigh(null.T @ hess @ null)
         floor = min(1e-6, 10.0 * mu)
@@ -231,16 +261,20 @@ def interior_point(prob, z):
         base = merit(phi, h, g, slack)
         for _ in range(40):
             out = prob.evaluate(z + step * dz)
-            if np.isfinite(out[0]) and (merit(out[0], out[2], out[4], slack + step * ds)
+            if np.isfinite(out[0]) and (merit(out[0], out[2], out[3], slack + step * ds)
                                         <= base + 1e-4 * step * slope):
                 break
             step *= 0.5
         else:
-            return None
+            break
+        prob.steps += 1
         z, slack = z + step * dz, slack + step * ds
-        phi, grad, h, jac_h, g, jac_g = out
+        phi, grad, h, g = out
+        jac_h, jac_g = prob.jacobians(z)
         lam = lam + step_dual * dlam
         mult = mult + step_dual * dmult
+    if max(primal, comp.max()) <= STALL_TOL:
+        return z, mult, lam, slack, None
     return None
 
 
@@ -261,7 +295,8 @@ def polish(prob, z, mult, lam, slack):
         full = np.zeros(len(lam))
         point, converged = z, False
         for _ in range(9):
-            _, grad, h, jac_h, g, jac_g = prob.evaluate(point)
+            _, grad, h, g = prob.evaluate(point)
+            jac_h, jac_g = prob.jacobians(point)
             jac = np.vstack([jac_h, jac_g[active]])
             res = np.concatenate([grad - jac.T @ duals, h, g[active]])
             full[active] = duals[len(mult):]
@@ -294,7 +329,8 @@ def solve(inst, r, alpha, capacity, start):
     the levels free: the answer there is the first-best contract on the
     problem's support.  Raises NoConvergenceError when the support is down
     to one decision, r is out of its reach, or the interior-point method
-    or the polish fails."""
+    or the polish fails.  `problem.steps` counts the interior-point steps
+    over every support solved."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _solve(inst, r, alpha, capacity, start)
 
@@ -309,13 +345,23 @@ def _solve(inst, r, alpha, capacity, start):
     np.add.at(cond, which.ravel(), start)
     order = np.argsort(first)
     support, cond = first[order], cond[order]
+    steps = 0
     while len(support) > 1:
         prob = ReducedProblem(inst, support, alpha, r, capacity)
         out = interior_point(prob, prob.start(cond))
+        prob.steps = steps = steps + prob.steps
         if out is None:
             raise NoConvergenceError(f"support {support.tolist()}: no interior-point solution")
         z, mult, lam, slack, dropped = out
-        if dropped.any():
+        point = None
+        if dropped is None:
+            # stalled near a KKT point: its polish stands in for convergence
+            point = polish(prob, z, mult, lam, slack)
+            if point is None:
+                raise NoConvergenceError(f"support {support.tolist()}: no interior-point "
+                                         "solution")
+            z, mult, lam = point
+        elif dropped.any():
             q, u, _ = prob.split(z)
             cond = (q[:, None] * np.exp(u))[~dropped]
             support = support[~dropped]
@@ -325,7 +371,8 @@ def _solve(inst, r, alpha, capacity, start):
                                      "out of reach")
         if prob.elastic and lam[prob.rows["participation"]] > 1.0 - 1e-6:
             return prob, None
-        point = polish(prob, z, mult, lam, slack)
+        if point is None:
+            point = polish(prob, z, mult, lam, slack)
         if point is None:
             raise NoConvergenceError(f"support {support.tolist()}: the interior-point "
                                      "solution does not polish on its active set")

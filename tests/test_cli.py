@@ -534,3 +534,41 @@ def test_all_lists_the_public_names_and_no_modules():
     defaulted = sum(param.default is not inspect.Parameter.empty
                     for fn in callables for param in inspect.signature(fn).parameters.values())
     assert defaulted <= 23
+
+
+def _round_tripped(obj):
+    """The JSON form canonical_json gave before floats were passed through
+    unchanged: each float formatted to 17 digits and parsed back."""
+    if isinstance(obj, dict):
+        return {k: _round_tripped(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return _round_tripped(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_round_tripped(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        return float(fmt17(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+@pytest.mark.parametrize("argv", [["solve-contract", "--reservation", "1.0"],
+                                  ["solve-contract", "--xi", "0.0"],
+                                  ["first-best", "--reservation", "4.0"],
+                                  ["alpha-prime"]])
+def test_stdout_unchanged_without_the_float_round_trip(problem_file, monkeypatch, capsys,
+                                                       argv):
+    # the 17-digit round trip in canonical_json is the identity on every
+    # float, so its output is byte-identical without it
+    seen = []
+    real = cli.canonical_json
+
+    def recording(obj):
+        seen.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    assert main([argv[0], "--problem", problem_file, *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert len(seen) == 1
+    assert out == json.dumps(_round_tripped(seen[0]), sort_keys=True, indent=2) + "\n"
