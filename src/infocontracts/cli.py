@@ -17,15 +17,15 @@ codes:
 * 3 requested utility outside the achievable range (`OutOfRangeError`):
   for `solve-contract --reservation` and `alpha-star`, above the agent
   utility of the full-output contract under the capacity;
-* 4 the binding pattern has no sign-consistent solution
-  (`NoPatternFoundError`), which includes every contract request under a
-  tabulated uncertainty function, and a reservation request or an
-  `oracle` request on an output below 0;
+* 4 a problem the contract solvers cannot take (`NoPatternFoundError`,
+  before any solve): a contract request under a tabulated uncertainty
+  function, and a contract or `oracle` request on an output below 0;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
-  includes a reservation request for which neither the reduced problem
-  (surplus less the agent's rent, solved on a support of decisions by an
-  interior-point method) nor any contract paying a single decision gives
-  a certified answer;
+  includes an `--xi` request whose reduced solve fails other than by
+  ending at one decision, and a reservation request for which neither
+  the reduced problem (surplus less the agent's rent, solved on a
+  support of decisions by an interior-point method) nor any contract
+  paying a single decision gives a certified answer;
 * 6 problem too large for the grid oracle (`TooLargeError`);
 * 65 malformed problem/contract file, including a NaN or infinite prior
   entry, cost scale or payment, and a boolean capacity;

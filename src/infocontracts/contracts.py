@@ -1,27 +1,22 @@
 """Pareto-optimal contracts: first-best piece rates and transfers, the
 capacity-equivalent scaling, and second-best contracts with the optimal
-distortion recovered from a KKT system, all under the mutual-information
-cost, scale s.
+distortion recovered from their multipliers, all under the
+mutual-information cost, scale s.
 
-`second_best_solve` takes the participation weight xi and the piece rate
-alpha.  It fixes which payments sit on a liability limit (`_pattern`: each
-state's lowest-output cell and every cell with no positive output), then
-solves agent optimality (b is s log(p(d|theta) / p(d)) up to a per-state
-level), the principal's condition b = alpha y - beta - gamma and the
-multiplier sums sum_d lambda(d,theta) = (1-xi) pi(theta) as one root in
-the experiment's logits (`_newton`).  gamma is the distortion in closed
-form, s sum_theta' lambda(d,theta') / p(d) - s lambda(d,theta) /
-(p(d|theta) pi(theta)), a decision-dependent transfer where lambda = 0
-(Result 4), which `gamma_from_duals` evaluates.  A root that fails a
-sign, feasibility or KKT check raises NoPatternFoundError.
-
-A reservation utility r is one reduced problem (`reduced`): an experiment
-on a support of decisions and one level per state, maximizing alpha E_p y
-- s I(p) - pi.c, the surplus less the agent's rent, under the liability
-limits, pi.c >= r and, for `alpha_star`, the capacity.  xi and alpha* =
-1 / (1 + nu) are its multipliers, and its answer passes the checks of
-`second_best_solve` (`_certify`), extended to decisions never taken.
-From the first-best floor up the answer is the first-best contract.
+Every second-best contract is one reduced problem (`reduced`): the logit
+rule pins the payments to an experiment on a support of decisions and one
+level per state, b(d, theta) = s log(p(d|theta) / p(d)) + c_theta, and the
+problem maximizes alpha E_p y - s I(p) less the levels' price times pi.c
+under the liability limits.  A reservation utility r prices the levels at
+1 and adds the row pi.c >= r and, for `alpha_star`, the capacity; xi and
+alpha* = 1 / (1 + nu) are their multipliers.  A participation weight xi
+(`second_best_solve`) prices the levels at 1 - xi, with no participation
+row.  gamma is the distortion in closed form, s sum_theta' lambda(d,theta')
+/ p(d) - s lambda(d,theta) / (p(d|theta) pi(theta)), a decision-dependent
+transfer where lambda = 0 (Result 4), which `gamma_from_duals` evaluates.
+Each answer is certified (`_decomposed`): signs, feasibility, agent
+optimality and b = alpha y - beta - gamma.  At xi = 1, and from the
+first-best floor of r up, the answer is the first-best contract.
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import reduced
-from .agent import (agent_kkt_residual, best_response_capacity, best_response_general,
-                    best_response_shannon)
+from .agent import agent_kkt_residual, best_response_capacity, best_response_shannon
 from .errors import (BoundaryPointError, InconsistentProfileError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
@@ -161,286 +155,10 @@ def _frontier(inst, base, r, slack):
 
 
 # ---------------------------------------------------------------------------
-# second-best KKT machinery
+# certificates
 
 
-_ROOT_TOL = 1e-9   # max |residual| of a certified pattern root
 _SIGN_TOL = 1e-7   # multiplier size the sign screens tolerate
-
-
-def _pattern(inst, alpha):
-    """The binding pattern: the cells paid zero.  Each state pays zero at
-    its lowest-alpha-y cell (the lowest index on ties), and so does every
-    cell with y <= 0, where both liability limits coincide."""
-    y = inst.output
-    lowest = np.argmin(alpha * y, axis=0)
-    return frozenset((d, s) for d in range(inst.n_decisions) for s in range(inst.n_states)
-                     if y[d, s] <= 0 or d == lowest[s])
-
-
-def _gamma_coefficients(s, cond, pi, active):
-    """Linear form gamma(d, theta) = sum_a coeff[d, theta, a] lam_a of the
-    closed-form distortion at cost scale s (`gamma_from_duals`): under
-    mutual information gamma has no term in xi."""
-    n_d, n_s = cond.shape
-    m = cond @ pi
-    coeff = np.zeros((n_d, n_s, len(active)))
-    for a, (da, sa) in enumerate(active):
-        coeff[da, :, a] += s / m[da]
-        coeff[da, sa, a] -= s / (cond[da, sa] * pi[sa])
-    return coeff
-
-
-def _multiplier_solve(inst, alpha, xi, cond, zeros):
-    """Recover (lam, beta) from the zero-payment equations and the
-    per-state multiplier sums, at a fixed experiment."""
-    pi = inst.prior
-    n_d, n_s = cond.shape
-    active = sorted(zeros)
-    n_a = len(active)
-    coeff = _gamma_coefficients(inst.cost_model.logit_scale, cond, pi, active)
-
-    size = n_a + n_s
-    mat = np.zeros((size, size))
-    rhs = np.zeros(size)
-    for i, (d, s) in enumerate(active):
-        mat[i, :n_a] = coeff[d, s]
-        mat[i, n_a + s] = 1.0
-        rhs[i] = alpha * inst.output[d, s]
-    for s in range(n_s):
-        for i, (da, sa) in enumerate(active):
-            if sa == s:
-                mat[n_a + s, i] = 1.0
-        rhs[n_a + s] = (1.0 - xi) * pi[s]
-    sol = np.linalg.solve(mat, rhs)
-    lam = np.zeros((n_d, n_s))
-    for i, (d, s) in enumerate(active):
-        lam[d, s] = sol[i]
-    beta = sol[n_a:]
-    gamma = coeff @ sol[:n_a]
-    return lam, beta, gamma
-
-
-def _agent_inverse(inst, cond, refs):
-    """Contract consistent with agent optimality at `cond`, the logit
-    levels s log(p(d|theta) / p(d)), normalized to pay zero at each
-    state's reference cell."""
-    m = cond @ inst.prior
-    levels = inst.cost_model.logit_scale * np.log(cond / m[:, None])
-    return levels - levels[refs, np.arange(inst.n_states)][None, :]
-
-
-def _pattern_residuals(inst, zeros, xi, alpha):
-    """Residual function of the coupled system in logit coordinates.
-
-    Returns (cond_of, fun): `cond_of(x)` is the experiment of the logits
-    x, and `fun(x)` returns the residuals at participation weight xi and
-    piece rate alpha with that experiment and the principal's payments
-    alpha y - beta - gamma, which are zero at the pattern's cells `zeros`.
-    Each reference cell (the first zero of its state) pays zero and has no
-    residual.  Conditionals are floored at 1e-11 so the residuals stay
-    finite wherever the root finder wanders; roots of interest are
-    interior, far from the floor.
-    """
-    n_d, n_s = inst.output.shape
-    floor = 1e-11
-    refs = [min(d for d, s in zeros if s == state) for state in range(n_s)]
-    free_cells = [(d, s) for s in range(n_s) for d in range(n_d) if d != refs[s]]
-
-    def cond_of(x):
-        z = np.zeros((n_d, n_s))
-        z[:-1] = x.reshape(n_d - 1, n_s)
-        z -= z.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        cond = e / e.sum(axis=0, keepdims=True)
-        cond = np.clip(cond, floor, None)
-        return cond / cond.sum(axis=0, keepdims=True)
-
-    def fun(x):
-        cond = cond_of(x)
-        b_agent = _agent_inverse(inst, cond, refs)
-        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
-        b_principal = alpha * inst.output - beta[None, :] - gamma
-        res = np.empty(len(free_cells))
-        for i, (d, s) in enumerate(free_cells):
-            if (d, s) in zeros:
-                res[i] = b_agent[d, s]
-            else:
-                res[i] = b_agent[d, s] - b_principal[d, s]
-        return res
-
-    return cond_of, fun
-
-
-def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
-    """Second-best Pareto contract at participation weight xi and piece
-    rate alpha, capacity handled upstream through alpha.
-
-    Solves the binding pattern (`_pattern`) from the logits of the
-    unconstrained best response to alpha y, computed once.  When that
-    fails at xi > 0, the pattern is solved once more from the xi = 0
-    solution at the same alpha, if that one solves.  Raises
-    NoPatternFoundError, naming the pattern and why it failed, when no
-    root passes the sign, feasibility, and KKT residual checks; and at
-    once for a model without a logit scale (a tabulated uncertainty
-    function), whose Hessian is zero, so that the pattern system has no
-    smooth root.
-    """
-    if not (0.0 <= xi <= 1.0):
-        raise ValueError("xi must lie in [0, 1]")
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if inst.cost_model.logit_scale is None:
-        raise NoPatternFoundError(
-            "the Hessian of a tabulated uncertainty function is zero, so no "
-            "binding pattern has a smooth root; the contract layer needs the "
-            "mutual-information cost")
-    zeros = _pattern(inst, alpha)
-    start = _response_logits(inst, alpha)
-    try:
-        return _solve_pattern(inst, xi, alpha, zeros, start)
-    except NoPatternFoundError as exc:
-        if xi == 0.0:
-            raise
-        try:
-            base = _solve_pattern(inst, 0.0, alpha, zeros, start)
-            return _solve_pattern(inst, xi, alpha, zeros, _logits(base.experiment))
-        except NoPatternFoundError:
-            raise exc from None
-
-
-def _logits(exp):
-    logits = np.log(exp.conditionals)
-    return (logits[:-1] - logits[-1:]).reshape(-1)
-
-
-def _response_logits(inst, alpha):
-    """Starting logits of the cold solves: those of the unconstrained best
-    response to alpha y, or None when it does not converge."""
-    try:
-        guess = best_response_general(Contract(alpha * inst.output), inst.prior,
-                                      inst.cost_model)
-    except NoConvergenceError:
-        return None
-    cond = np.clip(guess.experiment.conditionals, 1e-9, None)
-    return _logits(Experiment(cond / cond.sum(axis=0, keepdims=True)))
-
-
-def _solve_pattern(inst, xi, alpha, zeros, start):
-    """Solve the binding pattern `zeros` by Newton's method from the
-    logits `start` (none: no root) and check the root.  Raises
-    NoPatternFoundError with the reason it failed."""
-    cond_of, fun = _pattern_residuals(inst, zeros, xi, alpha)
-    root = None
-    if start is not None:
-        try:
-            root = _newton(fun, start, 1e-3 * _ROOT_TOL)
-        except np.linalg.LinAlgError:
-            pass
-    outcome = "no root"
-    if root is not None and np.max(np.abs(fun(root)), initial=0.0) < _ROOT_TOL:
-        outcome = _pattern_solution(inst, xi, alpha, zeros, cond_of(root))
-        if isinstance(outcome, ContractSolution):
-            return outcome
-    raise NoPatternFoundError(
-        f"binding pattern {sorted(zeros)} at xi={xi}, alpha={alpha}: {outcome}")
-
-
-def _pattern_solution(inst, xi, alpha, zeros, cond):
-    """The solution of the pattern at the root experiment `cond`, or the
-    reason it fails the sign, feasibility, or KKT checks."""
-    try:
-        lam, beta, gamma = _multiplier_solve(inst, alpha, xi, cond, zeros)
-    except np.linalg.LinAlgError:
-        return "singular multipliers"
-    payments = alpha * inst.output - beta[None, :] - gamma
-    for d, s in zeros:
-        payments[d, s] = 0.0
-    return _certify(inst, xi, alpha, Experiment(cond), payments, lam, beta, gamma,
-                    tuple(sorted(zeros)))
-
-
-def _certify(inst, xi, alpha, exp, payments, lam, beta, gamma, pattern, mu=0.0):
-    """The solution of the profile (payments, exp) with multipliers (lam,
-    xi) and the split alpha y - beta - gamma, or the reason it fails the
-    sign, feasibility, or KKT checks (`_pattern_checks`,
-    `_verify_solution`, at the agent's capacity dual mu)."""
-    pi = inst.prior
-    checks = _pattern_checks(inst, payments, lam)
-    if checks:
-        return checks
-    b = Contract(payments)
-    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu)
-    if resid is None:
-        return "verification"
-    residual, rho = resid
-    cond = exp.conditionals
-    tau = beta * pi - xi * rho
-    phi = cond * (1.0 - xi) - lam / pi[None, :]
-    m = marginal(exp, pi)
-    gamma_hat = np.divide(inst.cost_model.logit_scale * lam.sum(axis=1), m,
-                          out=np.zeros_like(m), where=m > 0)
-    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi, mu=float(mu))
-    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma,
-                         gamma_hat=gamma_hat)
-    report = evaluate_profile(b, exp, inst)
-    return ContractSolution(contract=b, experiment=exp, duals=duals,
-                            decomposition=deco, report=report,
-                            pattern=pattern, residual=residual)
-
-
-_FD_STEP = float(np.sqrt(np.finfo(float).eps))
-
-
-def _newton(fun, x0, tol):
-    """Damped Newton root of a square system: x with max|fun(x)| < tol, or
-    None when the Jacobian is singular, a step or its residual is not
-    finite, the line search stalls, or 50 steps do not suffice.
-
-    The Jacobian is a forward difference with step sqrt(eps) max(1, |x_j|).
-    Each step starts at the full Newton step and halves it until
-    ||F||^2 falls by the Armijo factor 1 - 1e-4 t; below t = 1e-3 the
-    start is given up, since a pattern without a root would otherwise
-    spend its evaluations on ever shorter steps.
-    """
-    x = np.array(x0, dtype=float)
-    f = fun(x)
-    if not np.all(np.isfinite(f)):
-        return None
-    for _ in range(50):
-        if np.max(np.abs(f), initial=0.0) < tol:
-            return x
-        try:
-            step = np.linalg.solve(_jacobian(fun, x, f), -f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        norm2 = f @ f
-        t = 1.0
-        while True:
-            trial = x + t * step
-            f_trial = fun(trial)
-            if not np.all(np.isfinite(f_trial)):
-                return None
-            if f_trial @ f_trial <= (1.0 - 1e-4 * t) * norm2:
-                break
-            t *= 0.5
-            if t < 1e-3:
-                return None
-        x, f = trial, f_trial
-    return x if np.max(np.abs(f), initial=0.0) < tol else None
-
-
-def _jacobian(fun, x, f):
-    """Forward-difference Jacobian of fun at x, where fun(x) = f."""
-    h = _FD_STEP * np.maximum(1.0, np.abs(x))
-    jac = np.empty((f.size, x.size))
-    for j in range(x.size):
-        shifted = x.copy()
-        shifted[j] += h[j]
-        jac[:, j] = (fun(shifted) - f) / h[j]
-    return jac
 
 
 def _pattern_checks(inst, payments, lam):
@@ -597,16 +315,18 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
 
 
 # ---------------------------------------------------------------------------
-# reservation requests: one reduced solve (`reduced`)
+# second-best contracts: one reduced solve (`reduced`)
 
 
 def _reduced_solution(inst, prob, r, z, mult, lam):
     """The contract of a KKT point of the reduced problem, certified, or
     the reason it fails.  With nu the capacity's multiplier and xi_c the
-    participation one, the piece rate is alpha / (1 + nu), xi is 1 - (1 -
-    xi_c) / (1 + nu), and lambda the net liability multipliers (lower less
-    upper) over 1 + nu.  The agent's utility must reach r within V_TOL, and
-    hit it where participation binds (xi_c > 0)."""
+    participation one, the piece rate is alpha / (1 + nu), xi is 1 -
+    (price - xi_c) / (1 + nu), price being the levels' (1 - xi at a fixed
+    weight, where xi_c = 0 and nu = 0), and lambda the net liability
+    multipliers (lower less upper) over 1 + nu, which sum to (price -
+    xi_c) pi in each state.  The agent's utility must reach r within V_TOL,
+    and hit it where participation binds (xi_c > 0)."""
     support, shape = prob.support, inst.output.shape
     q, u, c = prob.split(z)
     cond = np.zeros(shape)
@@ -626,7 +346,7 @@ def _reduced_solution(inst, prob, r, z, mult, lam):
     payments = np.zeros(shape)
     payments[support] = pay
     sol = _decomposed(inst, Experiment(cond), Contract(payments), lam_full,
-                      1.0 - (1.0 - xi_c) / scale, prob.alpha / scale)
+                      1.0 - (prob.price - xi_c) / scale, prob.alpha / scale)
     if isinstance(sol, ContractSolution):
         miss = sol.report.agent_utility - r
         if miss < -V_TOL or (xi_c > 0.0 and miss > V_TOL):
@@ -636,32 +356,51 @@ def _reduced_solution(inst, prob, r, z, mult, lam):
 
 def _decomposed(inst, exp, b, lam, xi, alpha, mu=0.0):
     """Certify the contract b with experiment exp and multipliers (lam,
-    xi) at piece rate alpha: gamma from the duals on the decisions taken,
-    beta the mean of alpha y - b - gamma there, and gamma = alpha y - beta
-    - b on a decision never taken."""
+    xi) at piece rate alpha and the agent's capacity dual mu: gamma from
+    the duals on the decisions taken, beta the mean of alpha y - b - gamma
+    there, and gamma = alpha y - beta - b on a decision never taken.
+    Returns the solution, whose pattern is the cells paid 0, or the reason
+    it fails the sign, feasibility, or KKT checks (`_pattern_checks`,
+    `_verify_solution`)."""
+    pi = inst.prior
     used = exp.conditionals.any(axis=1)
     try:
-        gamma = gamma_from_duals(exp, inst.prior, inst.cost_model, lam, xi)
+        gamma = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
     except (BoundaryPointError, InconsistentProfileError) as exc:
         return str(exc)
     beta = np.mean((alpha * inst.output - b.payments - gamma)[used], axis=0)
     gamma[~used] = (alpha * inst.output - beta[None, :] - b.payments)[~used]
+    checks = _pattern_checks(inst, b.payments, lam)
+    if checks:
+        return checks
+    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu)
+    if resid is None:
+        return "verification"
+    residual, rho = resid
+    tau = beta * pi - xi * rho
+    phi = exp.conditionals * (1.0 - xi) - lam / pi[None, :]
+    m = marginal(exp, pi)
+    gamma_hat = np.divide(inst.cost_model.logit_scale * lam.sum(axis=1), m,
+                          out=np.zeros_like(m), where=m > 0)
+    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi, mu=float(mu))
+    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma, gamma_hat=gamma_hat)
     pattern = tuple(zip(*(axis.tolist() for axis in np.nonzero(b.payments == 0.0))))
-    return _certify(inst, xi, alpha, exp, b.payments, lam, beta, gamma, pattern, mu)
+    return ContractSolution(contract=b, experiment=exp, duals=duals, decomposition=deco,
+                            report=evaluate_profile(b, exp, inst), pattern=pattern,
+                            residual=residual)
 
 
-def _single_solution(inst, d, r, alpha):
+def _single_solution(inst, d, r, alpha, xi):
     """The uninformative contract that pays only decision d, t y_d with
-    pi.(t y_d) = max(r, 0): participation binds (xi = 1, no liability
-    multiplier) when r > 0; else it pays nothing, with xi = 0 and lambda =
-    pi on d's cells."""
-    payments, cond, lam = (np.zeros(inst.output.shape) for _ in range(3))
+    pi.(t y_d) = max(r, 0), at participation weight xi: lambda is (1 - xi)
+    pi on d's cells, and 0 where participation binds (r > 0, xi = 1)."""
+    payments, cond = np.zeros(inst.output.shape), np.zeros(inst.output.shape)
     cond[d] = 1.0
     if r > 0.0:
         payments[d] = r / (inst.prior @ inst.output[d]) * inst.output[d]
-    else:
-        lam[d] = inst.prior
-    return _decomposed(inst, Experiment(cond), Contract(payments), lam, float(r > 0.0), alpha)
+    lam = np.zeros(inst.output.shape)
+    lam[d] = (1.0 - xi) * inst.prior
+    return _decomposed(inst, Experiment(cond), Contract(payments), lam, xi, alpha)
 
 
 def _full_output_response(sub):
@@ -688,16 +427,68 @@ def _first_best_on(inst, support, r, alpha, capacity, base=None):
                        1.0, alpha * rate, agent.mu)
 
 
-def _reduced_candidate(inst, r, alpha, capacity, start):
+def _reduced_candidate(inst, r, alpha, capacity, start, price):
     """The certified answer of the reduced problem (`reduced.solve`) from
     the experiment `start`, or the reason there is none."""
     try:
-        prob, point = reduced.solve(inst, r, alpha, capacity, start)
+        prob, point = reduced.solve(inst, r, alpha, capacity, start, price)
         if point is None:
             return _first_best_on(inst, prob.support, r, alpha, capacity)
     except (NoConvergenceError, OutOfRangeError) as exc:
         return str(exc)
     return _reduced_solution(inst, prob, r, *point)
+
+
+def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
+    """Second-best Pareto contract at participation weight xi and piece
+    rate alpha, capacity handled upstream through alpha.
+
+    At xi = 1 the levels carry no price: the answer is the first-best
+    contract of alpha y at the bottom of its frontier, paying 0 in each
+    state's lowest cell.  Below it the answer is one reduced solve
+    (`reduced`, the levels priced at 1 - xi and no participation row) from
+    the best response to alpha y.  Where that fails and xi > 0, the problem
+    is solved once more from the experiment of the xi = 0 answer, if there
+    is one.  Where the solve ends at one decision, the answer is the
+    closed-form contract that pays nothing, with the agent taking the
+    decision of the highest expected output and lambda = (1 - xi) pi on its
+    cells; so it is at alpha = 0, where every experiment is worth 0 to the
+    principal.  Raises NoPatternFoundError for a model without a logit
+    scale (a tabulated uncertainty function) or an output below 0, and
+    NoConvergenceError when the reduced solve fails otherwise.
+    """
+    if not (0.0 <= xi <= 1.0):
+        raise ValueError("xi must lie in [0, 1]")
+    if not alpha >= 0.0:
+        raise ValueError("alpha must be nonnegative")
+    if inst.cost_model.logit_scale is None:
+        raise NoPatternFoundError(
+            "the second-best problem needs the logit rule of the mutual-information cost")
+    if np.any(inst.output < 0.0):
+        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
+    top = replace(inst, output=alpha * inst.output, capacity=np.inf)
+    base = _full_output_response(top)
+    best = int(np.argmax(inst.output @ inst.prior))
+    if alpha == 0.0:
+        # every experiment is worth 0 to the principal, and the split of
+        # weight among the decisions is free
+        answer = _single_solution(inst, best, -np.inf, alpha, xi)
+    elif xi == 1.0:
+        every = np.arange(inst.n_decisions)
+        answer = _first_best_on(inst, every, _frontier_ends(top, base)[0], alpha, np.inf, base)
+    else:
+        start = base.experiment.conditionals
+        answer = _reduced_candidate(inst, -np.inf, alpha, np.inf, start, 1.0 - xi)
+        if isinstance(answer, str) and xi > 0.0:
+            first = _reduced_candidate(inst, -np.inf, alpha, np.inf, start, 1.0)
+            if isinstance(first, ContractSolution):
+                answer = _reduced_candidate(inst, -np.inf, alpha, np.inf,
+                                            first.experiment.conditionals, 1.0 - xi)
+        if answer == reduced.ONE_DECISION:
+            answer = _single_solution(inst, best, -np.inf, alpha, xi)
+    if isinstance(answer, str):
+        raise NoConvergenceError(f"participation weight {xi}, piece rate {alpha}: {answer}")
+    return answer
 
 
 def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSolution:
@@ -744,12 +535,12 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSoluti
     def value(sol):
         return piece * sol.report.expected_output - sol.report.expected_payment
 
-    found = [_reduced_candidate(inst, r, piece, capacity, base.experiment.conditionals)]
+    found = [_reduced_candidate(inst, r, piece, capacity, base.experiment.conditionals, 1.0)]
     for d in every:
         reach = float(inst.prior @ inst.output[d])
         best = max((value(s) for s in found if isinstance(s, ContractSolution)), default=-np.inf)
         if r <= reach and piece * reach - max(r, 0.0) > best:
-            found.append(_single_solution(inst, d, r, piece))
+            found.append(_single_solution(inst, d, r, piece, float(r > 0.0)))
     answers = [s for s in found if isinstance(s, ContractSolution)]
     if not answers:
         raise NoConvergenceError(f"reservation utility {r}: " + "; ".join(found))

@@ -22,8 +22,9 @@ class DegeneratePriorError(ValueError):
 
 
 class NoPatternFoundError(RuntimeError):
-    """The liability-limit binding pattern has no root that passes the sign,
-    feasibility, and KKT checks, or the cost has no smooth pattern system."""
+    """The contract solvers cannot take the problem: its cost has no logit
+    rule (a tabulated uncertainty function), or an output below 0 leaves no
+    payment within both liability limits."""
 
 
 class InconsistentProfileError(ValueError):

@@ -9,7 +9,9 @@ therefore an experiment p on a support of decisions and levels c that
 maximize alpha E_p y - s I(p) - pi.c under the liability limits 0 <= b <=
 y on the support, pi.c >= r and, optionally, s I(p) <= capacity.  The
 multipliers of the last two rows are the participation weight and the
-capacity's price.
+capacity's price.  At a fixed participation weight xi the Pareto problem
+is this one with the participation multiplier held at xi: the levels are
+priced at 1 - xi, and there is no participation row (r = -inf).
 
 `solve` runs a primal-dual interior-point method (Nocedal & Wright, ch.
 19; Waechter & Biegler 2006) on every decision, again without the
@@ -31,29 +33,33 @@ MAX_ITER = 100     # interior-point steps before it gives up
 MU_START = 0.1     # barrier parameter the start point is centred for
 ROOM = 0.1         # how far the start clears the participation row
 STALL_TOL = 1e-4   # KKT error from which a stalled solve is still polished
+# the error `solve` raises when the support is down to one decision
+ONE_DECISION = "one decision left: its contracts are closed-form"
 
 
 class ReducedProblem:
     """The reduced problem on a support of decisions, in log-posterior
     coordinates z = (q, u, c[, v]): the weights q_d, u(d, theta) =
     log(p(d|theta) / p(d)), the levels c and, when r is finite, an elastic
-    slack v on the participation row, priced at PENALTY.
+    slack v on the participation row, priced at PENALTY.  The levels are
+    priced at `price`: 1 for a reservation utility, 1 - xi at a fixed
+    participation weight xi.
 
     The payments s u + c make the liability limits linear, and a cell with
     y = 0 the equality s u + c = 0.  The posteriors pi e^u sum to 1 and
     average to the prior (sum_d q_d e^u = 1): these are the nonlinear
-    equalities.  The objective minimized is -(alpha E_p y - s I(p) - pi.c)
-    + PENALTY v, under pi.c + v >= r and s I(p) <= capacity when that is
+    equalities.  The objective minimized is -(alpha E_p y - s I(p) - price
+    pi.c) + PENALTY v, under pi.c + v >= r and s I(p) <= capacity when that is
     finite (aimed 1e-12 below it, so that rounding does not report a cost
     above it).
     """
 
-    def __init__(self, inst, support, alpha, r, capacity):
+    def __init__(self, inst, support, alpha, r, capacity, price):
         y = inst.output[support]
         k, n = y.shape
         s = inst.cost_model.logit_scale
         self.support, self.y, self.pi, self.s = support, y, inst.prior, s
-        self.alpha, self.k, self.n = alpha, k, n
+        self.alpha, self.price, self.k, self.n = alpha, price, k, n
         self.elastic = bool(np.isfinite(r))
         kn = k * n
         self.size = k + kn + n + self.elastic
@@ -103,8 +109,8 @@ class ReducedProblem:
         grad = np.zeros(self.size)
         grad[:k] = -(post * net).sum(axis=1)
         grad[k:k + k * n] = -(q[:, None] * post * (net - s)).ravel()
-        grad[k + k * n:k + k * n + n] = pi
-        phi = q @ grad[:k] + pi @ c
+        grad[k + k * n:k + k * n + n] = self.price * pi
+        phi = q @ grad[:k] + self.price * (pi @ c)
         if self.elastic:
             phi += PENALTY * z[-1]
             grad[-1] = PENALTY
@@ -139,10 +145,10 @@ class ReducedProblem:
         q, u, _ = self.split(z)
         e = np.exp(u)
         post = self.pi * e
-        price = 1.0 + (mult_g[-1] if "capacity" in self.rows else 0.0)
-        cross = (-self.alpha * post * self.y + price * s * post * (u + 1.0)
+        weight = 1.0 + (mult_g[-1] if "capacity" in self.rows else 0.0)
+        cross = (-self.alpha * post * self.y + weight * s * post * (u + 1.0)
                  - mult_h[k:k + n] * e)
-        diag = q[:, None] * (cross + price * s * post) - mult_h[:k, None] * post
+        diag = q[:, None] * (cross + weight * s * post) - mult_h[:k, None] * post
         hess = np.zeros((self.size, self.size))
         cu, cd, _ = self.cols
         hess[cu, cu] = diag.ravel()
@@ -319,9 +325,10 @@ def polish(prob, z, mult, lam, slack):
     return None
 
 
-def solve(inst, r, alpha, capacity, start):
-    """(problem, KKT point) of the reduced problem at utility r, piece rate
-    alpha and capacity (infinite for none), solved on every decision from
+def solve(inst, r, alpha, capacity, start, price):
+    """(problem, KKT point) of the reduced problem at utility r (-inf for
+    none), piece rate alpha, capacity (infinite for none) and the levels'
+    price (`ReducedProblem`), solved on every decision from
     the experiment `start` and then again without the decisions whose
     weight vanishes, until the support is stable.  The point is (z,
     equality multipliers, inequality multipliers), polished (`polish`).
@@ -332,10 +339,10 @@ def solve(inst, r, alpha, capacity, start):
     or the polish fails.  `problem.steps` counts the interior-point steps
     over every support solved."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _solve(inst, r, alpha, capacity, start)
+        return _solve(inst, r, alpha, capacity, start, price)
 
 
-def _solve(inst, r, alpha, capacity, start):
+def _solve(inst, r, alpha, capacity, start, price):
     # decisions of equal output are one decision to both parties: the split
     # of weight among them is free and leaves the KKT system singular, so
     # the support keeps the first of each and its start their total weight
@@ -347,7 +354,7 @@ def _solve(inst, r, alpha, capacity, start):
     support, cond = first[order], cond[order]
     steps = 0
     while len(support) > 1:
-        prob = ReducedProblem(inst, support, alpha, r, capacity)
+        prob = ReducedProblem(inst, support, alpha, r, capacity, price)
         out = interior_point(prob, prob.start(cond))
         prob.steps = steps = steps + prob.steps
         if out is None:
@@ -377,4 +384,4 @@ def _solve(inst, r, alpha, capacity, start):
             raise NoConvergenceError(f"support {support.tolist()}: the interior-point "
                                      "solution does not polish on its active set")
         return prob, point
-    raise NoConvergenceError("one decision left: its contracts are closed-form")
+    raise NoConvergenceError(ONE_DECISION)

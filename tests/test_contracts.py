@@ -295,13 +295,20 @@ def test_oracle_memory_is_bounded_by_its_slice(monkeypatch):
     assert np.array_equal(sliced[1].conditionals, whole[1].conditionals)
 
 
-def test_oracle_refuses_an_output_below_zero():
-    # it paid 0 in the -1 cell, outside the limit b <= y
+def test_oracle_refuses_an_output_below_zero(monkeypatch):
+    # it paid 0 in the -1 cell, outside the limit b <= y; second_best_solve
+    # searched first and then raised "no root" (xi = 0) or "interior payment
+    # escaped the liability limits" (xi = 0.5, 1)
     inst = ProblemInstance(("d1", "d2"), ("s", "t"), [[-1.0, 10.0], [5.0, 5.0]], PI, 0.5,
                            ShannonCost())
-    with pytest.raises(NoPatternFoundError,
-                       match="an output below 0 leaves no payment within both liability limits"):
+    message = "an output below 0 leaves no payment within both liability limits"
+    with pytest.raises(NoPatternFoundError, match=message):
         brute_force_pareto(inst)
+    monkeypatch.setattr(contracts, "best_response_capacity", None)
+    monkeypatch.setattr(reduced, "interior_point", None)
+    for xi in (0.0, 0.5, 1.0):
+        with pytest.raises(NoPatternFoundError, match=message):
+            second_best_solve(inst, xi, 1.0)
 
 
 def test_one_decision_pattern_has_no_free_cell():
@@ -511,14 +518,20 @@ def test_debt_equity_zero_alpha_rejected(example):
         debt_equity_split(example.output, 0.0, np.zeros(2), np.zeros(2))
 
 
-def test_no_pattern_for_dominant_decision_instance():
+def test_dominant_decision_instance_pays_nothing_for_the_good_decision():
     # one decision dominates in every state: the optimal experiment sits on
-    # the simplex boundary and no interior binding pattern is consistent
+    # the simplex boundary, where the pattern solver found no root and
+    # raised NoPatternFoundError; the reduced solve drops "bad", and the
+    # answer is the certified single-decision contract
     inst = ProblemInstance(("good", "bad"), ("s", "t"),
                            [[4.0, 4.0], [1.0, 1.0]], [0.5, 0.5], 1.0,
                            ShannonCost())
-    with pytest.raises(NoPatternFoundError):
-        second_best_solve(inst, xi=0.0, alpha=1.0)
+    for xi in (0.0, 0.5):
+        sol = second_best_solve(inst, xi=xi, alpha=1.0)
+        assert np.array_equal(sol.contract.payments, np.zeros((2, 2)))
+        assert np.array_equal(sol.experiment.conditionals, [[1.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(sol.duals.lam, [(1.0 - xi) * inst.prior, [0.0, 0.0]])
+        assert sol.report.principal_utility == 4.0 and sol.residual <= 1e-6
 
 
 def _seeded_failures():
@@ -536,23 +549,25 @@ def _seeded_failures():
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_a_failed_solve_spends_at_most_two_newton_solves(monkeypatch, case):
-    # one solve from the best response, one more at xi = 0 for the retry;
-    # enumerating binding patterns took 32, 2,043 and 2,011 solves here
-    # (8 s at 3x3 and 27 s at 4x4) to raise the same error
+def test_a_request_spends_at_most_three_reduced_solves(monkeypatch, case):
+    # one solve from the best response, and for the retry one at xi = 0 and
+    # one at xi from its answer; enumerating binding patterns took 32, 2,043
+    # and 2,011 solves here (8 s at 3x3 and 27 s at 4x4) to raise
+    # NoPatternFoundError, and the pattern solver in at most two Newton
+    # solves; these take 1, 2 and 1 and answer.  A solve calls reduced.interior_point once
+    # per support, so the bound is on reduced.solve
     inst, xi = _seeded_failures()[case]
-    real = contracts._newton
+    real = reduced.solve
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(contracts, "_newton", counted)
-    with pytest.raises(NoPatternFoundError, match=r"binding pattern \[\(") as exc:
-        second_best_solve(inst, xi, 1.0)
-    assert 1 <= len(calls) <= 2
-    assert str(sorted(contracts._pattern(inst, 1.0))) in str(exc.value)
+    monkeypatch.setattr(reduced, "solve", counted)
+    sol = second_best_solve(inst, xi, 1.0)
+    assert 1 <= len(calls) <= 3
+    assert sol.residual <= 1e-6
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.8])
@@ -563,11 +578,16 @@ def test_pattern_is_each_states_lowest_output_cell_and_every_unpaid_cell(example
               for s in range(example.n_states)}
     want = tuple(sorted(lowest | {c for c in cells if y[c] <= 0}))
     for k in range(0, 101, 5):
-        try:
-            sol = second_best_solve(example, k / 100, alpha)
-        except NoPatternFoundError:
-            continue   # alpha = 0.8 has no solution for xi <= 0.22
-        assert sol.pattern == want
+        sol = second_best_solve(example, k / 100, alpha)
+        pay = sol.contract.payments
+        assert sol.pattern == tuple(zip(*(a.tolist() for a in np.nonzero(pay == 0.0))))
+        # the first-best contract at xi = 1 and alpha = 0.8 pays 2e-15 in
+        # the lowest cell of the second state
+        unpaid = {c for c in cells if pay[c] <= 1e-12}
+        if sol.experiment.conditionals.all():
+            assert unpaid == set(want)
+        else:   # alpha = 0.8 and xi <= 0.22: the single-decision contract pays nothing
+            assert unpaid == set(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1079,7 @@ def test_example_sweep_interior_point_steps(example):
     start = contracts._full_output_response(example).experiment.conditionals
     steps = 0
     for r in (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.2, 2.5, 2.8):
-        prob, point = reduced.solve(example, r, 1.0, example.capacity, start)
+        prob, point = reduced.solve(example, r, 1.0, example.capacity, start, 1.0)
         assert point is not None
         steps += prob.steps
     assert steps <= 75
@@ -1193,25 +1213,66 @@ def test_seeded_two_by_two_answers_beat_the_grid_oracle():
             assert sol.report.principal_utility >= grid.principal_utility - 1e-9
 
 
-@pytest.mark.parametrize("xi", [0.68, 0.77, 0.82])
+@pytest.mark.parametrize("xi", [0.0, 0.1, 0.22, 0.68, 0.77, 0.82])
 def test_second_best_solves_the_cold_holes_below_full_piece_rate(example, xi):
-    # the xi 0.01 on either side solved while these raised NoPatternFoundError;
-    # xi <= 0.22 at alpha = 0.8 still has no solution
+    # the xi 0.01 on either side of 0.68, 0.77 and 0.82 solved while these
+    # raised NoPatternFoundError, and the pattern solver found no root at
+    # xi <= 0.22; there the reduced solve ends at one decision, and the
+    # answer is the single-decision contract
     sol = second_best_solve(example, xi, 0.8)
     assert contracts._verify_solution(example, sol.contract, sol.experiment, sol.duals.lam,
                                       sol.decomposition.beta, sol.decomposition.gamma,
                                       xi, 0.8) is not None
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0, 2.5, 2.8])
+def test_fixed_weight_answer_is_the_reservation_answer_at_its_weight(example, r):
+    # the Pareto problem at xi is the reservation problem's Lagrangian with
+    # the participation multiplier held at xi, so both entry points return
+    # one contract (within 2.3e-15 here)
+    held = solve_for_reservation(example, r)
+    xi = held.duals.xi
+    assert 0.0 < xi < 1.0
+    sol = second_best_solve(example, xi, 1.0)
+    for a, b in ((held.contract.payments, sol.contract.payments),
+                 (held.experiment.conditionals, sol.experiment.conditionals)):
+        assert np.max(np.abs(a - b)) <= 1e-8
+
+
+# the fixed-weight contracts of the benchmark's `--xi` requests on the
+# example at alpha = 1, as the pattern solver returned them
+BENCHMARK_XI_PAYMENTS = {
+    0.0: [[0.0, 1.0088925527057184], [0.7019070477811206, 0.0]],
+    0.25: [[0.0, 1.48711349940142], [1.0306385961737308, 0.0]],
+    0.49: [[0.0, 1.9376135366503033], [1.3547029744729016, 0.0]],
+    0.75: [[0.0, 2.6188505999035967], [1.892871539218044, 0.0]],
+    0.9: [[0.0, 3.3309025717909737], [2.543807272693267, 0.0]],
+    1.0: [[0.0, 5.0], [5.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("xi", sorted(BENCHMARK_XI_PAYMENTS))
+def test_benchmark_xi_requests_keep_their_contracts(example, xi):
+    # the benchmark's answer check rejects a single-decision answer, whose
+    # never-taken row has gamma != gamma_hat at lambda = 0
+    sol = second_best_solve(example, xi, 1.0)
+    assert sol.experiment.conditionals.any(axis=1).all()
+    free = sol.duals.lam == 0.0
+    hat = np.broadcast_to(sol.decomposition.gamma_hat[:, None], free.shape)
+    assert np.max(np.abs(sol.decomposition.gamma - hat)[free], initial=0.0) <= 1e-6
+    assert np.max(np.abs(sol.contract.payments - BENCHMARK_XI_PAYMENTS[xi])) <= 1e-10
+
+
 def test_second_best_refuses_a_tabulated_cost_before_any_pattern(monkeypatch):
-    # it once tried every pattern, about 60 ms of Newton solves, to raise
-    # the same error
+    # it once tried every binding pattern, about 60 ms of Newton solves, to
+    # raise the same error
     table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
                                              for q in np.linspace(0.0, 1.0, 201)]})
     calls = []
-    monkeypatch.setattr(contracts, "_newton", lambda *args: calls.append(args))
-    with pytest.raises(NoPatternFoundError, match="Hessian of a tabulated"):
-        second_best_solve(_example_with(table), 0.5, 1.0)
+    monkeypatch.setattr(reduced, "interior_point", lambda *args: calls.append(args))
+    for xi in (0.0, 0.5, 1.0):
+        with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
+            second_best_solve(_example_with(table), xi, 1.0)
     assert calls == []
 
 
@@ -1237,24 +1298,3 @@ def test_reservation_above_the_second_best_range_solves_once(example_file, monke
                                    "first-best range [2.853152, 6.014111]")
     assert len(captured.err.strip().splitlines()) == 1
     assert len(calls) == 1
-
-
-def _smooth_system(x):
-    return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 1.0])
-
-
-def test_newton_converges_on_a_smooth_system():
-    root = contracts._newton(_smooth_system, [1.0, 1.0], 1e-12)
-    assert np.max(np.abs(_smooth_system(root))) < 1e-12
-    assert np.allclose(root, [np.sqrt(2.0), np.sqrt(0.5)], rtol=0, atol=1e-12)
-
-
-def test_newton_gives_up_without_a_root():
-    assert contracts._newton(lambda x: np.ones(2), [0.3, -0.2], 1e-12) is None  # singular
-    assert contracts._newton(lambda x: x ** 2 + 1.0, [1.0], 1e-12) is None
-
-
-def test_newton_repeats_bit_for_bit():
-    first = contracts._newton(_smooth_system, [3.0, -2.0], 1e-12)
-    again = contracts._newton(_smooth_system, [3.0, -2.0], 1e-12)
-    assert first is not None and first.tobytes() == again.tobytes()
