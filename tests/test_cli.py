@@ -285,7 +285,7 @@ def test_alpha_star_refuses_what_the_request_refuses(tmp_path, capsys, capacity,
 
 
 @pytest.mark.parametrize("error, code, label", [
-    (NoPatternFoundError, 4, "no binding pattern"),
+    (NoPatternFoundError, 4, "unsupported by the contract solvers"),
     (NoConvergenceError, 5, "no convergence"),
 ])
 def test_solver_failure_exit_codes(problem_file, capsys, monkeypatch, error, code, label):
@@ -316,7 +316,7 @@ def test_oracle_refuses_an_output_below_zero(tmp_path, capsys):
     assert main(["oracle", "--problem", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    _one_error_line(captured.err, "no binding pattern")
+    _one_error_line(captured.err, "unsupported by the contract solvers")
     assert "an output below 0 leaves no payment within both liability limits" in captured.err
 
 
@@ -515,7 +515,7 @@ def test_all_lists_the_public_names_and_no_modules():
     for name in infocontracts.__all__:
         assert not isinstance(namespace[name], types.ModuleType), name
     # thin wrappers of model methods and of Contract arithmetic stay out
-    assert len(infocontracts.__all__) <= 63
+    assert len(infocontracts.__all__) <= 62
     # options no caller sets are module constants: count the defaulted
     # parameters of the public functions and of the hand-written
     # constructors and public methods of the public classes (a dataclass's

@@ -20,7 +20,7 @@ from infocontracts import (BregmanMatrixCost, Contract, Experiment,
                            best_response_general, best_response_shannon, brute_force_pareto,
                            debt_equity_split, decompose, evaluate_profile,
                            first_best_frontier, gamma_from_duals,
-                           gamma_risk_averse, gamma_risk_averse_hw, marginal,
+                           gamma_risk_averse, marginal,
                            second_best_solve, solve_for_reservation)
 from conftest import comparative_advantage_instance
 
@@ -467,10 +467,68 @@ def test_gamma_risk_averse_log_utility(example):
                               sol.duals.lam, 0.0, sol.contract,
                               u_prime=lambda w: 1.0 / (1.0 + w))
     assert np.all(np.isfinite(gamma))
-    hw = gamma_risk_averse_hw(sol.experiment, example.prior, example.cost_model,
-                              sol.duals.lam, sol.contract,
-                              u_prime=lambda w: 1.0 / (1.0 + w))
-    assert np.all(np.isfinite(hw))
+
+
+def _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime):
+    """The risk-averse distortion as a sum over cell pairs, weighing each
+    pair by the marginal utility of the row's own decision."""
+    cond = p.conditionals
+    n_d, n_s = cond.shape
+    hess = model.hessian(p, pi)
+    up = u_prime(b.payments)
+    gamma = np.zeros((n_d, n_s))
+    for d in range(n_d):
+        for s in range(n_s):
+            block = hess[d * n_s + s].reshape(n_d, n_s)
+            total = 0.0
+            for dp in range(n_d):
+                for sp in range(n_s):
+                    inner = cond[dp, sp] * (1.0 - up[d, sp] * xi) - lam[dp, sp] / pi[sp]
+                    total += inner * block[dp, sp] / up[d, sp]
+            gamma[d, s] = total / pi[s]
+    return gamma
+
+
+def _risk_averse_draws(seed, n=30):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        n_d, n_s = rng.integers(2, 5), rng.integers(2, 4)
+        cond = rng.uniform(0.05, 1.0, size=(n_d, n_s))
+        p = Experiment(cond / cond.sum(axis=0))
+        pi = rng.dirichlet(np.ones(n_s))
+        model = ShannonCost(float(rng.uniform(0.2, 3.0)))
+        lam = rng.uniform(-0.5, 0.5, size=(n_d, n_s))
+        b = Contract(rng.uniform(0.0, 3.0, size=(n_d, n_s)))
+        yield p, pi, model, lam, float(rng.uniform()), b
+
+
+def test_gamma_risk_averse_matches_the_sum_over_cell_pairs():
+    def u_prime(w):
+        return 1.0 / (1.0 + w)
+
+    for p, pi, model, lam, xi, b in _risk_averse_draws(11):
+        want = _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime)
+        got = gamma_risk_averse(p, pi, model, lam, xi, b, u_prime)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gamma_risk_averse_is_the_information_cost_matrix_form_over_p_d():
+    # Hebert and Woodford's form: k(q_d) / (q_d q_d^T), read off block d of
+    # the Hessian times p(d) / (pi pi^T), contracted with (joint -
+    # lambda) / u', is p(d) times the distortion, whatever xi
+    def u_prime(w):
+        return np.sqrt(1.0 + w)
+
+    for p, pi, model, lam, xi, b in _risk_averse_draws(12):
+        cond = p.conditionals
+        n_d, n_s = cond.shape
+        hess = model.hessian(p, pi).reshape(n_d, n_s, n_d, n_s)
+        blocks = hess[np.arange(n_d), :, np.arange(n_d), :]
+        k_qq = blocks * marginal(p, pi)[:, None, None] / np.outer(pi, pi)
+        weight = (cond * pi[None, :] - lam) / u_prime(b.payments)
+        want = (k_qq @ weight[:, :, None])[:, :, 0]
+        got = marginal(p, pi)[:, None] * gamma_risk_averse(p, pi, model, lam, xi, b, u_prime)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gamma_risk_averse_scaling_identity(example):
@@ -580,10 +638,7 @@ def test_pattern_is_each_states_lowest_output_cell_and_every_unpaid_cell(example
     for k in range(0, 101, 5):
         sol = second_best_solve(example, k / 100, alpha)
         pay = sol.contract.payments
-        assert sol.pattern == tuple(zip(*(a.tolist() for a in np.nonzero(pay == 0.0))))
-        # the first-best contract at xi = 1 and alpha = 0.8 pays 2e-15 in
-        # the lowest cell of the second state
-        unpaid = {c for c in cells if pay[c] <= 1e-12}
+        unpaid = {c for c in cells if pay[c] == 0.0}
         if sol.experiment.conditionals.all():
             assert unpaid == set(want)
         else:   # alpha = 0.8 and xi <= 0.22: the single-decision contract pays nothing
@@ -1122,7 +1177,9 @@ def test_reservation_answer_does_not_depend_on_the_path(example, r):
     searched = solve_for_reservation(example, r, None)
     alpha = searched.decomposition.alpha
     direct = solve_for_reservation(example, r, alpha)
-    assert alpha < 1.0 and searched.pattern == direct.pattern
+    assert alpha < 1.0
+    assert np.array_equal(searched.contract.payments == 0.0,
+                          direct.contract.payments == 0.0)
     assert abs(searched.duals.xi - direct.duals.xi) <= 1e-12
     for a, b in ((searched.contract.payments, direct.contract.payments),
                  (searched.experiment.conditionals, direct.experiment.conditionals)):
@@ -1220,9 +1277,9 @@ def test_second_best_solves_the_cold_holes_below_full_piece_rate(example, xi):
     # xi <= 0.22; there the reduced solve ends at one decision, and the
     # answer is the single-decision contract
     sol = second_best_solve(example, xi, 0.8)
-    assert contracts._verify_solution(example, sol.contract, sol.experiment, sol.duals.lam,
-                                      sol.decomposition.beta, sol.decomposition.gamma,
-                                      xi, 0.8) is not None
+    again = contracts._decomposed(example, sol.experiment, sol.contract, sol.duals.lam,
+                                  xi, 0.8)
+    assert isinstance(again, contracts.ContractSolution)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0, 2.5, 2.8])

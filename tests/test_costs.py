@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infocontracts import (BoundaryPointError, BregmanMatrixCost, Experiment,
                            Garbling, PosteriorSeparableCost, ShannonCost,
@@ -135,6 +137,21 @@ def test_hessian_block_diagonal_across_decisions():
             if d1 != d2:
                 block = h[d1 * n_s:(d1 + 1) * n_s, d2 * n_s:(d2 + 1) * n_s]
                 assert np.all(block == 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0), st.floats(0.0, 12.0))
+def test_hessian_annihilates_the_experiment(n_d, n_s, seed, log_scale, spread):
+    # each decision's cost is homogeneous of degree 1 in its row (Euler):
+    # H p = 0, which lets `decompose` drop xi from its within-state rows
+    rng = np.random.default_rng(seed)
+    cond = np.exp(rng.uniform(-spread, 0.0, size=(n_d, n_s)))
+    p = Experiment(cond / cond.sum(axis=0))
+    pi = random_prior(rng, n_s)
+    h = ShannonCost(10.0 ** log_scale).hessian(p, pi)
+    size = np.max(np.abs(h)) * np.max(p.conditionals)
+    assert np.max(np.abs(h @ p.conditionals.ravel())) <= 1e-12 * size
 
 
 def test_hessian_symmetric_and_psd():
