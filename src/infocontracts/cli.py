@@ -18,8 +18,8 @@ codes:
   for `solve-contract --reservation` and `alpha-star`, above the agent
   utility of the full-output contract under the capacity;
 * 4 a problem the contract solvers cannot take (`NoPatternFoundError`,
-  before any solve): a contract request under a tabulated uncertainty
-  function, and a contract or `oracle` request on an output below 0;
+  before any solve): a contract or `oracle` request under a tabulated
+  uncertainty function or on an output below 0;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes an `--xi` request whose reduced solve fails other than by
   ending at one decision, and a reservation request for which neither

@@ -11,9 +11,9 @@ under the liability limits.  A reservation utility r prices the levels at
 1 and adds the row pi.c >= r and, for `alpha_star`, the capacity; xi and
 alpha* = 1 / (1 + nu) are their multipliers.  A participation weight xi
 (`second_best_solve`) prices the levels at 1 - xi, with no participation
-row.  gamma is the distortion in closed form, s sum_theta' lambda(d,theta')
-/ p(d) - s lambda(d,theta) / (p(d|theta) pi(theta)), a decision-dependent
-transfer where lambda = 0 (Result 4), which `gamma_from_duals` evaluates.
+row.  gamma is the distortion of the multipliers lambda in closed form, a
+decision-dependent transfer where lambda = 0 (Result 4), written once in
+`gamma_from_duals`.
 Each answer is certified (`_decomposed`): signs, feasibility, agent
 optimality and b = alpha y - beta - gamma.  At xi = 1, and from the
 first-best floor of r up, the answer is the first-best contract.
@@ -45,7 +45,7 @@ class Decomposition:
     alpha: float
     beta: np.ndarray
     gamma: np.ndarray
-    gamma_hat: np.ndarray | None = None
+    gamma_hat: np.ndarray
 
     def reconstruct(self, output) -> np.ndarray:
         return self.alpha * np.asarray(output, float) - self.beta[None, :] - self.gamma
@@ -59,7 +59,6 @@ class DualCertificate:
     xi: float
     tau: np.ndarray
     rho: np.ndarray
-    phi: np.ndarray
     mu: float = 0.0
 
 
@@ -161,70 +160,79 @@ def _frontier(inst, base, r, slack):
 _SIGN_TOL = 1e-7   # multiplier size the sign screens tolerate
 
 
-def gamma_from_duals(p: Experiment, prior, model, lam, xi) -> np.ndarray:
-    """Evaluate the optimal-distortion formula from multipliers.
+def _logit_scale(model, what):
+    """The logit scale of the mutual-information cost `model`; any other
+    cost raises NoPatternFoundError, saying that `what` needs it."""
+    s = model.logit_scale
+    if s is None:
+        raise NoPatternFoundError(f"{what} needs the logit rule of the mutual-information cost")
+    return s
 
-    Under mutual information it is the closed form s sum_theta'
-    lambda(d,theta') / p(d) - s lambda(d,theta) / (p(d|theta) pi(theta)),
-    which needs every entry of a decision taken above 0, however small;
-    other costs contract the multipliers with the cost's Hessian.  A
-    decision never taken (p(d) = 0) has no distortion: its row is 0.
-    """
+
+def gamma_from_duals(p: Experiment, prior, model, lam) -> np.ndarray:
+    """The optimal distortion of the multipliers `lam` (Result 4), s
+    sum_theta' lam(d,theta') / p(d) - s lam(d,theta) / (p(d|theta)
+    pi(theta)) at the logit scale s of mutual information (any other cost
+    raises NoPatternFoundError): it needs every entry of a decision taken
+    above 0, however small, and is 0 on a decision never taken.  `lam`
+    may stack multipliers on leading axes."""
+    s = _logit_scale(model, "the optimal distortion")
     pi = np.asarray(prior, float)
     lam = np.asarray(lam, float)
     cond = p.conditionals
     used = cond.any(axis=1)
-    if not used.all():
-        gamma = np.zeros(cond.shape)
-        gamma[used] = gamma_from_duals(Experiment(cond[used]), pi, model, lam[used], xi)
-        return gamma
-    s = model.logit_scale
-    if s is None:
-        phi = cond * (1.0 - xi) - lam / pi[None, :]
-        return (model.hessian(p, pi) @ phi.ravel()).reshape(cond.shape) / pi[None, :]
-    if np.min(cond) <= 0.0:
+    if np.min(cond[used]) <= 0.0:
         raise BoundaryPointError("a decision taken in some states only has no "
                                  "mutual-information distortion")
-    return (s * lam.sum(axis=1) / (cond @ pi))[:, None] - s * lam / (cond * pi[None, :])
+    m = np.where(used, cond @ pi, 1.0)
+    joint = np.where(used[:, None], cond * pi[None, :], 1.0)
+    gamma = (s * lam.sum(axis=-1) / m)[..., None] - s * lam / joint
+    return np.where(used[:, None], gamma, 0.0)
+
+
+def _split(inst, b, gamma, used, alpha):
+    """(beta, gamma, reconstruction error) of b = alpha y - beta - gamma,
+    gamma from the duals: beta is the mean of alpha y - b - gamma over the
+    decisions taken, where the error is measured, and gamma on a decision
+    never taken the remainder alpha y - beta - b."""
+    y, pay = inst.output, b.payments
+    beta = np.mean((alpha * y - pay - gamma)[used], axis=0)
+    recon = np.max(np.abs(pay - (alpha * y - beta[None, :] - gamma))[used])
+    return beta, np.where(used[:, None], gamma, alpha * y - beta[None, :] - pay), recon
 
 
 def _records(inst, exp, lam, xi, alpha, beta, gamma, rho, mu=0.0):
     """The decomposition and dual certificate of b = alpha y - beta - gamma
     with multipliers (lam, xi), the agent's levels rho and capacity dual
-    mu: tau = beta pi - xi rho, phi = (1 - xi) p - lam / pi and, under
-    mutual information, gamma_hat = s sum_theta lam / p(d), 0 on a
-    decision never taken."""
-    pi, s, m = inst.prior, inst.cost_model.logit_scale, marginal(exp, inst.prior)
-    gamma_hat = None if s is None else np.divide(s * lam.sum(axis=1), m,
-                                                  out=np.zeros_like(m), where=m > 0)
+    mu: tau = beta pi - xi rho and gamma_hat = s sum_theta lam / p(d), 0
+    on a decision never taken."""
+    pi, m = inst.prior, marginal(exp, inst.prior)
+    gamma_hat = np.divide(inst.cost_model.logit_scale * lam.sum(axis=1), m,
+                          out=np.zeros_like(m), where=m > 0)
     deco = Decomposition(alpha=float(alpha), beta=beta, gamma=gamma, gamma_hat=gamma_hat)
     duals = DualCertificate(lam=lam, xi=float(xi), tau=beta * pi - xi * rho, rho=rho,
-                            phi=exp.conditionals * (1.0 - xi) - lam / pi[None, :],
                             mu=float(mu))
     return deco, duals
 
 
 def _decomposed(inst, exp, b, lam, xi, alpha, mu=0.0):
     """Certify the contract b with experiment exp and multipliers (lam,
-    xi) at piece rate alpha and the agent's capacity dual mu: gamma from
-    the duals on the decisions taken, beta the mean of alpha y - b - gamma
-    there, and gamma = alpha y - beta - b on a decision never taken.
-    Returns the solution or the reason it fails the checks, cheapest first:
-    lam >= 0 where a positive output is paid 0 and <= 0 where a positive
-    payment is the whole output; the liability limits; the agent's KKT
-    conditions, the reconstruction on the decisions taken, slackness and
-    sum_d lam = (1 - xi) pi within 1e-6; and the agent's best response,
-    which reproduces the experiment or, on a smaller support, where
-    decisions may tie, reaches no higher agent objective."""
+    xi) at piece rate alpha and the agent's capacity dual mu, beta and
+    gamma split by `_split`.  Returns the solution or the reason it fails
+    the checks, cheapest first: lam >= 0 where a positive output is paid 0
+    and <= 0 where a positive payment is the whole output; the liability
+    limits; the agent's KKT conditions, the reconstruction on the decisions
+    taken, slackness and sum_d lam = (1 - xi) pi within 1e-6; and the
+    agent's best response, which reproduces the experiment or, on a
+    smaller support, where decisions may tie, reaches no higher agent
+    objective."""
     pi, y, pay = inst.prior, inst.output, b.payments
     used = exp.conditionals.any(axis=1)
     try:
-        gamma = gamma_from_duals(exp, pi, inst.cost_model, lam, xi)
+        gamma = gamma_from_duals(exp, pi, inst.cost_model, lam)
     except BoundaryPointError as exc:
         return str(exc)
-    beta = np.mean((alpha * y - pay - gamma)[used], axis=0)
-    recon = np.max(np.abs(pay - (alpha * y - beta[None, :] - gamma))[used])
-    gamma[~used] = (alpha * y - beta[None, :] - pay)[~used]
+    beta, gamma, recon = _split(inst, b, gamma, used, alpha)
     for d, s in zip(*np.nonzero((lam < -_SIGN_TOL) & (pay <= 0.0) & (y > 0))):
         return f"lambda[{d},{s}] negative at a zero payment"
     for d, s in zip(*np.nonzero((lam > _SIGN_TOL) & (pay >= y) & (pay > 0.0))):
@@ -255,30 +263,33 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
               alpha=1.0, residual_tol=1e-4):
     """Recover (alpha, beta, gamma) and duals from a solved profile.
 
-    xi and the active-cell multipliers come from a least-squares fit of
-    the within-state principal conditions (beta drops out in differences),
-    with nonnegativity projection; beta then absorbs the per-state level.
-    The cost's Hessian annihilates the experiment (each decision's cost is
-    homogeneous of degree 1 in its row), so xi drops out of the
-    within-state rows and is fit by the state sums sum_d lam = (1 - xi) pi.
+    xi and the multipliers of the cells at a liability limit on the
+    decisions taken come from a least-squares fit, with a sign projection,
+    of the state sums sum_d lam = (1 - xi) pi and of the within-state
+    principal conditions between decisions taken, in which beta cancels
+    and xi does not appear, the distortion (`gamma_from_duals`) being a
+    function of lam alone; beta and gamma then split as in the certificate
+    (`_split`).  One decision taken does not pin xi down: any lam = (1 -
+    xi) pi on its cells fits, and the fit is xi = 1, lam = 0.
     """
     pi, y, pay = inst.prior, inst.output, b.payments
-    n_d, n_s = y.shape
+    n_s = y.shape[1]
+    used = p.conditionals.any(axis=1)
+    taken = np.flatnonzero(used)
     tol_active = 1e-6
     zeros = pay <= tol_active
     tops = (pay >= y - tol_active) & (y > tol_active)
-    active = np.flatnonzero(zeros | tops)
+    active = np.flatnonzero((zeros | tops) & used[:, None])
     n_a = len(active)
-    # unknowns: lam at the active cells, then zeta = 1 - xi; the
-    # coefficient of lam_a in gamma(d, s) is -H[(d, s), a] / (pi_s pi_a)
-    pi_cell = np.tile(pi, n_d)
-    hess = inst.cost_model.hessian(p, pi)
-    coef = (-hess[:, active] / np.outer(pi_cell, pi_cell[active])).reshape(n_d, n_s, n_a)
-    within = (coef[1:] - coef[:1]).transpose(1, 0, 2).reshape((n_d - 1) * n_s, n_a)
+    # unknowns: lam at the active cells, then zeta = 1 - xi; column a is
+    # the distortion of a unit multiplier at cell a
+    units = np.eye(y.size)[active].reshape((n_a,) + y.shape)
+    cols = np.moveaxis(gamma_from_duals(p, pi, inst.cost_model, units), 0, -1)
+    within = (cols[taken[1:]] - cols[taken[:1]]).reshape((len(taken) - 1) * n_s, n_a)
     sums = np.equal.outer(np.arange(n_s), active % n_s).astype(float)
     rows = np.block([[within, np.zeros((len(within), 1))], [sums, -pi[:, None]]])
-    rhs = np.concatenate([(alpha * (y[1:] - y[:1]) - (pay[1:] - pay[:1])).T.ravel(),
-                          np.zeros(n_s)])
+    net = alpha * y - pay
+    rhs = np.concatenate([(net[taken[1:]] - net[taken[:1]]).ravel(), np.zeros(n_s)])
     sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     xi = 1.0 - float(np.clip(sol[n_a], 0.0, 1.0))
     lam = np.zeros(y.shape)
@@ -286,9 +297,8 @@ def decompose(b: Contract, inst: ProblemInstance, p: Experiment,
     lam = np.where(zeros & (y > tol_active), np.maximum(lam, 0.0),
                    np.where(tops, np.minimum(lam, 0.0), lam))
 
-    gamma = gamma_from_duals(p, pi, inst.cost_model, lam, xi)
-    beta = np.mean(alpha * y - gamma - pay, axis=0)
-    resid = float(np.max(np.abs(alpha * y - beta[None, :] - gamma - pay)))
+    gamma = gamma_from_duals(p, pi, inst.cost_model, lam)
+    beta, gamma, resid = _split(inst, b, gamma, used, alpha)
     if resid > residual_tol:
         raise InconsistentProfileError(
             f"profile does not fit the optimality system (residual {resid:.2e})")
@@ -410,9 +420,7 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
         raise ValueError("xi must lie in [0, 1]")
     if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
-    if inst.cost_model.logit_scale is None:
-        raise NoPatternFoundError(
-            "the second-best problem needs the logit rule of the mutual-information cost")
+    _logit_scale(inst.cost_model, "the second-best problem")
     if np.any(inst.output < 0.0):
         raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     top = replace(inst, output=alpha * inst.output, capacity=np.inf)
@@ -464,9 +472,7 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSoluti
     """
     if np.isnan(r):
         raise ValueError("reservation utility must not be NaN")
-    if inst.cost_model.logit_scale is None:
-        raise NoPatternFoundError(
-            "the reservation problem needs the logit rule of the mutual-information cost")
+    _logit_scale(inst.cost_model, "the reservation problem")
     if np.any(inst.output < 0.0):
         raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     if alpha is not None and not alpha > 0.0:
@@ -512,8 +518,9 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     agent responds optimally (no capacity constraint), in closed form and
     independently of the agent's solvers (`_grid_response`); the best grid
     contract maximizes the principal's payoff subject to the agent clearing
-    utility r.  Only for at most 4 payment cells.  An output below 0, with
-    no payment within both liability limits, raises NoPatternFoundError.
+    utility r.  Only for at most 4 payment cells.  A cost other than
+    mutual information, or an output below 0, with no payment within both
+    liability limits, raises NoPatternFoundError.
     """
     if grid_n < 2:
         raise ValueError("oracle grid needs at least 2 points per payment")
@@ -524,9 +531,7 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
         raise TooLargeError("oracle supports at most 4 payment cells")
     if grid_n > 41:
         raise TooLargeError("oracle grid is capped at 41 points per payment")
-    s = inst.cost_model.logit_scale
-    if s is None:
-        raise TooLargeError("oracle requires a mutual-information cost model")
+    s = _logit_scale(inst.cost_model, "the grid oracle")
     if np.any(inst.output < 0):
         raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     pi = inst.prior
@@ -585,23 +590,17 @@ def _grid_response(logits, pi):
     return q, joint / joint.sum(axis=1, keepdims=True)
 
 
-def gamma_risk_averse(p: Experiment, prior, model, lam, xi, b: Contract,
-                      u_prime) -> np.ndarray:
-    """Optimal distortion when the agent has concave utility over wealth:
-    H ((p - lambda / pi) / u' - xi p) / pi, H the cost's Hessian (block
-    diagonal across decisions) and u' = `u_prime` the marginal utility of
-    the payments; with u' identically 1 this is `gamma_from_duals`.  Block
-    d of H is p(d) k(q_d) / (p(.|d) p(.|d)^T), so p(d) gamma(d) is Hebert
-    and Woodford's k(q_d) / (q_d q_d^T) contracted with (joint - lambda) /
-    u', k the information cost matrix at the posterior q_d."""
-    pi = np.asarray(prior, float)
-    cond = p.conditionals
-    hess = model.hessian(p, pi)
+def gamma_risk_averse(p: Experiment, prior, model, lam, b: Contract, u_prime) -> np.ndarray:
+    """Optimal distortion when the agent has concave utility over wealth,
+    u' = `u_prime` the marginal utility of the payments: that of the
+    multipliers (lam - pi p) / u' (`gamma_from_duals`), with u' = 1 that of
+    lam.  p(d) gamma(d) is Hebert and Woodford's k(q_d) / (q_d q_d^T), k the
+    information cost matrix at the posterior q_d, times (joint - lam) / u'."""
     up = u_prime(b.payments)
     if np.any(up <= 0):
         raise ValueError("marginal utility must be positive on the payment range")
-    weight = (cond - np.asarray(lam, float) / pi[None, :]) / up - xi * cond
-    return (hess @ weight.ravel()).reshape(cond.shape) / pi[None, :]
+    pi = np.asarray(prior, float)
+    return gamma_from_duals(p, pi, model, (lam - pi[None, :] * p.conditionals) / up)
 
 
 @dataclass(frozen=True)

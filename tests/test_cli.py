@@ -320,6 +320,17 @@ def test_oracle_refuses_an_output_below_zero(tmp_path, capsys):
     assert "an output below 0 leaves no payment within both liability limits" in captured.err
 
 
+def test_oracle_refuses_a_table_as_the_contract_solvers_do(tmp_path, capsys):
+    # it exited 6, "too large", as if the problem were too big for the grid
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(GRIDDED_PROBLEM))
+    assert main(["oracle", "--problem", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "unsupported by the contract solvers")
+    assert "the grid oracle needs the logit rule" in captured.err
+
+
 def test_one_decision_xi_request_answers(tmp_path, capsys):
     # the pattern system has no free cell: its empty residual once raised an
     # untyped ValueError, a traceback under exit code 1
@@ -508,6 +519,23 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def public_parameters():
+    """The parameters of the public functions and of the hand-written
+    constructors and public methods of the public classes, self aside (a
+    dataclass's generated constructor holds fields, not options)."""
+    params = []
+    for name in infocontracts.__all__:
+        obj = getattr(infocontracts, name)
+        members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+        for attr, member in members:
+            generated = attr == "__init__" and dataclasses.is_dataclass(obj)
+            if (inspect.isfunction(member) and not generated
+                    and (attr == "__init__" or not attr.startswith("_"))):
+                params += [param for param in inspect.signature(member).parameters.values()
+                           if param.name != "self"]
+    return params
+
+
 def test_all_lists_the_public_names_and_no_modules():
     assert len(infocontracts.__all__) == len(set(infocontracts.__all__))
     namespace = {}
@@ -516,24 +544,12 @@ def test_all_lists_the_public_names_and_no_modules():
         assert not isinstance(namespace[name], types.ModuleType), name
     # thin wrappers of model methods and of Contract arithmetic stay out
     assert len(infocontracts.__all__) <= 62
-    # options no caller sets are module constants: count the defaulted
-    # parameters of the public functions and of the hand-written
-    # constructors and public methods of the public classes (a dataclass's
-    # generated constructor holds fields, not options)
-    callables = []
-    for name in infocontracts.__all__:
-        obj = namespace[name]
-        if not isinstance(obj, type):
-            callables.append(obj)
-            continue
-        for attr, member in vars(obj).items():
-            generated = attr == "__init__" and dataclasses.is_dataclass(obj)
-            if (inspect.isfunction(member) and not generated
-                    and (attr == "__init__" or not attr.startswith("_"))):
-                callables.append(member)
-    defaulted = sum(param.default is not inspect.Parameter.empty
-                    for fn in callables for param in inspect.signature(fn).parameters.values())
-    assert defaulted <= 23
+    # options no caller sets are module constants
+    params = public_parameters()
+    assert sum(param.default is not inspect.Parameter.empty for param in params) <= 23
+    # the distortion formulas dropped a participation weight xi that has
+    # no effect (H p = 0)
+    assert len(params) <= 116
 
 
 def _round_tripped(obj):

@@ -171,21 +171,20 @@ def test_solve_for_reservation_hits_target(example):
 def test_gamma_from_duals_published_multipliers(example):
     sol = second_best_solve(example, 0.0, 1.0)
     lam = np.array([[2.0 / 3.0, 0.0], [0.0, 1.0 / 3.0]])
-    gamma = gamma_from_duals(sol.experiment, example.prior, example.cost_model,
-                             lam, xi=0.0)
+    gamma = gamma_from_duals(sol.experiment, example.prior, example.cost_model, lam)
     assert np.max(np.abs(gamma - np.array([[-3.836, 2.404], [0.462, -1.596]]))) < 0.02
 
 
 def test_gamma_zero_at_first_best(example):
     p = best_response_shannon(example.output_contract, example.prior).experiment
-    gamma = gamma_from_duals(p, example.prior, example.cost_model,
-                             np.zeros((2, 2)), xi=1.0)
+    gamma = gamma_from_duals(p, example.prior, example.cost_model, np.zeros((2, 2)))
     assert np.max(np.abs(gamma)) < 1e-12
 
 
 def test_gamma_closed_form_matches_hessian_contraction():
-    # the closed form that gamma_from_duals returns under mutual information
-    # is the Hessian contraction, which the other costs use
+    # the closed form of gamma_from_duals is the Hessian contraction H phi /
+    # pi, phi = (1 - xi) p - lam / pi, of the general formula, whatever xi
+    # (H p = 0)
     rng = np.random.default_rng(1)
     for shape in ((2, 2), (3, 2), (2, 3), (3, 4)):
         model = ShannonCost(float(rng.uniform(0.2, 3.0)))
@@ -196,7 +195,7 @@ def test_gamma_closed_form_matches_hessian_contraction():
             pi = rng.dirichlet(np.ones(shape[1]))
             lam = rng.uniform(0, 0.5, size=shape)
             xi = float(rng.uniform(0, 1))
-            gamma = gamma_from_duals(p, pi, model, lam, xi)
+            gamma = gamma_from_duals(p, pi, model, lam)
             phi = cond * (1 - xi) - lam / pi[None, :]
             general = (model.hessian(p, pi) @ phi.ravel()).reshape(shape) / pi[None, :]
             assert np.max(np.abs(gamma - general)) <= 1e-9
@@ -233,6 +232,70 @@ def test_decompose_oracle_point_within_grid_tolerance(example):
     deco, duals = decompose(bc, example, bp, alpha=1.0, residual_tol=step)
     recon = deco.reconstruct(example.output)
     assert np.max(np.abs(recon - bc.payments)) < step
+
+
+def _seeded_second_best_answers():
+    rng = np.random.default_rng(3)
+    for shape in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 3)):
+        for _ in range(10):
+            inst = _instance(rng.uniform(0.0, 10.0, size=shape),
+                             rng.dirichlet(np.ones(shape[1])), 1.0, 1.0)
+            for xi in (0.0, 0.3, 0.6):
+                try:
+                    yield inst, second_best_solve(inst, xi, 1.0)
+                except NoConvergenceError:
+                    continue
+
+
+def test_decompose_takes_every_second_best_answer():
+    # it raised BoundaryPointError on 169 of these 178 answers: its Hessian
+    # refused any experiment entry at or below 1e-12, a decision never
+    # taken included
+    answered = informative = 0
+    for inst, sol in _seeded_second_best_answers():
+        answered += 1
+        deco, duals = decompose(sol.contract, inst, sol.experiment, alpha=1.0)
+        assert np.max(np.abs(deco.reconstruct(inst.output) - sol.contract.payments)) <= 1e-12
+        if sol.experiment.conditionals.any(axis=1).sum() < 2:
+            # one decision taken does not pin xi down: the fit is xi = 1, lam = 0
+            assert duals.xi == 1.0 and not duals.lam.any()
+            continue
+        informative += 1
+        assert abs(duals.xi - sol.duals.xi) <= 1e-10
+        for got, want in ((duals.lam, sol.duals.lam), (deco.beta, sol.decomposition.beta),
+                          (deco.gamma, sol.decomposition.gamma),
+                          (deco.gamma_hat, sol.decomposition.gamma_hat)):
+            assert np.max(np.abs(got - want)) <= 1e-10
+    assert (answered, informative) == (178, 57)
+
+
+def test_decompose_a_profile_with_no_cell_at_a_liability_limit():
+    # every payment strictly between 0 and the output: no multiplier to
+    # fit, and the profile is first-best, alpha y - beta
+    inst = _instance([[1.0, 10.0], [5.0, 4.0]], [0.6, 0.4], 1.0, 1.0)
+    beta = np.array([0.3, 0.5])
+    b = Contract(0.8 * inst.output - beta[None, :])
+    p = best_response_shannon(b, inst.prior).experiment
+    deco, duals = decompose(b, inst, p, alpha=0.8)
+    assert duals.xi == 1.0 and not duals.lam.any()
+    assert np.max(np.abs(deco.beta - beta)) <= 1e-12
+    assert np.max(np.abs(deco.gamma)) <= 1e-12
+
+
+def test_the_distortion_refuses_a_table(example):
+    # under the 2q(1 - q) table the Hessian contraction returned gamma = 0
+    # for any multipliers: its Hessian is 0
+    table = _example_with(PosteriorSeparableCost(
+        {"grid": [[q, 2.0 * q * (1.0 - q)] for q in np.linspace(0.0, 1.0, 201)]}))
+    sol = second_best_solve(example, 0.0, 1.0)
+    lam, p = sol.duals.lam, sol.experiment
+    with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
+        gamma_from_duals(p, table.prior, table.cost_model, lam)
+    with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
+        gamma_risk_averse(p, table.prior, table.cost_model, lam, sol.contract,
+                          u_prime=lambda w: np.ones_like(w))
+    with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
+        decompose(sol.contract, table, p, alpha=1.0)
 
 
 def test_oracle_matches_published_payoff(example):
@@ -454,24 +517,25 @@ def test_capacity_substitution_inequality_chains(example):
 def test_gamma_risk_neutral_limit(example):
     sol = second_best_solve(example, 0.0, 1.0)
     gamma_rn = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                                 sol.duals.lam, 0.0, sol.contract,
+                                 sol.duals.lam, sol.contract,
                                  u_prime=lambda w: np.ones_like(w))
     gamma = gamma_from_duals(sol.experiment, example.prior, example.cost_model,
-                             sol.duals.lam, 0.0)
+                             sol.duals.lam)
     assert np.max(np.abs(gamma_rn - gamma)) < 1e-9
 
 
 def test_gamma_risk_averse_log_utility(example):
     sol = second_best_solve(example, 0.0, 1.0)
     gamma = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                              sol.duals.lam, 0.0, sol.contract,
+                              sol.duals.lam, sol.contract,
                               u_prime=lambda w: 1.0 / (1.0 + w))
     assert np.all(np.isfinite(gamma))
 
 
 def _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime):
-    """The risk-averse distortion as a sum over cell pairs, weighing each
-    pair by the marginal utility of the row's own decision."""
+    """The risk-averse distortion H ((p - lam / pi) / u' - xi p) / pi as a
+    sum over cell pairs, weighing each pair by the marginal utility of the
+    row's own decision; xi drops out, since H p = 0."""
     cond = p.conditionals
     n_d, n_s = cond.shape
     hess = model.hessian(p, pi)
@@ -508,18 +572,18 @@ def test_gamma_risk_averse_matches_the_sum_over_cell_pairs():
 
     for p, pi, model, lam, xi, b in _risk_averse_draws(11):
         want = _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime)
-        got = gamma_risk_averse(p, pi, model, lam, xi, b, u_prime)
+        got = gamma_risk_averse(p, pi, model, lam, b, u_prime)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gamma_risk_averse_is_the_information_cost_matrix_form_over_p_d():
     # Hebert and Woodford's form: k(q_d) / (q_d q_d^T), read off block d of
     # the Hessian times p(d) / (pi pi^T), contracted with (joint -
-    # lambda) / u', is p(d) times the distortion, whatever xi
+    # lambda) / u', is p(d) times the distortion
     def u_prime(w):
         return np.sqrt(1.0 + w)
 
-    for p, pi, model, lam, xi, b in _risk_averse_draws(12):
+    for p, pi, model, lam, _, b in _risk_averse_draws(12):
         cond = p.conditionals
         n_d, n_s = cond.shape
         hess = model.hessian(p, pi).reshape(n_d, n_s, n_d, n_s)
@@ -527,19 +591,18 @@ def test_gamma_risk_averse_is_the_information_cost_matrix_form_over_p_d():
         k_qq = blocks * marginal(p, pi)[:, None, None] / np.outer(pi, pi)
         weight = (cond * pi[None, :] - lam) / u_prime(b.payments)
         want = (k_qq @ weight[:, :, None])[:, :, 0]
-        got = marginal(p, pi)[:, None] * gamma_risk_averse(p, pi, model, lam, xi, b, u_prime)
+        got = marginal(p, pi)[:, None] * gamma_risk_averse(p, pi, model, lam, b, u_prime)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gamma_risk_averse_scaling_identity(example):
     sol = second_best_solve(example, 0.3, 1.0)
-    xi = 0.3
     c = 2.0
     base = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                             sol.duals.lam, xi, sol.contract,
+                             sol.duals.lam, sol.contract,
                              u_prime=lambda w: 1.0 + 0.2 * w)
     scaled = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                               sol.duals.lam, xi / c, sol.contract,
+                               sol.duals.lam, sol.contract,
                                u_prime=lambda w: c * (1.0 + 0.2 * w))
     assert np.max(np.abs(scaled - base / c)) < 1e-10
 
@@ -967,6 +1030,12 @@ def test_reservation_answer_with_an_entry_near_1e_14_is_certified():
     br = best_response_shannon(sol.contract, inst.prior, mu=sol.duals.mu,
                                scale=inst.cost_model.logit_scale)
     assert np.max(np.abs(br.experiment.conditionals - cond)) <= 1e-6
+    # `decompose` refused it on the same guard (BoundaryPointError)
+    deco, duals = decompose(sol.contract, inst, sol.experiment, alpha=sol.decomposition.alpha)
+    assert abs(duals.xi - sol.duals.xi) <= 1e-10
+    for got, want in ((duals.lam, sol.duals.lam), (deco.beta, sol.decomposition.beta),
+                      (deco.gamma, sol.decomposition.gamma)):
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_polish_with_multipliers_a_millionth_of_their_slack():

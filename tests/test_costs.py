@@ -144,7 +144,7 @@ def test_hessian_block_diagonal_across_decisions():
        st.floats(-3.0, 3.0), st.floats(0.0, 12.0))
 def test_hessian_annihilates_the_experiment(n_d, n_s, seed, log_scale, spread):
     # each decision's cost is homogeneous of degree 1 in its row (Euler):
-    # H p = 0, which lets `decompose` drop xi from its within-state rows
+    # H p = 0, which drops xi out of the optimal distortion
     rng = np.random.default_rng(seed)
     cond = np.exp(rng.uniform(-spread, 0.0, size=(n_d, n_s)))
     p = Experiment(cond / cond.sum(axis=0))
