@@ -78,8 +78,10 @@ def _logit_kernel(z, pi):
     NoConvergenceError after LOGIT_MAX_ITER Newton steps.
 
     Decisions with identical weight rows solve as one and split its
-    marginal equally.  Returns (q, conditionals, iterations), the last
-    the number of Newton steps.
+    marginal equally.  Returns (q, conditionals, iterations, log D), the
+    third the number of Newton steps and the last the log-partition of
+    each state at the final marginal, of the logits less the state's
+    largest.
     """
     n_d = len(z)
     w = np.exp(z - z.max(axis=0))
@@ -150,7 +152,7 @@ def _logit_kernel(z, pi):
 
     q = q[group] / same.sum(axis=1)
     joint = q[:, None] * w
-    return q, joint / joint.sum(axis=0), it
+    return q, joint / joint.sum(axis=0), it, np.log(dens)
 
 
 def _line(rel, pi, t_max):
@@ -219,41 +221,53 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolutio
         raise ValueError("capacity dual mu must be nonnegative")
     model = CostModel("entropy", scale)
     pi = np.asarray(prior, float)
-    return _certified(b, pi, _logit_solve(b, pi, mu, model))
+    return _certified(b, pi, model, _logit_solve(b, pi, mu, model))
 
 
 class _LogitSolve(NamedTuple):
     """A logit best response before certification: the kernel's marginal
-    q and experiment at temperature temp, its cost and value (E[b] -
-    cost), and the kernel's Newton steps."""
+    q, conditionals and per-state log-partition at temperature temp, E[b]
+    and the kernel's Newton steps."""
 
-    experiment: Experiment
     q: np.ndarray
+    cond: np.ndarray
+    log_part: np.ndarray
     mu: float
     temp: float
-    cost: float
-    value: float
+    e_b: float
     iterations: int
 
 
 def _logit_solve(b, pi, mu, model):
     """One kernel solve at capacity dual mu under a model with a
-    `logit_scale`, without the certificate (`_certified` adds it)."""
+    `logit_scale`, with no `Experiment`, cost or certificate (`_certified`)."""
     temp = model.logit_scale * (1.0 + mu)
-    q, cond, iters = _logit_kernel(b.payments / temp, pi)
-    exp = Experiment(cond)
+    q, cond, iters, log_part = _logit_kernel(b.payments / temp, pi)
+    e_b = float((cond * pi * b.payments).sum())
+    return _LogitSolve(q, cond, log_part, float(mu), temp, e_b, iters)
+
+
+def _iterate_cost(shifted, pi, sol, scale):
+    """The cost of a logit solve, for the capacity search: scale sum
+    pi_s p(d|s) log(p(d|s) / q_d), the log-ratio read off the logit rule
+    (Matejka & McKay 2015) as shifted_ds / temp - log D_s, `shifted` the
+    payments less each state's largest, so that no term grows with the
+    payments as E[b] / temp and the log-partition do; exactly 0 when every
+    row is constant across states, as in `CostModel.value`."""
+    if (sol.cond == sol.cond[:, :1]).all():
+        return 0.0
+    ratio = shifted / sol.temp - sol.log_part
+    return scale * float(np.add.reduce(sol.cond * ratio, axis=0) @ pi)
+
+
+def _certified(b, pi, model, sol):
+    """The AgentSolution of a logit solve: its experiment, cost and value
+    (`model.value`), KKT residual and rho."""
+    exp = Experiment(sol.cond)
     cost = model.value(exp, pi)
-    e_b = float(np.sum(cond * pi[None, :] * b.payments))
-    return _LogitSolve(exp, q, float(mu), temp, cost, e_b - cost, iters)
-
-
-def _certified(b, pi, sol):
-    """The AgentSolution of a logit solve, with its KKT residual and rho."""
-    residual, rho = _logit_residual(b.payments, pi, sol.temp, sol.q,
-                                    sol.experiment.conditionals)
-    return AgentSolution(experiment=sol.experiment, mu=sol.mu, rho=rho,
-                         value=sol.value, cost=sol.cost,
-                         iterations=sol.iterations, residual=residual)
+    residual, rho = _logit_residual(b.payments, pi, sol.temp, sol.q, sol.cond)
+    return AgentSolution(experiment=exp, mu=sol.mu, rho=rho, value=sol.e_b - cost,
+                         cost=cost, iterations=sol.iterations, residual=residual)
 
 
 def _logit_residual(payments, pi, temp, q, cond):
@@ -294,10 +308,12 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     one step after a solve there returns an end's experiment) or the
     bracket closes, the cost jumps at that t, and `_mixture` of the two
     ends spends the capacity (Everett 1963).  A model with a
-    `logit_scale` takes the logit route at every t (`_logit_solve`), whose
-    iterates carry only the kernel's output, cost and value: only the
-    answer, or the two ends of a mixture, is certified (`_certified`, as
-    in `best_response_shannon`).  Otherwise the search runs on the
+    `logit_scale` takes the logit route at every t (`_logit_solve`): an
+    iterate holds only the kernel's marginal, conditionals, log-partition
+    and E[b], and its cost is read off them (`_iterate_cost`).  Only the
+    answer, or the two ends of a mixture, gets an `Experiment`, a cost
+    by `CostModel.value` and the certificate (`_certified`, as in
+    `best_response_shannon`).  Otherwise the search runs on the
     penalized problem with the cost scaled by 1/t.  Raises `ValueError`
     for a capacity or `cost_tol` that is not positive (NaN included) and
     `NoConvergenceError` after `CAPACITY_MAX_SOLVES` solves.
@@ -308,21 +324,24 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         raise ValueError("cost_tol must be positive")
     pi = np.asarray(prior, float)
     logit_scale = model.logit_scale
+    shifted = b.payments - b.payments.max(axis=0)
 
     def solve(t):
         mu = (1.0 - t) / t
-        if logit_scale is not None:
-            return _logit_solve(b, pi, mu, model)
-        return best_response_general(b, pi, model, mu)
+        if logit_scale is None:
+            sol = best_response_general(b, pi, model, mu)
+            return _End(t, sol, sol.cost, sol.value + sol.cost)
+        sol = _logit_solve(b, pi, mu, model)
+        return _End(t, sol, _iterate_cost(shifted, pi, sol, logit_scale), sol.e_b)
 
-    def certified(sol):
-        return sol if logit_scale is None else _certified(b, pi, sol)
+    def certified(end):
+        return end.sol if logit_scale is None else _certified(b, pi, model, end.sol)
 
     def mixture(t):
-        return _mixture(b, pi, model, certified(above.sol), certified(below.sol),
-                        capacity, cost_tol, t)
+        return _mixture(b, pi, model, certified(above), certified(below), capacity,
+                        cost_tol, t)
 
-    free = solve(1.0)
+    free = above = end = solve(1.0)
     if free.cost <= capacity:
         return certified(free)
     onset = 0.0 if logit_scale is None else logit_scale * _onset(b.payments, pi)
@@ -331,17 +350,16 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         return certified(free)
 
     below = _End(onset, None, 0.0, float(np.max(b.payments @ pi)))
-    above = _End(1.0, free, free.cost, free.value + free.cost)
-    t, sol, last = 1.0, free, math.inf
+    last = math.inf
     for _ in range(CAPACITY_MAX_SOLVES):
         if below.sol is not None and above.t - below.t <= 1e-15 * above.t:
             return mixture(above.t)
         step = math.nan
         # a step that did not halve the excess falls back on the meeting
-        excess = abs(sol.cost - capacity)
+        excess = abs(end.cost - capacity)
         if logit_scale is not None and excess <= 0.5 * last:
-            slope = _cost_slope(b.payments, pi, sol.experiment.conditionals, logit_scale / t)
-            step = onset + _quadratic_step(t - onset, sol.cost, slope, capacity)
+            slope = _cost_slope(b.payments, pi, end.sol)
+            step = onset + _quadratic_step(end.t - onset, end.cost, slope, capacity)
         last = excess
         if not below.t < step < above.t:
             # where the ends' Lagrangians E[b] - cost / t meet; the cost
@@ -353,23 +371,21 @@ def best_response_capacity(b: Contract, prior, capacity, model,
             if below.sol is not None and (cross <= below.t or cross >= above.t):
                 return mixture(below.t if cross <= below.t else above.t)
             step = cross if below.t < cross < above.t else 0.5 * (below.t + above.t)
-        t = step
-        sol = solve(t)
-        if abs(sol.cost - capacity) < cost_tol:
-            return certified(sol)
-        end = _End(t, sol, sol.cost, sol.value + sol.cost)
-        if sol.cost > capacity:
+        end = solve(step)
+        if abs(end.cost - capacity) < cost_tol:
+            return certified(end)
+        if end.cost > capacity:
             above = end
         else:
             below = end
     raise NoConvergenceError(
         f"capacity dual not found in {CAPACITY_MAX_SOLVES} solves "
-        f"(cost {sol.cost:.6g} against capacity {capacity:.6g})")
+        f"(cost {end.cost:.6g} against capacity {capacity:.6g})")
 
 
 class _End(NamedTuple):
-    """An end of the capacity search's bracket: t, the solve there (None
-    for the onset, which is not solved), its cost and E[b]."""
+    """A solve of the capacity search at t, an end of its bracket: the
+    solve (None for the onset, which is not solved), its cost and E[b]."""
 
     t: float
     sol: _LogitSolve | AgentSolution | None
@@ -424,9 +440,9 @@ def _onset(payments, pi):
     return onset
 
 
-def _cost_slope(payments, pi, cond, temp):
-    """d cost / dt along the logit path, at the solution `cond` of
-    temperature temp = scale / t.
+def _cost_slope(payments, pi, sol):
+    """d cost / dt along the logit path, read off the kernel's marginal q
+    and conditionals p at the logit solve `sol` of temperature scale / t.
 
     On the rate-distortion curve d cost = scale dE[b] / temp (Blahut
     1972), and with p(d|theta) = q_d exp(b_dtheta / temp) / D_theta the
@@ -434,24 +450,31 @@ def _cost_slope(payments, pi, cond, temp):
     the support q > 0, with M_de = sum_theta pi_theta p(d|theta) p(e|theta)
     / (q_d q_e) and dq solving [M 1; 1' 0] [dq; nu] = [r; 0], r_d =
     sum_theta pi_theta p(d|theta) (b_dtheta - mean_theta) / q_d; then
-    dq' M dq = r' dq.
+    dq' M dq = r' dq.  On two decisions that is (r_1 - r_2)^2 / sum_theta
+    pi_theta (p(1|theta) / q_1 - p(2|theta) / q_2)^2, 0 if they are paid alike.
     """
-    q = cond @ pi
+    p, y, q = sol.cond, payments, sol.q
     live = q > 0
-    p, y = cond[live], payments[live]
+    if not live.all():
+        p, y, q = p[live], y[live], q[live]
     dev = y - np.add.reduce(p * y, axis=0)
-    ratio = p / q[live, None]
+    ratio = p / q[:, None]
     n = len(ratio)
-    border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = (ratio * pi) @ ratio.T
-    border[n, :n] = border[:n, n] = 1.0
     r = (ratio * dev) @ pi
-    rhs = np.append(r, 0.0)
-    try:
-        dq = np.linalg.solve(border, rhs)[:n]
-    except np.linalg.LinAlgError:  # decisions paid alike
-        dq = np.linalg.lstsq(border, rhs, rcond=None)[0][:n]
-    return float(pi @ np.add.reduce(p * dev * dev, axis=0) + r @ dq) / temp
+    if n == 2:
+        curv = (ratio[0] - ratio[1]) ** 2 @ pi
+        move = (r[0] - r[1]) ** 2 / curv if curv > 0 else 0.0
+    else:
+        border = np.zeros((n + 1, n + 1))
+        border[:n, :n] = (ratio * pi) @ ratio.T
+        border[n, :n] = border[:n, n] = 1.0
+        rhs = np.append(r, 0.0)
+        try:
+            dq = np.linalg.solve(border, rhs)[:n]
+        except np.linalg.LinAlgError:  # decisions paid alike
+            dq = np.linalg.lstsq(border, rhs, rcond=None)[0][:n]
+        move = r @ dq
+    return float(pi @ np.add.reduce(p * dev * dev, axis=0) + move) / sol.temp
 
 
 def _mixture(b, pi, model, above, below, capacity, cost_tol, t):

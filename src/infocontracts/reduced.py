@@ -328,10 +328,11 @@ def polish(prob, z, mult, lam, slack):
 def solve(inst, r, alpha, capacity, start, price):
     """(problem, KKT point) of the reduced problem at utility r (-inf for
     none), piece rate alpha, capacity (infinite for none) and the levels'
-    price (`ReducedProblem`), solved on every decision from
-    the experiment `start` and then again without the decisions whose
-    weight vanishes, until the support is stable.  The point is (z,
-    equality multipliers, inequality multipliers), polished (`polish`).
+    price (`ReducedProblem`), solved on every decision but those of
+    output 0 in every state (unless all are) from the experiment `start`
+    and then again without the decisions whose weight vanishes, until the
+    support is stable.  The point is (z, equality multipliers, inequality
+    multipliers), polished (`polish`).
     It is None where the participation multiplier reaches 1, which leaves
     the levels free: the answer there is the first-best contract on the
     problem's support.  Raises NoConvergenceError when the support is down
@@ -352,6 +353,12 @@ def _solve(inst, r, alpha, capacity, start, price):
     np.add.at(cond, which.ravel(), start)
     order = np.argsort(first)
     support, cond = first[order], cond[order]
+    # a decision of output 0 in every state has payments pinned at 0, so
+    # its posterior equality holds only under the contract that pays
+    # nothing: a solve on it can only stop there, and it is left out
+    paid = rows[order].any(axis=1)
+    if paid.any():
+        support, cond = support[paid], cond[paid]
     steps = 0
     while len(support) > 1:
         prob = ReducedProblem(inst, support, alpha, r, capacity, price)

@@ -340,23 +340,28 @@ def test_logit_certified_where_weights_underflow(y, scale):
     assert sol.iterations <= 5
 
 
-def _jumping_solve(jump_mu, low_cost):
-    # a stand-in for the capacity search's per-iterate logit solve
-    def solve(b, pi, mu, model):
-        cost = 1.0 if mu < jump_mu else low_cost
-        return agent._LogitSolve(experiment=Experiment(np.eye(2)), q=np.asarray(pi),
-                                 mu=mu, temp=model.logit_scale * (1.0 + mu),
-                                 cost=cost, value=-cost, iterations=0)
-    return solve
+def _jumping_solve(jump_mu, low_mu):
+    # a stand-in for the capacity search's per-iterate logit solve whose
+    # answer jumps at mu = jump_mu from the one at mu = 0 to the one at
+    # low_mu; E[b] reads 0 at both, so that the ends' Lagrangians never
+    # meet and the search bisects
+    solve = agent._logit_solve
+
+    def jumping(b, pi, mu, model):
+        sol = solve(b, pi, 0.0 if mu < jump_mu else low_mu, model)
+        return sol._replace(mu=mu, e_b=0.0)
+    return jumping
 
 
 def test_capacity_jump_returns_the_end_within_capacity(monkeypatch):
-    # the cost jumps from 1.0 to 0.5 at mu = 1, across the capacity 0.8:
-    # the bracket closes there, and the end above the capacity (nearer to
-    # it) was once returned
-    monkeypatch.setattr(agent, "_logit_solve", _jumping_solve(1.0, 0.5))
-    sol = best_response_capacity(Y, PI, 0.8, ShannonCost())
-    assert sol.cost == 0.5
+    # the cost jumps from 0.596 to 0.106 at mu = 1, across the capacity
+    # 0.55: the bracket closes there, and the end above the capacity
+    # (nearer to it) was once returned
+    low = best_response_shannon(Y, PI, mu=3.0)
+    monkeypatch.setattr(agent, "_logit_solve", _jumping_solve(1.0, 3.0))
+    sol = best_response_capacity(Y, PI, 0.55, ShannonCost())
+    assert np.array_equal(sol.experiment.conditionals, low.experiment.conditionals)
+    assert sol.cost == low.cost < 0.55
     assert abs(sol.mu - 1.0) <= 1e-12
 
 
@@ -365,7 +370,7 @@ def test_capacity_bracket_stays_finite(monkeypatch):
     # after a bounded number of solves, where doubling log(1 + mu) past
     # 709 once overflowed
     solves = []
-    jumping = _jumping_solve(np.inf, 0.0)
+    jumping = _jumping_solve(np.inf, 3.0)
 
     def counted(b, pi, mu, model):
         solves.append(mu)
@@ -373,7 +378,7 @@ def test_capacity_bracket_stays_finite(monkeypatch):
 
     monkeypatch.setattr(agent, "_logit_solve", counted)
     with pytest.raises(NoConvergenceError):
-        best_response_capacity(Y, PI, 0.8, ShannonCost())
+        best_response_capacity(Y, PI, 0.55, ShannonCost())
     assert len(solves) <= agent.CAPACITY_MAX_SOLVES + 1
     assert all(np.isfinite(solves))
 
@@ -443,17 +448,19 @@ def test_logit_duplicate_rows(problem, pick, mu, offset):
 
 def test_logit_kernel_splits_identical_rows_equally():
     # all-zero logits: every decision is paid the same, no step is taken
-    q, cond, iters = agent._logit_kernel(np.zeros((2, 2)), PI)
+    q, cond, iters, log_part = agent._logit_kernel(np.zeros((2, 2)), PI)
     assert np.array_equal(q, np.full(2, 0.5))
     assert np.array_equal(cond, np.full((2, 2), 0.5))
     assert iters == 0
+    assert np.array_equal(log_part, np.zeros(2))
     # two equal rows out of three share the marginal of the one they solve as
     z = np.array([[0.0, 3.0], [2.0, 0.5], [0.0, 3.0]])
-    q, cond, _ = agent._logit_kernel(z, PI)
+    q, cond, _, log_part = agent._logit_kernel(z, PI)
     assert q[0] == q[2] > 0.0
     assert np.array_equal(cond[0], cond[2])
     assert abs(q.sum() - 1.0) <= 1e-15
     assert _logit_gap(z, PI, cond, 1.0) <= 1e-9
+    assert np.abs(log_part - np.log(q @ np.exp(z - z.max(axis=0)))).max() <= 1e-15
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -726,8 +733,8 @@ def test_cost_slope_matches_a_central_difference(shape, scale):
             return best_response_shannon(b, pi, mu=1.0 / t - 1.0, scale=scale).cost
 
         for t in (0.3, 0.7, 0.95):
-            sol = best_response_shannon(b, pi, mu=1.0 / t - 1.0, scale=scale)
-            slope = agent._cost_slope(y, pi, sol.experiment.conditionals, scale / t)
+            sol = agent._logit_solve(b, pi, 1.0 / t - 1.0, ShannonCost(scale))
+            slope = agent._cost_slope(y, pi, sol)
             h = 1e-5
             central = (cost(t + h) - cost(t - h)) / (2.0 * h)
             assert abs(slope - central) <= 1e-8 * max(1.0, abs(central))
@@ -825,6 +832,63 @@ def test_capacity_answer_is_the_logit_answer_at_its_dual(problem, log_share, sca
     assert np.array_equal(sol.rho, logit.rho)
     assert (sol.mu, sol.value, sol.cost, sol.iterations, sol.residual) == \
         (logit.mu, logit.value, logit.cost, logit.iterations, logit.residual)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 3), (5, 6)])
+def test_iterate_cost_is_the_model_value(shape):
+    # the search reads each iterate's cost off the kernel's log-partition;
+    # the answer takes CostModel.value of the same conditionals
+    rng = np.random.default_rng(sum(shape) + 11)
+    for scale in (1.0, 0.37):
+        model = ShannonCost(scale)
+        for _ in range(4):
+            y, pi = rng.uniform(0.0, 5.0, shape), random_prior(rng, shape[1])
+            for mu in (0.0, 0.5, 3.0):
+                sol = agent._logit_solve(Contract(y), pi, mu, model)
+                exact = model.value(Experiment(sol.cond), pi)
+                assert abs(agent._iterate_cost(y - y.max(axis=0), pi, sol, scale) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("y, taken", [
+    ([[1.4190324447206555, 1.570669478011511], [1.5652392940996884, 2.88349858126476]], 1),
+    ([[1.0, 2.0], [1.0, 2.0]], 2),
+    ([[3.0, 3.0], [0.0, 1.0], [3.0, 3.0]], 2),
+])
+def test_iterate_cost_of_an_uninformed_answer_is_zero(y, taken):
+    # one decision taken, or two identical ones splitting the marginal
+    b, pi = Contract(y), np.array([0.4950720497714065, 0.5049279502285934])
+    sol = agent._logit_solve(b, pi, 0.0, ShannonCost())
+    assert np.count_nonzero(sol.q) == taken
+    assert agent._iterate_cost(b.payments - b.payments.max(axis=0), pi, sol, 1.0) == 0.0
+    assert best_response_shannon(b, pi).cost == 0.0
+
+
+@st.composite
+def _permuted_problems(draw):
+    n_d, n_s = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    cells = st.floats(0.0, 5.0, allow_nan=False)
+    y = np.array(draw(st.lists(cells, min_size=n_d * n_s, max_size=n_d * n_s)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_s, max_size=n_s))
+    rows = np.array(draw(st.permutations(range(n_d))))
+    cols = np.array(draw(st.permutations(range(n_s))))
+    return y.reshape(n_d, n_s), np.asarray(weights) / np.sum(weights), rows, cols
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_permuted_problems(), st.floats(0.05, 0.95))
+def test_capacity_search_is_invariant_to_labels(problem, share):
+    # relabelling decisions and states permutes the experiment and leaves
+    # the dual and the cost alone
+    y, pi, rows, cols = problem
+    free = best_response_shannon(Contract(y), pi)
+    assume(free.cost > 1e-9)
+    sol = best_response_capacity(Contract(y), pi, share * free.cost, ShannonCost())
+    perm = best_response_capacity(Contract(y[rows][:, cols]), pi[cols], share * free.cost,
+                                  ShannonCost())
+    cond = sol.experiment.conditionals[rows][:, cols]
+    assert np.abs(perm.experiment.conditionals - cond).max() <= 1e-9
+    assert abs(perm.mu - sol.mu) <= 1e-9 * max(1.0, sol.mu)
+    assert abs(perm.cost - sol.cost) <= 1e-9
 
 
 @pytest.mark.parametrize("capacity, cost_tol", [

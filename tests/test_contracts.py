@@ -1014,6 +1014,19 @@ def test_equal_decisions_are_solved_as_one(output, prior, scale, capacity, r, al
     assert sol.report.principal_utility >= value - 1e-9
 
 
+def test_a_decision_of_output_zero_leaves_the_answer_alone():
+    # a decision paid 0 in every state is taken only under the contract
+    # that pays nothing: solved on it, the request stopped at that
+    # contract (U_P 3.99885) instead of the answer without the row
+    output = [[7.5, 0.0], [2.5, 2.5], [7.5, 0.0], [0.0, 0.0]]
+    prior, scale, r, alpha = [0.53318, 0.46682], 0.40410, -0.84612, 0.99222
+    sol = solve_for_reservation(_instance(output, prior, scale, np.inf), r, alpha)
+    without = solve_for_reservation(_instance(output[:3], prior, scale, np.inf), r, alpha)
+    assert sol.report.principal_utility >= 4.0477669
+    assert sol.report.principal_utility == without.report.principal_utility
+    assert np.array_equal(sol.contract.payments[:3], without.contract.payments)
+
+
 def test_reservation_answer_with_an_entry_near_1e_14_is_certified():
     # the answer's experiment has an entry of 1.976e-14 on a decision taken:
     # the Hessian guard of the distortion's cross-check refused it
