@@ -343,13 +343,18 @@ def test_logit_certified_where_weights_underflow(y, scale):
 def _jumping_solve(jump_mu, low_mu):
     # a stand-in for the capacity search's per-iterate logit solve whose
     # answer jumps at mu = jump_mu from the one at mu = 0 to the one at
-    # low_mu; E[b] reads 0 at both, so that the ends' Lagrangians never
+    # low_mu; each iterate takes the temperature of its own mu, and its
+    # log-partition moves with it so that its cost stays the copied
+    # solve's; E[b] reads 0 at both, so that the ends' Lagrangians never
     # meet and the search bisects
     solve = agent._logit_solve
 
     def jumping(b, pi, mu, model):
         sol = solve(b, pi, 0.0 if mu < jump_mu else low_mu, model)
-        return sol._replace(mu=mu, e_b=0.0)
+        temp = model.logit_scale * (1.0 + mu)
+        shifted = np.add.reduce(sol.cond * (b.payments - b.payments.max(axis=0)), axis=0)
+        return sol._replace(mu=mu, temp=temp, e_b=0.0,
+                            log_part=sol.log_part + shifted * (1.0 / temp - 1.0 / sol.temp))
     return jumping
 
 

@@ -1014,15 +1014,33 @@ def test_equal_decisions_are_solved_as_one(output, prior, scale, capacity, r, al
     assert sol.report.principal_utility >= value - 1e-9
 
 
+_ZERO_ROW_OUTPUT = [[7.5, 0.0], [2.5, 2.5], [7.5, 0.0], [0.0, 0.0]]
+_ZERO_ROW_PRIOR, _ZERO_ROW_SCALE = [0.53318, 0.46682], 0.40410
+
+
 def test_a_decision_of_output_zero_leaves_the_answer_alone():
     # a decision paid 0 in every state is taken only under the contract
     # that pays nothing: solved on it, the request stopped at that
     # contract (U_P 3.99885) instead of the answer without the row
-    output = [[7.5, 0.0], [2.5, 2.5], [7.5, 0.0], [0.0, 0.0]]
-    prior, scale, r, alpha = [0.53318, 0.46682], 0.40410, -0.84612, 0.99222
-    sol = solve_for_reservation(_instance(output, prior, scale, np.inf), r, alpha)
-    without = solve_for_reservation(_instance(output[:3], prior, scale, np.inf), r, alpha)
+    output, r, alpha = _ZERO_ROW_OUTPUT, -0.84612, 0.99222
+    sol = solve_for_reservation(
+        _instance(output, _ZERO_ROW_PRIOR, _ZERO_ROW_SCALE, np.inf), r, alpha)
+    without = solve_for_reservation(
+        _instance(output[:3], _ZERO_ROW_PRIOR, _ZERO_ROW_SCALE, np.inf), r, alpha)
     assert sol.report.principal_utility >= 4.0477669
+    assert sol.report.principal_utility == without.report.principal_utility
+    assert np.array_equal(sol.contract.payments[:3], without.contract.payments)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.4])
+def test_a_decision_of_output_zero_leaves_a_fixed_weight_answer_alone(xi):
+    # the same problem at fixed weights: solved on the zero row, the
+    # answer was not the one without it
+    output, alpha = _ZERO_ROW_OUTPUT, 0.99222
+    sol = second_best_solve(
+        _instance(output, _ZERO_ROW_PRIOR, _ZERO_ROW_SCALE, np.inf), xi, alpha)
+    without = second_best_solve(
+        _instance(output[:3], _ZERO_ROW_PRIOR, _ZERO_ROW_SCALE, np.inf), xi, alpha)
     assert sol.report.principal_utility == without.report.principal_utility
     assert np.array_equal(sol.contract.payments[:3], without.contract.payments)
 
