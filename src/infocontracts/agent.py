@@ -43,6 +43,8 @@ LINE_TOL = 1e-14
 LINE_MAX_ITER = 60
 # solves of the agent's problem one capacity search may make
 CAPACITY_MAX_SOLVES = 100
+# a binding capacity answer costs less than the capacity by less than this
+CAPACITY_TOL = 1e-8
 _SEGMENT = np.array([1.0, -1.0])
 
 
@@ -289,8 +291,7 @@ def _logit_residual(payments, pi, temp, q, cond):
     return residual, level - temp * pi * gap.mean()
 
 
-def best_response_capacity(b: Contract, prior, capacity, model,
-                           cost_tol=1e-8) -> AgentSolution:
+def best_response_capacity(b: Contract, prior, capacity, model) -> AgentSolution:
     """Optimal experiment subject to cost <= capacity.
 
     Returns the unconstrained optimum with mu = 0 when capacity is slack.
@@ -299,29 +300,31 @@ def best_response_capacity(b: Contract, prior, capacity, model,
     (`_onset`; 0 for a model without a `logit_scale`) and the free cost
     at t = 1.  With a logit model each step is a Newton step from the
     latest point on the quadratic in t - t0 that vanishes at t0 and
-    matches the cost and its exact slope there (`_cost_slope`).  Where
-    that step leaves the bracket, the excess over the capacity did not
-    halve, or there is no slope (a table), the step goes to the t where
-    the two ends' Lagrangians E[b] - cost / t meet; else it bisects.  Each
-    solve replaces the end on its side of the capacity, until the cost is
-    within `cost_tol` of it.  When the meeting point is an end (so also
-    one step after a solve there returns an end's experiment) or the
-    bracket closes, the cost jumps at that t, and `_mixture` of the two
-    ends spends the capacity (Everett 1963).  A model with a
-    `logit_scale` takes the logit route at every t (`_logit_solve`): an
-    iterate holds only the kernel's marginal, conditionals, log-partition
-    and E[b], and its cost is read off them (`_iterate_cost`).  Only the
-    answer, or the two ends of a mixture, gets an `Experiment`, a cost
-    by `CostModel.value` and the certificate (`_certified`, as in
-    `best_response_shannon`).  Otherwise the search runs on the
-    penalized problem with the cost scaled by 1/t.  Raises `ValueError`
-    for a capacity or `cost_tol` that is not positive (NaN included) and
+    matches the cost and its exact slope there (`_cost_slope`), toward
+    the aim capacity - tol / 2, tol = min(CAPACITY_TOL, capacity).  Where
+    that step leaves the bracket, the excess over the aim did not halve,
+    or there is no slope (a table), the step goes to the t where the two
+    ends' Lagrangians E[b] - cost / t meet; else it bisects.  Each solve
+    replaces the end on its side of the aim, until the cost is within tol
+    / 2 of it: a binding answer costs in (capacity - tol, capacity), while
+    the slack test compares the free cost with the capacity itself.  When
+    the meeting point is an end (so also one step after a solve there
+    returns an end's experiment) or the bracket closes, the cost jumps at
+    that t, and `_mixture` of the two ends spends the aim (Everett 1963).
+    A model with a `logit_scale` takes the logit route at every t
+    (`_logit_solve`): an iterate holds only the kernel's marginal,
+    conditionals, log-partition and E[b], and its cost is read off them
+    (`_iterate_cost`).  Only the answer, or the two ends of a mixture,
+    gets an `Experiment`, a cost by `CostModel.value` and the certificate
+    (`_certified`, as in `best_response_shannon`).  Otherwise the search
+    runs on the penalized problem with the cost scaled by 1/t.  Raises
+    `ValueError` for a capacity that is not positive (NaN included) and
     `NoConvergenceError` after `CAPACITY_MAX_SOLVES` solves.
     """
     if not capacity > 0:
         raise ValueError("capacity must be positive")
-    if not cost_tol > 0:
-        raise ValueError("cost_tol must be positive")
+    half = 0.5 * min(CAPACITY_TOL, capacity)
+    aim = capacity - half
     pi = np.asarray(prior, float)
     logit_scale = model.logit_scale
     shifted = b.payments - b.payments.max(axis=0)
@@ -338,8 +341,7 @@ def best_response_capacity(b: Contract, prior, capacity, model,
         return end.sol if logit_scale is None else _certified(b, pi, model, end.sol)
 
     def mixture(t):
-        return _mixture(b, pi, model, certified(above), certified(below), capacity,
-                        cost_tol, t)
+        return _mixture(b, pi, model, certified(above), certified(below), aim, half, t)
 
     free = above = end = solve(1.0)
     if free.cost <= capacity:
@@ -356,10 +358,10 @@ def best_response_capacity(b: Contract, prior, capacity, model,
             return mixture(above.t)
         step = math.nan
         # a step that did not halve the excess falls back on the meeting
-        excess = abs(end.cost - capacity)
+        excess = abs(end.cost - aim)
         if logit_scale is not None and excess <= 0.5 * last:
             slope = _cost_slope(b.payments, pi, end.sol)
-            step = onset + _quadratic_step(end.t - onset, end.cost, slope, capacity)
+            step = onset + _quadratic_step(end.t - onset, end.cost, slope, aim)
         last = excess
         if not below.t < step < above.t:
             # where the ends' Lagrangians E[b] - cost / t meet; the cost
@@ -372,9 +374,9 @@ def best_response_capacity(b: Contract, prior, capacity, model,
                 return mixture(below.t if cross <= below.t else above.t)
             step = cross if below.t < cross < above.t else 0.5 * (below.t + above.t)
         end = solve(step)
-        if abs(end.cost - capacity) < cost_tol:
+        if abs(end.cost - aim) < half:
             return certified(end)
-        if end.cost > capacity:
+        if end.cost > aim:
             above = end
         else:
             below = end
@@ -477,18 +479,18 @@ def _cost_slope(payments, pi, sol):
     return float(pi @ np.add.reduce(p * dev * dev, axis=0) + move) / sol.temp
 
 
-def _mixture(b, pi, model, above, below, capacity, cost_tol, t):
+def _mixture(b, pi, model, above, below, aim, half, t):
     """The mixture of the ends of a capacity bracket, both optimal at t,
-    that spends the capacity.  Both ends maximize the same concave
-    Lagrangian there, so every mixture of their experiments does too, and
-    its cost is linear in the weight (Everett 1963); its dual is mu = 1/t
-    - 1.  A cost not convex in p can break that: the end within the
-    capacity is returned when the mixture misses it."""
-    lam = (capacity - below.cost) / (above.cost - below.cost)
+    whose cost is the search's aim within `half`.  Both ends maximize the
+    same concave Lagrangian there, so every mixture of their experiments
+    does too, and its cost is linear in the weight (Everett 1963); its dual
+    is mu = 1/t - 1.  A cost not convex in p can break that: the end below
+    the aim is returned when the mixture misses it."""
+    lam = (aim - below.cost) / (above.cost - below.cost)
     exp = Experiment(lam * above.experiment.conditionals
                      + (1.0 - lam) * below.experiment.conditionals)
     cost = model.value(exp, pi)
-    if abs(cost - capacity) >= cost_tol:
+    if abs(cost - aim) >= half:
         return below
     e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
     return replace(below, experiment=exp, mu=(1.0 - t) / t,

@@ -78,9 +78,9 @@ def alpha_prime(inst: ProblemInstance) -> float:
     """Largest piece rate at which the capacity never binds for contract
     alpha y; 1.0 when it is slack even at full output.  The best response
     to alpha y is the one to y at cost scale 1/alpha, so alpha' = 1/(1 +
-    mu) is read off the capacity solve at y."""
-    if inst.capacity <= 0:
-        raise ValueError("capacity must be positive")
+    mu) is read off the capacity solve at y (`best_response_capacity`,
+    whose binding answer costs at most CAPACITY_TOL below the capacity),
+    the solve every first-best quantity reads."""
     base = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
                                   inst.cost_model)
     return 1.0 / (1.0 + base.mu)
@@ -94,9 +94,9 @@ def first_best_frontier(inst: ProblemInstance, r):
     lower endpoint the minimum payment in each state touches zero).
     Targets within FRONTIER_SLACK of the achievable range clamp to the
     endpoint; a NaN target raises ValueError.
-    alpha' is read off the capacity solve at y: the best response to
-    alpha y is the one to y at cost scale 1/alpha, so the capacity binds
-    from alpha' = 1/(1 + mu) on.
+    alpha' is read off the capacity solve at y (`best_response_capacity`,
+    as in `alpha_prime`): the best response to alpha y is the one to y at
+    cost scale 1/alpha, so the capacity binds from alpha' = 1/(1 + mu) on.
 
     The agent is solved once, at y.  Neither alpha nor beta changes the
     experiment: E_p[alpha y - beta] - (1 + mu') c(p) is alpha (E_p[y] -
@@ -106,8 +106,6 @@ def first_best_frontier(inst: ProblemInstance, r):
     rho - pi beta, and the residual, in payment units of the penalized
     problem, scaled by alpha; an Everett mixture at y stays one.
     """
-    if inst.capacity <= 0:
-        raise ValueError("capacity must be positive")
     if np.isnan(r):
         raise ValueError("agent utility must not be NaN")
     base = best_response_capacity(inst.output_contract, inst.prior, inst.capacity,
@@ -359,24 +357,18 @@ def _single_solution(inst, d, r, alpha, xi):
     return _decomposed(inst, Experiment(cond), Contract(payments), lam, xi, alpha)
 
 
-def _full_output_response(sub):
-    """The agent's solution to the full-output contract of `sub` under its
-    capacity, solved 1e-10 of the capacity below it and to that tolerance,
-    so that its cost does not exceed the capacity."""
-    tol = 1e-10 * sub.capacity if np.isfinite(sub.capacity) else 1e-8
-    return best_response_capacity(sub.output_contract, sub.prior, sub.capacity - tol,
-                                  sub.cost_model, cost_tol=tol)
-
-
 def _first_best_on(inst, support, r, alpha, capacity, base=None):
     """The first-best contract (`first_best_frontier`) on the decisions
     `support` at output alpha y and the given capacity whose agent utility
     is r, certified with lambda = 0 and xi = 1 at the agent's dual, or the
-    reason it fails; `base` is `_full_output_response` there, when known.
-    Raises OutOfRangeError outside the first-best range."""
+    reason it fails; `base` is the capacity solve of its full-output
+    contract (`best_response_capacity`, as in `first_best_frontier`), when
+    known.  Raises OutOfRangeError outside the first-best range."""
     sub = replace(inst, decisions=[inst.decisions[d] for d in support],
                   output=alpha * inst.output[support], capacity=capacity)
-    contract, agent, rate = _frontier(sub, base or _full_output_response(sub), r, V_TOL)
+    if base is None:
+        base = best_response_capacity(sub.output_contract, sub.prior, capacity, sub.cost_model)
+    contract, agent, rate = _frontier(sub, base, r, V_TOL)
     payments, cond = np.zeros(inst.output.shape), np.zeros(inst.output.shape)
     payments[support], cond[support] = contract.payments, agent.experiment.conditionals
     return _decomposed(inst, Experiment(cond), Contract(payments), np.zeros(cond.shape),
@@ -424,7 +416,7 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
     if np.any(inst.output < 0.0):
         raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     top = replace(inst, output=alpha * inst.output, capacity=np.inf)
-    base = _full_output_response(top)
+    base = best_response_capacity(top.output_contract, top.prior, np.inf, top.cost_model)
     best = int(np.argmax(inst.output @ inst.prior))
     if alpha == 0.0:
         # every experiment is worth 0 to the principal, and the split of
@@ -479,7 +471,7 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSoluti
         raise ValueError("alpha must be positive")
     piece, capacity = (1.0, inst.capacity) if alpha is None else (float(alpha), np.inf)
     top = replace(inst, output=piece * inst.output, capacity=capacity)
-    base = _full_output_response(top)
+    base = best_response_capacity(top.output_contract, top.prior, capacity, top.cost_model)
     every = np.arange(inst.n_decisions)
     if r >= _frontier_ends(top, base)[0]:
         answer = _first_best_on(inst, every, r, piece, capacity, base)

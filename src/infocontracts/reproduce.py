@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import best_response_capacity, best_response_shannon
-from .contracts import second_best_solve
+from .contracts import _frontier_ends, second_best_solve
 from .costs import ShannonCost
 from .geometry import _write_figure, emit_figure_data
 from .model import (Contract, ProblemInstance, evaluate_profile,
@@ -135,12 +135,8 @@ def run_reproduction(out_dir):
     checks += _checks("table1b_posterior", post_cap, *GOLDEN["table1b_posterior"])
     checks += _checks("mu", cap.mu, *GOLDEN["mu"])
 
-    alpha_p = 1.0 / (1.0 + cap.mu)
+    v_min, _, v_max, alpha_p, _, _ = _frontier_ends(inst, cap)
     checks += _checks("alpha_prime", alpha_p, *GOLDEN["alpha_prime"])
-    v_max = cap.value
-    joint = cap.experiment.conditionals * pi[None, :]
-    e_y_cap = float(np.sum(joint * inst.output))
-    v_min = alpha_p * (e_y_cap - float(pi @ inst.output.min(axis=0))) - inst.capacity
     checks += _checks("v_agent_max", v_max, *GOLDEN["v_agent_max"])
     checks += _checks("v_agent_min", v_min, *GOLDEN["v_agent_min"])
 

@@ -225,6 +225,17 @@ def test_oracle_command(problem_file, capsys):
     assert np.allclose(out["contract"], EXAMPLE_PROBLEM["output"])
 
 
+def test_solve_contract_cross_checks_against_the_oracle(problem_file, capsys):
+    assert main(["solve-contract", "--problem", problem_file, "--xi", "0.75", "--oracle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    grid = out["oracle"]
+    assert np.shape(grid["contract"]) == (2, 2)
+    # the grid contract clears the KKT answer's agent utility, and the KKT
+    # answer is optimal over every such contract
+    assert grid["agent_utility"] >= out["report"]["agent_utility"] - 1e-9
+    assert grid["principal_utility"] <= out["report"]["principal_utility"] + 1e-9
+
+
 def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
@@ -474,6 +485,8 @@ def test_zero_capacity_is_malformed(tmp_path, contract_file, capsys, argv):
 
 NAN_PRIOR = {"prior": [float("nan"), 0.5]}
 INFINITE_SCALE = {"cost": {"type": "shannon", "scale": float("inf")}}
+NAN_PAYMENTS = [[0.0, float("nan")], [5.0, 5.0]]
+NO_COST = json.dumps({k: v for k, v in EXAMPLE_PROBLEM.items() if k != "cost"})
 
 
 @pytest.mark.parametrize("change, argv, pointer", [
@@ -491,15 +504,38 @@ INFINITE_SCALE = {"cost": {"type": "shannon", "scale": float("inf")}}
     ({"capacity": True}, ["alpha-prime"], "/capacity"),
     # a NaN payment died in a "contract payments must be finite" ValueError
     # traceback, exit 1
-    ({}, ["solve-agent", "--contract", None], "/payments"),
+    ({}, ["solve-agent", "--contract", NAN_PAYMENTS], "/payments"),
+    # each other check of a problem or contract file: a string is the
+    # file's whole text, and a list in argv the payments of the contract
+    pytest.param("[1, 2]", ["alpha-prime"], "", id="not-an-object"),
+    pytest.param("{", ["alpha-prime"], "", id="invalid-json"),
+    pytest.param(NO_COST, ["alpha-prime"], "/cost", id="missing-key"),
+    pytest.param({"decisions": "d1"}, ["alpha-prime"], "/decisions", id="decisions-not-a-list"),
+    pytest.param({"decisions": ["d1", "d1"]}, ["alpha-prime"], "/decisions",
+                 id="duplicate-decisions"),
+    pytest.param({"states": ["t", "t"]}, ["alpha-prime"], "/states", id="duplicate-states"),
+    pytest.param({"output": [["a", 10.0], [5.0, 5.0]]}, ["alpha-prime"], "/output",
+                 id="output-not-numeric"),
+    pytest.param({"output": [[0.0, 10.0]]}, ["alpha-prime"], "/output", id="output-shape"),
+    pytest.param({"prior": [1.0]}, ["alpha-prime"], "/prior", id="prior-length"),
+    pytest.param({"prior": [1.0, 0.0]}, ["alpha-prime"], "/prior", id="prior-zero"),
+    pytest.param({"cost": "shannon"}, ["alpha-prime"], "/cost", id="cost-not-an-object"),
+    pytest.param({"cost": {"type": "bregman", "matrix": "nope"}}, ["alpha-prime"], "/cost",
+                 id="unknown-bregman-matrix"),
+    pytest.param({}, ["solve-agent", "--contract", [0.0, 10.0]], "/payments",
+                 id="payments-1-d"),
+    pytest.param({}, ["solve-agent", "--contract", [[0.0, 10.0, 1.0], [5.0, 5.0, 5.0]]],
+                 "/payments", id="payments-shape"),
 ])
 def test_non_finite_and_boolean_numbers_are_malformed(tmp_path, capsys, change, argv,
                                                       pointer):
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(dict(EXAMPLE_PROBLEM, **change)))
+    path.write_text(change if isinstance(change, str)
+                    else json.dumps(dict(EXAMPLE_PROBLEM, **change)))
     contract = tmp_path / "contract.json"
-    contract.write_text(json.dumps({"payments": [[0.0, float("nan")], [5.0, 5.0]]}))
-    argv = [str(contract) if a is None else a for a in argv]
+    payments = [a for a in argv if isinstance(a, list)]
+    contract.write_text(json.dumps({"payments": payments[0] if payments else None}))
+    argv = [a if isinstance(a, str) else str(contract) for a in argv]
     assert main([argv[0], "--problem", str(path), *argv[1:]]) == 65
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -549,7 +585,7 @@ def test_all_lists_the_public_names_and_no_modules():
     assert sum(param.default is not inspect.Parameter.empty for param in params) <= 23
     # the distortion formulas dropped a participation weight xi that has
     # no effect (H p = 0)
-    assert len(params) <= 116
+    assert len(params) <= 115
 
 
 def _round_tripped(obj):

@@ -282,6 +282,49 @@ def test_decompose_a_profile_with_no_cell_at_a_liability_limit():
     assert np.max(np.abs(deco.gamma)) <= 1e-12
 
 
+def _lam_below_zero_at_a_zero_payment(pay, cond, lam):
+    lam[1, 1] = -lam[1, 1]
+
+
+def _lam_above_zero_at_a_full_output_payment(pay, cond, lam):
+    pay[1, 0], lam[1, 0] = 5.0, 0.1
+
+
+def _a_payment_above_the_output(pay, cond, lam):
+    pay[0, 1] = 10.5
+
+
+def _a_decision_taken_in_one_state(pay, cond, lam):
+    cond[:, 0] = [0.0, 1.0]
+
+
+def _an_experiment_the_agent_does_not_choose(pay, cond, lam):
+    cond[:, 0] += [0.01, -0.01]
+
+
+@pytest.mark.parametrize("perturb, reason", [
+    (_lam_below_zero_at_a_zero_payment, "lambda[1,1] negative at a zero payment"),
+    (_lam_above_zero_at_a_full_output_payment, "lambda[1,0] positive at a full-output payment"),
+    (_a_payment_above_the_output, "interior payment escaped the liability limits"),
+    (_a_decision_taken_in_one_state, "a decision taken in some states only"),
+    (_an_experiment_the_agent_does_not_choose, "verification"),
+])
+def test_the_certificate_rejects_a_perturbed_answer(example, perturb, reason):
+    # the xi = 0 answer pays [[0, 1.009], [0.702, 0]] with lambda = 2/3 and
+    # 1/3 at its two zero payments; it passes the certificate untouched
+    sol = second_best_solve(example, 0.0, 1.0)
+    pay, cond, lam = (sol.contract.payments.copy(), sol.experiment.conditionals.copy(),
+                      sol.duals.lam.copy())
+
+    def certified():
+        return contracts._decomposed(example, Experiment(cond), Contract(pay), lam, 0.0, 1.0)
+
+    assert isinstance(certified(), contracts.ContractSolution)
+    perturb(pay, cond, lam)
+    got = certified()
+    assert isinstance(got, str) and got.startswith(reason)
+
+
 def test_the_distortion_refuses_a_table(example):
     # under the 2q(1 - q) table the Hessian contraction returned gamma = 0
     # for any multipliers: its Hessian is 0
@@ -1163,7 +1206,21 @@ def test_alpha_star_at_the_seam_is_alpha_prime(capacity):
     inst = ProblemInstance(("d1", "d2"), ("t1", "t2"), [[0.0, 10.0], [5.0, 5.0]],
                            [2 / 3, 1 / 3], capacity, ShannonCost())
     r, ap = _seam_utility(inst)
-    assert abs(alpha_star(inst, r) - ap) <= 1e-8
+    # equal since both read one capacity solve (at 0.5 they once differed
+    # by 6.6e-9, the contract layer solving 1e-10 of the capacity below it)
+    assert alpha_star(inst, r) == ap
+
+
+@pytest.mark.parametrize("r", ["floor", 3.0, 4.5, 6.0])
+def test_first_best_requests_read_one_capacity_solve(example, r):
+    # the contract layer solved the full-output contract again 1e-10 of
+    # the capacity below it: payments moved by 3.3e-8 at r = 3.0
+    r = _seam_utility(example)[0] if r == "floor" else r
+    contract, agent = first_best_frontier(example, r)
+    sol = solve_for_reservation(example, r, None)
+    assert np.array_equal(contract.payments, sol.contract.payments)
+    assert np.array_equal(agent.experiment.conditionals, sol.experiment.conditionals)
+    assert agent.mu == sol.duals.mu
 
 
 def _seeded_perturbation(index):
@@ -1231,7 +1288,8 @@ def test_example_sweep_interior_point_steps(example):
     # 101 steps in all when the start's first step was cut short by the
     # elastic slack's row (r <= 2.0) or the participation row (r >= 2.2);
     # 70 since the start clears the participation row and centres the slack
-    start = contracts._full_output_response(example).experiment.conditionals
+    start = best_response_capacity(example.output_contract, example.prior, example.capacity,
+                                   example.cost_model).experiment.conditionals
     steps = 0
     for r in (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.2, 2.5, 2.8):
         prob, point = reduced.solve(example, r, 1.0, example.capacity, start, 1.0)
