@@ -54,7 +54,6 @@ class AgentSolution:
 
     experiment: Experiment
     mu: float
-    rho: np.ndarray
     value: float
     cost: float
     iterations: int
@@ -223,7 +222,7 @@ def best_response_shannon(b: Contract, prior, mu=0.0, scale=1.0) -> AgentSolutio
         raise ValueError("capacity dual mu must be nonnegative")
     model = CostModel("entropy", scale)
     pi = np.asarray(prior, float)
-    return _certified(b, pi, model, _logit_solve(b, pi, mu, model))
+    return _certified(pi, model, _logit_solve(b, pi, mu, model))
 
 
 class _LogitSolve(NamedTuple):
@@ -262,18 +261,18 @@ def _iterate_cost(shifted, pi, sol, scale):
     return scale * float(np.add.reduce(sol.cond * ratio, axis=0) @ pi)
 
 
-def _certified(b, pi, model, sol):
+def _certified(pi, model, sol):
     """The AgentSolution of a logit solve: its experiment, cost and value
-    (`model.value`), KKT residual and rho."""
+    (`model.value`) and KKT residual."""
     exp = Experiment(sol.cond)
     cost = model.value(exp, pi)
-    residual, rho = _logit_residual(b.payments, pi, sol.temp, sol.q, sol.cond)
-    return AgentSolution(experiment=exp, mu=sol.mu, rho=rho, value=sol.e_b - cost,
-                         cost=cost, iterations=sol.iterations, residual=residual)
+    return AgentSolution(experiment=exp, mu=sol.mu, value=sol.e_b - cost, cost=cost,
+                         iterations=sol.iterations,
+                         residual=_logit_residual(pi, sol.temp, sol.q, sol.cond))
 
 
-def _logit_residual(payments, pi, temp, q, cond):
-    """KKT spread on the consideration set q > 0 and the implied rho.
+def _logit_residual(pi, temp, q, cond):
+    """KKT spread on the consideration set q > 0.
 
     With z = payments / temp, p(d|theta) = q_d exp(z_d,theta) / D_theta
     and D_theta = sum_e q_e exp(z_e,theta), the quantity pi b - temp pi
@@ -282,13 +281,8 @@ def _logit_residual(payments, pi, temp, q, cond):
     log(q_d / p(d)), which stays finite where p(d|theta) underflows to zero
     on a live decision.
     """
-    active = q > 0
-    z = payments / temp
-    top = z.max(axis=0)
-    level = temp * pi * (top + np.log(q @ np.exp(z - top)))
-    gap = np.log(q[active] / (cond[active] @ pi))
-    residual = float(temp * np.max(pi) * (gap.max() - gap.min()))
-    return residual, level - temp * pi * gap.mean()
+    gap = np.log(q[q > 0] / (cond[q > 0] @ pi))
+    return float(temp * np.max(pi) * (gap.max() - gap.min()))
 
 
 def best_response_capacity(b: Contract, prior, capacity, model) -> AgentSolution:
@@ -338,7 +332,7 @@ def best_response_capacity(b: Contract, prior, capacity, model) -> AgentSolution
         return _End(t, sol, _iterate_cost(shifted, pi, sol, logit_scale), sol.e_b)
 
     def certified(end):
-        return end.sol if logit_scale is None else _certified(b, pi, model, end.sol)
+        return end.sol if logit_scale is None else _certified(pi, model, end.sol)
 
     def mixture(t):
         return _mixture(b, pi, model, certified(above), certified(below), aim, half, t)
@@ -493,13 +487,13 @@ def _mixture(b, pi, model, above, below, aim, half, t):
     if abs(cost - aim) >= half:
         return below
     e_b = float(np.sum(exp.conditionals * pi[None, :] * b.payments))
-    return replace(below, experiment=exp, mu=(1.0 - t) / t,
-                   rho=lam * above.rho + (1.0 - lam) * below.rho, value=e_b - cost,
-                   cost=cost, residual=max(above.residual, below.residual))
+    return replace(below, experiment=exp, mu=(1.0 - t) / t, value=e_b - cost, cost=cost,
+                   residual=max(above.residual, below.residual))
 
 
 def agent_kkt_residual(b: Contract, prior, model, p: Experiment, mu=0.0):
-    """Max within-state spread of pi(theta) b - (1+mu) dc/dp and implied rho.
+    """Max within-state spread of pi(theta) b - (1+mu) dc/dp, and its mean
+    in each state: rho, the multiplier of sum_d p(d|theta) = 1.
 
     Decisions outside the consideration set (rows exactly zero) are
     excluded.  Under mutual information dc/dp is s pi(theta) log(p(d|theta)
@@ -595,8 +589,7 @@ def _table_two_state(b, pi, model):
     exp = _experiment_from_contacts(b, pi, contacts, weights, labels)
     cost = model.value(exp, pi)
     value = float(np.sum(exp.conditionals * pi[None, :] * pay)) - cost
-    return AgentSolution(experiment=exp, mu=0.0, rho=np.zeros_like(pi), value=value,
-                         cost=cost, iterations=len(x),
+    return AgentSolution(experiment=exp, mu=0.0, value=value, cost=cost, iterations=len(x),
                          residual=float(abs(value + model.upsilon(pi) - env)))
 
 

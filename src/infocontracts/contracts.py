@@ -102,9 +102,9 @@ def first_best_frontier(inst: ProblemInstance, r):
     experiment: E_p[alpha y - beta] - (1 + mu') c(p) is alpha (E_p[y] -
     (1 + mu) c(p)) less the constant E_pi[beta] when 1 + mu' = alpha (1 +
     mu), so the solution at y answers for the contract with the same
-    experiment and cost, mu' = alpha (1 + mu) - 1, rho shifted to alpha
-    rho - pi beta, and the residual, in payment units of the penalized
-    problem, scaled by alpha; an Everett mixture at y stays one.
+    experiment and cost, mu' = alpha (1 + mu) - 1, and the residual, in
+    payment units of the penalized problem, scaled by alpha; an Everett
+    mixture at y stays one.
     """
     if np.isnan(r):
         raise ValueError("agent utility must not be NaN")
@@ -145,7 +145,6 @@ def _frontier(inst, base, r, slack):
     contract = Contract(alpha * inst.output - beta[None, :])
     joint = base.experiment.conditionals * inst.prior[None, :]
     sol = replace(base, mu=max(alpha * (1.0 + base.mu) - 1.0, 0.0),
-                  rho=alpha * base.rho - inst.prior * beta,
                   value=float(np.sum(joint * contract.payments)) - base.cost,
                   residual=alpha * base.residual)
     return contract, sol, alpha

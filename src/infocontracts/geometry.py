@@ -85,14 +85,12 @@ def net_utility_curve(b: Contract, model, grid=None, mu=0.0) -> EnvelopeCurve:
 
 @dataclass(frozen=True)
 class ConcavifiedCurve:
-    """Concave envelope of a curve with tangent data at a query prior."""
+    """Concave envelope of a curve, with its contacts and value at a prior."""
 
     grid: np.ndarray
     envelope: np.ndarray
     contacts: np.ndarray
     weights: np.ndarray
-    tangent_slope: float
-    tangent_intercept: float
     prior: float
     value: float
 
@@ -115,8 +113,8 @@ def _upper_hull(x, y):
 
 
 def concavify(curve: EnvelopeCurve, prior: float) -> ConcavifiedCurve:
-    """Smallest concave function weakly above the curve, with the tangent
-    line and contact posteriors at `prior`.
+    """Smallest concave function weakly above the curve, with its value
+    and contact posteriors at `prior`.
 
     Contacts are the curve points spanning the prior on the envelope.  When
     those span a single grid cell the envelope coincides with the curve
@@ -133,9 +131,6 @@ def concavify(curve: EnvelopeCurve, prior: float) -> ConcavifiedCurve:
     if j < len(hx) and hx[j] == prior:
         contacts = np.array([prior])
         weights = np.array([1.0])
-        lo = hull[max(j - 1, 0)]
-        hi = hull[min(j + 1, len(hull) - 1)]
-        slope = (y[hi] - y[lo]) / (x[hi] - x[lo]) if hi != lo else 0.0
         value = y[hull[j]]
     else:
         il, ir = hull[j - 1], hull[j]
@@ -154,8 +149,6 @@ def concavify(curve: EnvelopeCurve, prior: float) -> ConcavifiedCurve:
         envelope=env,
         contacts=contacts,
         weights=weights,
-        tangent_slope=float(slope),
-        tangent_intercept=float(value - slope * prior),
         prior=float(prior),
         value=float(value),
     )

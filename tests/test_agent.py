@@ -164,6 +164,23 @@ def test_kkt_residual_boundary_handling():
     assert np.isfinite(res)
 
 
+GRID_2Q = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
+                                           for q in np.linspace(0.0, 1.0, 201)]})
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_kkt_residual_under_a_two_state_table(mu):
+    # a table has no logit scale: the certificate takes the model's gradient,
+    # and its mean in each state is the level rho
+    p = Experiment([[0.3, 0.8], [0.7, 0.2]])
+    res, rho = agent_kkt_residual(Y, PI, GRID_2Q, p, mu)
+    vals = PI * Y.payments - (1.0 + mu) * GRID_2Q.gradient(p, PI)
+    assert abs(res - np.max(np.ptp(vals, axis=0))) <= 1e-12
+    assert np.abs(rho - vals.mean(axis=0)).max() <= 1e-12
+    with pytest.raises(BoundaryPointError):
+        agent_kkt_residual(Y, PI, GRID_2Q, Experiment([[1e-12, 0.5], [1.0 - 1e-12, 0.5]]), mu)
+
+
 def test_general_solver_binary_example():
     b = Contract([[0.0, 2.0], [1.0, 1.0]])
     pi = np.array([0.55, 0.45])
@@ -533,12 +550,10 @@ def test_entropy_constructors_agree_under_capacity(problem, share, scale):
 def test_capacity_under_a_gridded_upsilon_keeps_within_capacity():
     # a table has no logit scale: the capacity search runs on the penalized
     # general route, whose cost jumps in mu between grid experiments
-    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
-                                             for q in np.linspace(0.0, 1.0, 201)]})
-    assert table.logit_scale is None
-    free = best_response_general(Y, PI, table)
+    assert GRID_2Q.logit_scale is None
+    free = best_response_general(Y, PI, GRID_2Q)
     for share in (0.2, 0.6):
-        sol = best_response_capacity(Y, PI, share * free.cost, table)
+        sol = best_response_capacity(Y, PI, share * free.cost, GRID_2Q)
         assert sol.mu > 0
         assert sol.cost <= share * free.cost + 1e-12
         assert sol.cost >= 0.9 * share * free.cost
@@ -547,11 +562,9 @@ def test_capacity_under_a_gridded_upsilon_keeps_within_capacity():
 def test_gridded_two_state_route_reports_the_envelope_residual():
     # the KKT spread of this answer was 1.1e-2: it cannot vanish at the
     # kinks of a piecewise-linear uncertainty function
-    table = PosteriorSeparableCost({"grid": [[q, 2.0 * q * (1.0 - q)]
-                                             for q in np.linspace(0.0, 1.0, 201)]})
-    sol = best_response_general(Y, PI, table.scaled(3.0))
+    sol = best_response_general(Y, PI, GRID_2Q.scaled(3.0))
     assert sol.residual <= 1e-7
-    curve_best = max(_pairwise_value_oracle(Y, PI, table.scaled(3.0), n=2001), sol.value)
+    curve_best = max(_pairwise_value_oracle(Y, PI, GRID_2Q.scaled(3.0), n=2001), sol.value)
     assert sol.value >= curve_best - 1e-6
 
 
@@ -562,7 +575,6 @@ def test_residual_finite_where_a_live_conditional_underflows():
     assert np.min(sol.experiment.conditionals) == 0.0
     assert np.all(sol.experiment.conditionals @ PI > 0)
     assert sol.residual <= 1e-9
-    assert np.all(np.isfinite(sol.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +850,6 @@ def test_capacity_answer_is_the_logit_answer_at_its_dual(problem, log_share, sca
     assume(not any(mixed))
     logit = best_response_shannon(b, pi, mu=sol.mu, scale=scale)
     assert np.array_equal(sol.experiment.conditionals, logit.experiment.conditionals)
-    assert np.array_equal(sol.rho, logit.rho)
     assert (sol.mu, sol.value, sol.cost, sol.iterations, sol.residual) == \
         (logit.mu, logit.value, logit.cost, logit.iterations, logit.residual)
 
@@ -921,6 +932,18 @@ def test_capacity_search_with_a_duplicated_decision(share):
     assert abs(dup.cost - sol.cost) <= 1e-12
     merged = np.vstack([cond[0] + cond[1], cond[2]])
     assert np.abs(merged - sol.experiment.conditionals).max() <= 1e-12
+
+
+def test_capacity_search_where_a_decision_ties_the_uninformed_choice():
+    # d2 pays 1 against d1's 2/3 * 0 + 1/3 * 3 = 1: information pays at any
+    # cost scale, so the onset is 0
+    b = Contract([[0.0, 3.0], [1.0, 1.0]])
+    assert agent._onset(b.payments, PI) == 0.0
+    free = best_response_shannon(b, PI)
+    assert abs(free.cost - 0.192254) <= 1e-6
+    capacity = 0.5 * free.cost
+    sol = best_response_capacity(b, PI, capacity, ShannonCost())
+    assert capacity - agent.CAPACITY_TOL < sol.cost <= capacity
 
 
 @pytest.mark.parametrize("mu, scale", [(np.nan, 1.0), (0.0, np.nan), (0.0, 0.0),

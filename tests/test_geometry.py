@@ -55,7 +55,7 @@ def test_concavify_binary_example_contacts():
     assert len(conc.contacts) == 2
     assert abs(conc.contacts[0] - 0.268941) < 2e-4
     assert abs(conc.contacts[1] - 0.731059) < 2e-4
-    # tangent line at the prior carries the agent's value plus Upsilon(prior)
+    # the envelope at the prior is the agent's value plus Upsilon(prior)
     pi = np.array([1 - FIG1_PRIOR, FIG1_PRIOR])
     sol = best_response_shannon(FIG1_CONTRACT, pi)
     assert abs(conc.value - (sol.value + entropy(pi))) < 1e-4
