@@ -478,8 +478,9 @@ def _mixture(b, pi, model, above, below, aim, half, t):
     whose cost is the search's aim within `half`.  Both ends maximize the
     same concave Lagrangian there, so every mixture of their experiments
     does too, and its cost is linear in the weight (Everett 1963); its dual
-    is mu = 1/t - 1.  A cost not convex in p can break that: the end below
-    the aim is returned when the mixture misses it."""
+    is mu = 1/t - 1.  Ends optimal at t only up to the bracket's width can
+    break that: the end below the aim is returned when the mixture misses
+    it."""
     lam = (aim - below.cost) / (above.cost - below.cost)
     exp = Experiment(lam * above.experiment.conditionals
                      + (1.0 - lam) * below.experiment.conditionals)
@@ -565,27 +566,21 @@ def _table_two_state(b, pi, model):
     two payment lines cross, so its concave envelope is the upper hull of
     its values there, and the hull's vertices spanning the prior are the
     exact contacts, each labelled by its best decision.  Two contacts of
-    one decision collapse to that decision, which is exact for a concave
-    Upsilon; for another, each decision d is tried alone left of the prior
-    (the prior included) against the best other decision right of it.
-    The residual is |value + Upsilon(prior) - envelope(prior)|.
+    one decision collapse to that decision, which is exact because the
+    table is concave (`costs` refuses any other): that decision's net
+    utility is concave too.  Payment lines that never cross, or cross
+    beyond any float, give infinite or NaN crossings, which the [0, 1]
+    filter drops.  The residual is |value + Upsilon(prior) -
+    envelope(prior)|.
     """
     pay, q = b.payments, float(pi[1])
     rise = pay[:, 1] - pay[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cross = (pay[None, :, 0] - pay[:, None, 0]) / (rise[:, None] - rise[None, :])
     x = np.union1d(np.concatenate([[0.0, 1.0], model.knots]), cross)
     x = x[(x >= 0.0) & (x <= 1.0)]
     net = pay[:, :1] + rise[:, None] * x + model.upsilon(np.column_stack([1.0 - x, x]))
     contacts, weights, labels, env = _spanning(x, net, net.argmax(axis=0), q)
-    if len(contacts) == 2 and labels[0] == labels[1] and len(pay) > 1 and not _concave(model):
-        pts = np.union1d(x, q)
-        net = pay[:, :1] + rise[:, None] * pts + model.upsilon(np.column_stack([1.0 - pts, pts]))
-        splits = []
-        for d in range(len(pay)):
-            right = np.where(np.arange(len(pay))[:, None] == d, -np.inf, net).argmax(axis=0)
-            splits.append(_spanning(pts, net, np.where(pts <= q, d, right), q))
-        contacts, weights, labels, env = max(splits, key=lambda c: c[3])
     exp = _experiment_from_contacts(b, pi, contacts, weights, labels)
     cost = model.value(exp, pi)
     value = float(np.sum(exp.conditionals * pi[None, :] * pay)) - cost
@@ -605,11 +600,3 @@ def _spanning(x, net, labels, at):
     w = (x[ends[1]] - at) / (x[ends[1]] - x[ends[0]])
     weights = np.array([w, 1.0 - w])
     return x[ends], weights, labels[ends], weights @ y[ends]
-
-
-def _concave(model):
-    """Whether a table's Upsilon is concave on [0, 1], where `np.interp`
-    holds it at its end values outside its knots."""
-    k = np.union1d([0.0, 1.0], np.clip(model.knots, 0.0, 1.0))
-    slopes = np.diff(model.upsilon(np.column_stack([1.0 - k, k]))) / np.diff(k)
-    return bool(np.all(np.diff(slopes) <= 0))

@@ -8,7 +8,10 @@ Upsilon on the state simplex,
 `CostModel` is defined by its Upsilon, which is either the Shannon entropy
 (the cost is then `scale` times mutual information) or a two-state table
 of points (q, value), q the probability of the second state, linearly
-interpolated.  Value, gradient, and Hessian follow from one formula in
+interpolated and held at its end values outside its knots.  A table that
+is not concave on [0, 1] defines no information cost (it prices some
+experiment below 0) and is refused with a ValueError when the model is
+built.  Value, gradient, and Hessian follow from one formula in
 Upsilon and its gradient and Hessian.  `ShannonCost`, `BregmanMatrixCost`
 (Hebert & Woodford's information cost matrix; the inverse Fisher matrix
 is that of the entropy) and `PosteriorSeparableCost` construct it.
@@ -37,6 +40,8 @@ from .model import Experiment, Garbling, garble
 
 INTERIOR_EPS = 1e-12   # derivatives need every experiment entry above this
 BLACKWELL_TOL = 1e-10  # how much a garbling may raise the cost and pass
+CONCAVITY_TOL = 1e-12  # how far a table may dip below a chord, per unit of its values
+_TINY = np.finfo(float).tiny  # subnormal values round coarser than any relative tolerance
 
 
 def entropy(q):
@@ -64,17 +69,27 @@ class _Entropy:
 class _Table:
     """Two-state Upsilon from points (q, value), linearly interpolated in q,
     the probability of the second state.  Its gradient is the slope of the
-    segment at q (the right one at a knot) and its Hessian is zero."""
+    segment at q (the right one at a knot) and its Hessian is zero.  A
+    table not concave on [0, 1], with its end values held beyond its knots
+    as `np.interp` does, is refused: a knot may fall below the chord of its
+    neighbours (0 and 1 included) by CONCAVITY_TOL times the table's
+    largest absolute value there, or by the smallest normal float if that
+    is more, for rounding, and no more."""
 
     def __init__(self, points):
         pts = np.asarray(points, float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("grid must be a list of (q, value) pairs")
+        if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+            raise ValueError("grid must be a list of finite (q, value) pairs")
         pts = pts[np.argsort(pts[:, 0])]
         if len(pts) < 2 or np.any(np.diff(pts[:, 0]) <= 0):
             raise ValueError("grid needs two or more distinct q values")
         self.q, self.v = pts[:, 0], pts[:, 1]
         self.slopes = np.diff(self.v) / np.diff(self.q)
+        k = np.concatenate([[0.0], self.q[(self.q > 0.0) & (self.q < 1.0)], [1.0]])
+        v = np.interp(k, self.q, self.v)
+        chord = (v[:-2] * (k[2:] - k[1:-1]) + v[2:] * (k[1:-1] - k[:-2])) / (k[2:] - k[:-2])
+        if np.any(v[1:-1] - chord < -max(CONCAVITY_TOL * np.abs(v).max(), _TINY)):
+            raise ValueError("grid must be concave on [0, 1]")
 
     @staticmethod
     def _second(q):

@@ -40,9 +40,11 @@ class TooLargeError(ValueError):
 
 
 class MalformedProblemError(ValueError):
-    """A problem file failed validation.
+    """A problem failed validation, whether read from a file or built as a
+    `ProblemInstance`.
 
-    Carries a JSON-pointer style path to the offending key.
+    Carries a JSON-pointer style path to the offending key of the problem
+    file.
     """
 
     def __init__(self, pointer, message):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroMarginalError
+from .errors import DimensionMismatchError, MalformedProblemError, ZeroMarginalError
 
 SIMPLEX_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10   # how far a payment may leave the liability limits
@@ -112,7 +112,9 @@ class Garbling:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Output matrix, prior, capacity bound, and cost model for one problem."""
+    """Output matrix, prior, capacity bound, and cost model for one problem.
+    An output or prior that fails its checks raises MalformedProblemError
+    at `/output` or `/prior`, its key in a problem file."""
 
     decisions: tuple
     states: tuple
@@ -129,18 +131,19 @@ class ProblemInstance:
         if len(self.decisions) < 1 or len(self.states) < 1:
             raise ValueError("need at least one decision and one state")
         if y.shape != (len(self.decisions), len(self.states)):
-            raise DimensionMismatchError(
-                f"output shape {y.shape} does not match "
-                f"{len(self.decisions)} decisions x {len(self.states)} states"
-            )
+            raise MalformedProblemError(
+                "/output", f"shape {y.shape} does not match "
+                           f"{len(self.decisions)} decisions x {len(self.states)} states")
         if not np.all(np.isfinite(y)):
-            raise ValueError("output must be finite")
+            raise MalformedProblemError("/output", "entries must be finite")
         if pi.shape != (len(self.states),):
-            raise DimensionMismatchError("prior length does not match states")
+            raise MalformedProblemError("/prior", "length must match the states")
+        if not np.all(np.isfinite(pi)):
+            raise MalformedProblemError("/prior", "entries must be finite")
         if np.any(pi <= 0):
-            raise ValueError("prior must be strictly positive")
+            raise MalformedProblemError("/prior", "entries must be strictly positive")
         if abs(pi.sum() - 1.0) > 1e-9:
-            raise ValueError(f"prior must sum to 1, got {pi.sum()}")
+            raise MalformedProblemError("/prior", f"must sum to 1, got {pi.sum()!r}")
         if not (self.capacity >= 0):
             raise ValueError("capacity must be nonnegative")
         object.__setattr__(self, "output", y)

@@ -48,7 +48,8 @@ def parse_cost(spec):
 
 
 def problem_from_dict(data) -> ProblemInstance:
-    """Validated ProblemInstance from a decoded JSON object."""
+    """Validated ProblemInstance from a decoded JSON object: the JSON types
+    are checked here, the output and prior values by `ProblemInstance`."""
     if not isinstance(data, dict):
         raise MalformedProblemError("", "problem file must hold a JSON object")
     for key in ("decisions", "states", "output", "prior", "capacity", "cost"):
@@ -72,25 +73,10 @@ def problem_from_dict(data) -> ProblemInstance:
         output = np.asarray(data["output"], float)
     except (TypeError, ValueError) as exc:
         raise MalformedProblemError("/output", "must be a numeric matrix") from exc
-    if output.shape != (len(decisions), len(states)):
-        raise MalformedProblemError(
-            "/output", f"shape {output.shape} does not match "
-                       f"{len(decisions)} decisions x {len(states)} states")
-    if not np.all(np.isfinite(output)):
-        raise MalformedProblemError("/output", "entries must be finite")
-
     try:
         prior = np.asarray(data["prior"], float)
     except (TypeError, ValueError) as exc:
         raise MalformedProblemError("/prior", "must be a numeric vector") from exc
-    if prior.shape != (len(states),):
-        raise MalformedProblemError("/prior", "length must match the states")
-    if not np.all(np.isfinite(prior)):
-        raise MalformedProblemError("/prior", "entries must be finite")
-    if np.any(prior <= 0):
-        raise MalformedProblemError("/prior", "entries must be strictly positive")
-    if abs(prior.sum() - 1.0) > 1e-9:
-        raise MalformedProblemError("/prior", f"must sum to 1, got {prior.sum()!r}")
 
     capacity = _positive_number(data["capacity"], "/capacity")
     model = parse_cost(data["cost"])

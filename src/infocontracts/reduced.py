@@ -203,11 +203,12 @@ def interior_point(prob, z):
     function.  The barrier parameter starts at the start point's mean
     complementarity and falls superlinearly once its subproblem is solved.
     Line-search trials evaluate values only; derivatives are taken once
-    per accepted point, and the SVD of the equality Jacobian once per step.  Returns (z, equality multipliers, inequality
-    multipliers, slacks, dropped), `dropped` marking the decisions whose
-    weight vanishes (returned as soon as that shows), or None where the
-    line search stalls or MAX_ITER steps run out within STALL_TOL of a KKT
-    point, which the polish may still reach; None further away.
+    per accepted point, and the SVD of the equality Jacobian once per step.
+    Returns (z, equality multipliers, inequality multipliers, slacks,
+    dropped), `dropped` marking the decisions whose weight vanishes
+    (returned as soon as that shows), or None where the line search stalls
+    or MAX_ITER steps run out within STALL_TOL of a KKT point, which the
+    polish may still reach; None further away.
     `prob.steps` counts the steps taken.
     """
     k = prob.k

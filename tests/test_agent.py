@@ -485,6 +485,45 @@ def test_logit_kernel_splits_identical_rows_equally():
     assert np.abs(log_part - np.log(q @ np.exp(z - z.max(axis=0)))).max() <= 1e-15
 
 
+def test_logit_kernel_raises_when_its_steps_run_out(monkeypatch):
+    monkeypatch.setattr(agent, "LOGIT_MAX_ITER", 0)
+    with pytest.raises(NoConvergenceError, match="not certified after 0 Newton steps"):
+        best_response_shannon(Y, PI)
+
+
+def _line_by_bisection(rel, pi, t_max):
+    """The root of the derivative sum_s pi_s rel_s / (1 + t rel_s) on [0,
+    t_max] by bisection to adjacent floats, or t_max where it is still
+    positive."""
+    def slope(t):
+        with np.errstate(divide="ignore"):
+            return float(np.sum(pi * rel / (1.0 + t * rel)))
+
+    if slope(t_max) >= 0:
+        return t_max
+    lo, hi = 0.0, t_max
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("rel, pi, t_max", [
+    # a step to a density's zero: the model's guesses leave the bracket and
+    # the search bisects, returning the bracket's low end
+    ([1.055797618911914, -4.1770757816919755, 3.3665364340163193, 0.001102899044103432],
+     [0.7293975970986253, 0.00042701202360019065, 0.06621625643495573, 0.20395913444281874],
+     0.23940192906793226),
+    # the slope turns negative at t_max itself, which then stops capping
+    # the guesses
+    ([39.78924430232743, -6.3765334335285395, -28.298265577005026],
+     [0.8847346235496126, 0.09599000152919698, 0.019275374921190393], 0.0353025169433628),
+], ids=["bisects", "root-below-t-max"])
+def test_line_search_falls_back_on_its_bracket(rel, pi, t_max):
+    rel, pi = np.array(rel), np.array(pi)
+    t = agent._line(rel, pi, t_max)
+    assert abs(t - _line_by_bisection(rel, pi, t_max)) <= 1e-12 * t
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_logit_problems(max_scale=1.0), st.floats(1e-4, 0.3))
 def test_logit_certificate_where_information_barely_pays(problem, size):
@@ -636,20 +675,21 @@ def _table_problems(draw):
     cells = st.floats(0.0, 5.0, allow_nan=False)
     pay = np.array(draw(st.lists(cells, min_size=2 * n_d, max_size=2 * n_d))).reshape(n_d, 2)
     # uneven knots on a 1/64 lattice; the table may stop short of 0 or 1,
-    # where np.interp holds its end values
+    # where np.interp holds its end values, so that it stays concave on
+    # [0, 1] only if it falls from a left end short of 0 and rises to a
+    # right end short of 1
     knots = np.array(draw(st.lists(st.integers(0, 64), min_size=2, max_size=12,
                                    unique=True)), float)
     knots = np.sort(knots) / 64.0
-    if draw(st.booleans()):
-        slopes = np.sort(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(knots) - 1,
-                                       max_size=len(knots) - 1)))[::-1]
-        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
-    else:
-        values = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(knots),
-                                        max_size=len(knots))))
+    slopes = np.sort(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(knots) - 1,
+                                   max_size=len(knots) - 1)))[::-1]
+    slopes = np.clip(slopes, -np.inf if knots[-1] == 1.0 else 0.0,
+                     np.inf if knots[0] == 0.0 else 0.0)
+    values = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0],
+                                                         np.cumsum(slopes * np.diff(knots))])
     rise = pay[:, 1] - pay[:, 0]
     i, j = np.triu_indices(n_d, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cross = (pay[j, 0] - pay[i, 0]) / (rise[i] - rise[j])
     on = {"knot": knots, "crossing": cross}.get(draw(st.sampled_from(["any", "knot", "crossing"])))
     inner = [] if on is None else [float(x) for x in on if 0.02 <= x <= 0.98]
@@ -671,6 +711,17 @@ def test_table_route_reaches_the_exact_envelope():
     # the answer was 3.0e-6 below the exact envelope
     sol = best_response_general(Y, PI, _table(QUAD_KNOTS, QUAD_VALUES))
     assert abs(sol.value - _table_value_oracle(Y.payments, PI, QUAD_KNOTS, QUAD_VALUES)) <= 1e-12
+
+
+def test_table_route_drops_crossings_beyond_any_float():
+    # payment rises that differ by a subnormal put two payment lines'
+    # crossing beyond the largest float: the division overflowed, and
+    # the pytest configuration turns its RuntimeWarning into an error
+    b = Contract([[0.0, 0.0], [0.0, 2.22507386e-309], [1.0, 1.0], [0.0, 0.0]])
+    table = _table([0.0, 0.5, 1.0], [0.0, 0.5, 0.0])
+    sol = best_response_general(b, np.array([0.5, 0.5]), table)
+    assert np.array_equal(sol.experiment.conditionals, [[0, 0], [0, 0], [1, 1], [0, 0]])
+    assert sol.value == 1.0
 
 
 @pytest.mark.parametrize("capacity", [0.05, 0.2, 0.5])

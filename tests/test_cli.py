@@ -465,6 +465,24 @@ def test_gridded_upsilon_without_two_states_is_malformed(tmp_path, capsys, argv)
     assert "/cost" in captured.err
 
 
+@pytest.mark.parametrize("grid", [
+    [[0.0, 0.0], [0.5, -1.0], [1.0, 0.0]],
+    [[0.25, 0.0], [0.75, 1.0]],
+], ids=["dip", "flat-beyond-its-ends"])
+def test_a_table_not_concave_is_malformed(tmp_path, contract_file, capsys, grid):
+    # both were solved, on a route of their own, into experiments that a
+    # feasible experiment beat
+    problem = dict(EXAMPLE_PROBLEM, cost={"type": "posterior_separable",
+                                          "upsilon": {"grid": grid}})
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve-agent", "--problem", str(path), "--contract", contract_file]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "malformed input")
+    assert " /cost: " in captured.err and "concave" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["alpha-prime"],
     ["first-best", "--reservation", "3"],

@@ -325,6 +325,19 @@ def test_the_certificate_rejects_a_perturbed_answer(example, perturb, reason):
     assert isinstance(got, str) and got.startswith(reason)
 
 
+def test_the_certificate_refuses_a_decision_the_agent_does_not_take(example):
+    # d1 paid nothing, d2 paid 5 in each state, lambda = 0 and xi = 1: every
+    # check before the agent's best response passes, since the KKT spread
+    # is 0 on the one decision taken.  The agent takes d2, so the profile
+    # taking d1 is refused, and the one taking d2 certified.
+    pay, lam = Contract([[0.0, 0.0], [5.0, 5.0]]), np.zeros((2, 2))
+    d1, d2 = Experiment([[1.0, 1.0], [0.0, 0.0]]), Experiment([[0.0, 0.0], [1.0, 1.0]])
+    assert agent_kkt_residual(pay, example.prior, example.cost_model, d1)[0] == 0.0
+    assert contracts._decomposed(example, d1, pay, lam, 1.0, 1.0) == "verification"
+    assert isinstance(contracts._decomposed(example, d2, pay, lam, 1.0, 1.0),
+                      contracts.ContractSolution)
+
+
 def test_the_distortion_refuses_a_table(example):
     # under the 2q(1 - q) table the Hessian contraction returned gamma = 0
     # for any multipliers: its Hessian is 0

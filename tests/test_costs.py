@@ -334,6 +334,39 @@ def test_logit_scale_only_for_the_entropy():
         PosteriorSeparableCost({"grid": [[0.5, 0.1], [0.5, 0.2]]})
 
 
+@pytest.mark.parametrize("grid", [
+    # a dip: the experiment splitting q = 0.5 into 0 and 1 cost -1
+    [[0.0, 0.0], [0.5, -1.0], [1.0, 0.0]],
+    # flat beyond its ends, so convex at q = 0.25 and concave at 0.75
+    [[0.25, 0.0], [0.75, 1.0]],
+    [[0.0, 0.0], [0.5, float("nan")], [1.0, 0.0]],
+    [[0.0, 0.0], [0.5, float("inf")], [1.0, 0.0]],
+])
+def test_a_table_not_concave_on_the_unit_interval_is_refused(grid):
+    # the agent once served such tables on a second route, and returned
+    # experiments that a feasible experiment beat
+    with pytest.raises(ValueError):
+        PosteriorSeparableCost({"grid": grid})
+
+
+def test_a_table_concave_up_to_rounding_is_accepted():
+    # affine tables on knots that include 0 and 1: their values round, so
+    # that some knots fall below their chords by an ulp or two
+    rng = np.random.default_rng(30)
+    for _ in range(2000):
+        inner = rng.choice(np.arange(1, 64), size=rng.integers(0, 11), replace=False)
+        knots = np.union1d([0, 64], inner) / 64.0
+        slope, offset = rng.uniform(-1e3, 1e3, size=2)
+        PosteriorSeparableCost({"grid": np.column_stack([knots, offset + slope * knots]).tolist()})
+    # tables that stop short of 0 or 1 are concave when flat beyond their
+    # ends: falling from a left end short of 0, rising to a right one short of 1
+    PosteriorSeparableCost({"grid": [[0.25, 1.0], [0.5, 0.75], [1.0, 0.0]]})
+    PosteriorSeparableCost({"grid": [[0.0, 0.0], [0.5, 0.75], [0.75, 1.0]]})
+    PosteriorSeparableCost({"grid": [[-1.0, -1.0], [0.5, 0.5], [2.0, -1.0]]})
+    # a constant subnormal table: its chords' products underflow to 0
+    PosteriorSeparableCost({"grid": [[0.0, -5e-324], [0.015625, -5e-324], [0.03125, -5e-324]]})
+
+
 def test_upsilon_acts_on_arrays_of_posteriors():
     rng = np.random.default_rng(15)
     posts = rng.dirichlet(np.ones(2), size=(4, 5))

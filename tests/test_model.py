@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infocontracts import (Contract, DimensionMismatchError, Experiment,
-                           Garbling, ProblemInstance, ShannonCost,
+                           Garbling, MalformedProblemError, ProblemInstance, ShannonCost,
                            ZeroMarginalError, best_response_general,
                            evaluate_profile, garble, is_feasible, marginal,
                            posterior)
@@ -206,6 +206,14 @@ def test_validation_errors():
                         ShannonCost())
     with pytest.raises(DimensionMismatchError):
         marginal(Experiment([[1.0], [0.0]]), PI)
+
+
+def test_a_prior_not_finite_is_malformed():
+    # NaN fails both comparisons of the other prior checks: the instance was
+    # built, and alpha_prime ran 500 Newton steps into NoConvergenceError
+    with pytest.raises(MalformedProblemError, match="^/prior: entries must be finite"):
+        ProblemInstance(("d1", "d2"), ("s", "t"), [[0.0, 10.0], [5.0, 5.0]],
+                        [np.nan, np.nan], 0.5, ShannonCost())
 
 
 @pytest.mark.parametrize("entries", [
