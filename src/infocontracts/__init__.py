@@ -9,25 +9,20 @@ and optimal distortion.
 from .agent import (AgentSolution, agent_kkt_residual, best_response_capacity,
                     best_response_general, best_response_shannon)
 from .contracts import (ContractSolution, Decomposition, DualCertificate,
-                        SecuritySplit, alpha_prime, alpha_star,
-                        brute_force_pareto, debt_equity_split, decompose,
+                        alpha_prime, alpha_star, brute_force_pareto, decompose,
                         first_best_frontier, gamma_from_duals,
-                        gamma_risk_averse, second_best_solve,
-                        solve_for_reservation)
-from .costs import (BlackwellWitness, BregmanMatrixCost, CostModel,
-                    PosteriorSeparableCost, ShannonCost,
-                    check_blackwell_monotone, entropy, inverse_fisher_matrix)
+                        second_best_solve, solve_for_reservation)
+from .costs import (BregmanMatrixCost, CostModel, PosteriorSeparableCost,
+                    ShannonCost, entropy)
 from .errors import (BoundaryPointError, DegeneratePriorError,
                      DimensionMismatchError, InconsistentProfileError,
                      MalformedProblemError, NoConvergenceError,
                      NoPatternFoundError, OutOfRangeError, TooLargeError,
                      ZeroMarginalError)
 from .geometry import (ConcavifiedCurve, EnvelopeCurve, concavify,
-                       default_grid, emit_figure_data, net_utility_curve,
-                       reduced_form, reduced_form_curve)
-from .model import (Contract, Experiment, Garbling, PayoffReport,
-                    ProblemInstance, evaluate_profile, garble, is_feasible,
-                    marginal, posterior, posterior_matrix)
+                       emit_figure_data)
+from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
+                    evaluate_profile, marginal, posterior, posterior_matrix)
 from .problem_io import (canonical_json, load_contract, load_problem,
                          parse_cost, problem_from_dict, write_matrix_csv)
 
@@ -38,27 +33,22 @@ __all__ = [
     "AgentSolution", "agent_kkt_residual", "best_response_capacity",
     "best_response_general", "best_response_shannon",
     # contracts
-    "ContractSolution", "Decomposition", "DualCertificate", "SecuritySplit",
-    "alpha_prime", "alpha_star", "brute_force_pareto", "debt_equity_split",
-    "decompose", "first_best_frontier", "gamma_from_duals", "gamma_risk_averse",
-    "second_best_solve", "solve_for_reservation",
+    "ContractSolution", "Decomposition", "DualCertificate", "alpha_prime",
+    "alpha_star", "brute_force_pareto", "decompose", "first_best_frontier",
+    "gamma_from_duals", "second_best_solve", "solve_for_reservation",
     # costs
-    "BlackwellWitness", "BregmanMatrixCost", "CostModel",
-    "PosteriorSeparableCost", "ShannonCost", "check_blackwell_monotone",
-    "entropy", "inverse_fisher_matrix",
+    "BregmanMatrixCost", "CostModel", "PosteriorSeparableCost", "ShannonCost",
+    "entropy",
     # errors
     "BoundaryPointError", "DegeneratePriorError", "DimensionMismatchError",
     "InconsistentProfileError", "MalformedProblemError", "NoConvergenceError",
     "NoPatternFoundError", "OutOfRangeError", "TooLargeError",
     "ZeroMarginalError",
     # geometry
-    "ConcavifiedCurve", "EnvelopeCurve", "concavify", "default_grid",
-    "emit_figure_data", "net_utility_curve", "reduced_form",
-    "reduced_form_curve",
+    "ConcavifiedCurve", "EnvelopeCurve", "concavify", "emit_figure_data",
     # model
-    "Contract", "Experiment", "Garbling", "PayoffReport", "ProblemInstance",
-    "evaluate_profile", "garble", "is_feasible", "marginal", "posterior",
-    "posterior_matrix",
+    "Contract", "Experiment", "PayoffReport", "ProblemInstance",
+    "evaluate_profile", "marginal", "posterior", "posterior_matrix",
     # problem_io
     "canonical_json", "load_contract", "load_problem", "parse_cost",
     "problem_from_dict", "write_matrix_csv",

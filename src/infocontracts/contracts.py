@@ -579,45 +579,3 @@ def _grid_response(logits, pi):
         q = np.stack([q1, 1.0 - q1], axis=1)
     joint = q[:, :, None] * w
     return q, joint / joint.sum(axis=1, keepdims=True)
-
-
-def gamma_risk_averse(p: Experiment, prior, model, lam, b: Contract, u_prime) -> np.ndarray:
-    """Optimal distortion when the agent has concave utility over wealth,
-    u' = `u_prime` the marginal utility of the payments: that of the
-    multipliers (lam - pi p) / u' (`gamma_from_duals`), with u' = 1 that of
-    lam.  p(d) gamma(d) is Hebert and Woodford's k(q_d) / (q_d q_d^T), k the
-    information cost matrix at the posterior q_d, times (joint - lam) / u'."""
-    up = u_prime(b.payments)
-    if np.any(up <= 0):
-        raise ValueError("marginal utility must be positive on the payment range")
-    pi = np.asarray(prior, float)
-    return gamma_from_duals(p, pi, model, (lam - pi[None, :] * p.conditionals) / up)
-
-
-@dataclass(frozen=True)
-class SecuritySplit:
-    """Project payoffs split into debt and inside/outside equity."""
-
-    face_value: np.ndarray
-    debt: np.ndarray
-    outside_equity: np.ndarray
-    inside_equity: np.ndarray
-
-
-def debt_equity_split(output, alpha_star_, beta, gamma_hat) -> SecuritySplit:
-    """Split y into debt with face (beta + gamma_hat)/alpha* and an
-    alpha* : (1 - alpha*) equity division; the pieces sum back to y."""
-    if alpha_star_ <= 0:
-        raise ValueError("piece rate must be positive to define the split")
-    y = np.asarray(output, float)
-    beta = np.asarray(beta, float)
-    gamma_hat = np.asarray(gamma_hat, float)
-    face = (beta[None, :] + gamma_hat[:, None]) / alpha_star_
-    debt = np.minimum(y, face)
-    resid = np.maximum(0.0, y - face)
-    return SecuritySplit(
-        face_value=face,
-        debt=debt,
-        outside_equity=(1.0 - alpha_star_) * resid,
-        inside_equity=alpha_star_ * resid,
-    )

@@ -31,15 +31,13 @@ condition uses).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryPointError
-from .model import Experiment, Garbling, garble
+from .model import Experiment
 
 INTERIOR_EPS = 1e-12   # derivatives need every experiment entry above this
-BLACKWELL_TOL = 1e-10  # how much a garbling may raise the cost and pass
 CONCAVITY_TOL = 1e-12  # how far a table may dip below a chord, per unit of its values
 _TINY = np.finfo(float).tiny  # subnormal values round coarser than any relative tolerance
 
@@ -238,26 +236,3 @@ def PosteriorSeparableCost(upsilon="entropy", scale=1.0) -> CostModel:
     where q is the probability of the second state, linearly interpolated.
     """
     return CostModel(upsilon, scale)
-
-
-def inverse_fisher_matrix(q) -> np.ndarray:
-    """Information cost matrix diag(q) - q q^T (symmetric, PSD, rows sum to 0)."""
-    q = np.asarray(q, float)
-    return np.diag(q) - np.outer(q, q)
-
-
-@dataclass(frozen=True)
-class BlackwellWitness:
-    monotone: bool
-    cost_before: float
-    cost_after: float
-
-
-def check_blackwell_monotone(model: CostModel, p: Experiment, g: Garbling,
-                             prior) -> BlackwellWitness:
-    """Garbling must weakly reduce cost, within BLACKWELL_TOL; returns both
-    costs as a witness."""
-    before = model.value(p, prior)
-    after = model.value(garble(p, g), prior)
-    return BlackwellWitness(monotone=after <= before + BLACKWELL_TOL,
-                            cost_before=before, cost_after=after)

@@ -1,5 +1,5 @@
-"""Two-state geometric engine: reduced forms, net-utility envelopes,
-concavification, and figure-data export.
+"""Two-state geometric engine: net-utility envelopes, concavification,
+and figure-data export.
 
 Posteriors are parametrized by q = probability of the second state.  The
 reduced form of a contract is the maximal expected payment as a function
@@ -23,30 +23,6 @@ GRID_N = 5001
 GRID_EDGE = 1e-6
 
 
-def default_grid(n=GRID_N):
-    """Posterior grid on [1e-6, 1 - 1e-6] avoiding the log singularities."""
-    return np.linspace(GRID_EDGE, 1.0 - GRID_EDGE, n)
-
-
-def reduced_form(b: Contract, q):
-    """Best expected payment at posterior q and the set of maximizing decisions.
-
-    `q` is either a scalar (two states: probability of the second state) or
-    a full posterior vector.  Ties are returned as a tuple of decision
-    indices, lowest first.
-    """
-    if np.ndim(q) == 0:
-        if b.n_states != 2:
-            raise ValueError("scalar posterior form requires two states")
-        qv = np.array([1.0 - float(q), float(q)])
-    else:
-        qv = np.asarray(q, float)
-    vals = b.payments @ qv
-    best = float(np.max(vals))
-    ties = tuple(int(i) for i in np.flatnonzero(vals >= best - 1e-12))
-    return best, ties
-
-
 @dataclass(frozen=True)
 class EnvelopeCurve:
     """Function values on a posterior grid with per-point argmax labels."""
@@ -63,24 +39,21 @@ class EnvelopeCurve:
             raise ValueError("curve values must be finite")
 
 
-def reduced_form_curve(b: Contract, grid=None) -> EnvelopeCurve:
-    """Reduced form B(q) of a two-state contract on a posterior grid."""
-    grid = default_grid() if grid is None else np.asarray(grid, float)
-    lines = np.outer(b.payments[:, 1] - b.payments[:, 0], grid) + b.payments[:, 0][:, None]
-    return EnvelopeCurve(grid=grid, values=lines.max(axis=0),
-                         pieces=lines.argmax(axis=0))
-
-
-def net_utility_curve(b: Contract, model, grid=None, mu=0.0) -> EnvelopeCurve:
-    """Upper envelope of per-decision net utilities B(q) + (1+mu) Upsilon(q).
+def _net_utility_curve(b: Contract, model, grid, mu) -> EnvelopeCurve:
+    """Upper envelope of per-decision net utilities B(q) + (1+mu) Upsilon(q)
+    on `grid`, or on GRID_N points of [GRID_EDGE, 1 - GRID_EDGE] (clear of
+    the log singularities) if it is None.
 
     A positive capacity dual `mu` scales the uncertainty function, which is
     how a binding capacity constraint enters the geometry.
     """
-    base = reduced_form_curve(b, grid)
-    ups = model.upsilon(np.column_stack([1.0 - base.grid, base.grid]))
-    return EnvelopeCurve(grid=base.grid, values=base.values + (1.0 + mu) * ups,
-                         pieces=base.pieces)
+    if grid is None:
+        grid = np.linspace(GRID_EDGE, 1.0 - GRID_EDGE, GRID_N)
+    grid = np.asarray(grid, float)
+    lines = np.outer(b.payments[:, 1] - b.payments[:, 0], grid) + b.payments[:, 0][:, None]
+    ups = model.upsilon(np.column_stack([1.0 - grid, grid]))
+    return EnvelopeCurve(grid=grid, values=lines.max(axis=0) + (1.0 + mu) * ups,
+                         pieces=lines.argmax(axis=0))
 
 
 @dataclass(frozen=True)
@@ -182,7 +155,7 @@ def _write_figure(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     if inst.n_states != 2:
         raise DimensionMismatchError("figure export requires a two-state instance")
     model = inst.cost_model
-    curve = net_utility_curve(b, model, grid=grid, mu=mu)
+    curve = _net_utility_curve(b, model, grid, mu)
     prior_q = float(inst.prior[1])
     conc = concavify(curve, prior_q)
 
@@ -198,8 +171,9 @@ def _write_figure(inst, b: Contract, out_dir, tag, mu=0.0, grid=None):
     first_of_q = np.concatenate([[True], q[1:] != q[:-1]])
     q, flags = q[first_of_q], flags[first_of_q]
 
-    # every column at once, each entry computed as `reduced_form` and a
-    # one-posterior `upsilon` call compute it, so the file does not change
+    # every column at once, each entry with the arithmetic of one row at a
+    # time (the best payment b(d) . (1 - q, q), ties to the first decision,
+    # and a one-posterior `upsilon` call), so the file does not change
     qv = np.column_stack([1.0 - q, q])
     vals = (b.payments[None] @ qv[:, :, None])[:, :, 0]
     bq = vals.max(axis=1)

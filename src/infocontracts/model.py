@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionMismatchError, MalformedProblemError, ZeroMarginalError
 
 SIMPLEX_TOL = 1e-12
-FEASIBILITY_TOL = 1e-10   # how far a payment may leave the liability limits
 
 
 def _frozen(a, dtype=float):
@@ -70,7 +69,7 @@ class Contract:
     """Payment schedule b(d, theta).
 
     Infeasible contracts (outside the liability limits) are representable;
-    feasibility is the separate predicate `is_feasible`.
+    the certificate of each contract solver checks the limits.
     """
 
     payments: np.ndarray
@@ -93,28 +92,11 @@ class Contract:
 
 
 @dataclass(frozen=True)
-class Garbling:
-    """Row-stochastic matrix g(d'|d) post-processing decisions."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        g = _frozen(self.matrix)
-        if g.ndim != 2:
-            raise DimensionMismatchError("garbling must be a 2-d matrix")
-        if not g.min(initial=0.0) >= 0:
-            raise ValueError("garbling entries must be nonnegative")
-        rows = g.sum(axis=1)
-        if not np.abs(rows - 1.0).max(initial=0.0) <= 1e-9:
-            raise ValueError(f"garbling rows must sum to 1, got {rows}")
-        object.__setattr__(self, "matrix", g)
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
     """Output matrix, prior, capacity bound, and cost model for one problem.
-    An output or prior that fails its checks raises MalformedProblemError
-    at `/output` or `/prior`, its key in a problem file."""
+    An output, prior or capacity that fails its checks raises
+    MalformedProblemError at `/output`, `/prior` or `/capacity`, its key in
+    a problem file.  The capacity must be positive; it may be infinite."""
 
     decisions: tuple
     states: tuple
@@ -144,8 +126,8 @@ class ProblemInstance:
             raise MalformedProblemError("/prior", "entries must be strictly positive")
         if abs(pi.sum() - 1.0) > 1e-9:
             raise MalformedProblemError("/prior", f"must sum to 1, got {pi.sum()!r}")
-        if not (self.capacity >= 0):
-            raise ValueError("capacity must be nonnegative")
+        if not self.capacity > 0:
+            raise MalformedProblemError("/capacity", "must be positive")
         object.__setattr__(self, "output", y)
         object.__setattr__(self, "prior", pi)
 
@@ -222,17 +204,3 @@ def evaluate_profile(b: Contract, p: Experiment, inst: ProblemInstance) -> Payof
         principal_utility=principal,
         welfare=e_y - cost,
     )
-
-
-def garble(p: Experiment, g: Garbling) -> Experiment:
-    """Post-process an experiment: p'(d'|theta) = sum_d p(d|theta) g(d'|d)."""
-    _check_shapes("garbling rows", g.matrix, "experiment decisions", p.conditionals)
-    return Experiment(g.matrix.T @ p.conditionals)
-
-
-def is_feasible(b: Contract, output) -> bool:
-    """Both liability limits hold, within FEASIBILITY_TOL: 0 <= b(d,theta)
-    <= y(d,theta)."""
-    y = np.asarray(output, float)
-    return bool(np.all(b.payments >= -FEASIBILITY_TOL)
-                and np.all(b.payments <= y + FEASIBILITY_TOL))

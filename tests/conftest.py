@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infocontracts import Contract, ProblemInstance, ShannonCost
+from infocontracts import Contract, Experiment, ProblemInstance, ShannonCost
 
 
 @pytest.fixture
@@ -26,6 +26,12 @@ def random_experiment(rng, n_d, n_s, interior=0.0):
     """Random experiment, optionally bounded away from the boundary."""
     cond = rng.uniform(interior, 1.0, size=(n_d, n_s)) + interior
     return cond / cond.sum(axis=0, keepdims=True)
+
+
+def garbled(p, g):
+    """The experiment `p` post-processed by the row-stochastic matrix g(d'|d):
+    p'(d'|theta) = sum_d p(d|theta) g(d'|d)."""
+    return Experiment(g.T @ p.conditionals)
 
 
 def random_prior(rng, n_s, low=0.1):

@@ -18,9 +18,8 @@ from infocontracts import (BregmanMatrixCost, Contract, Experiment,
                            ShannonCost, TooLargeError,
                            agent_kkt_residual, alpha_prime, alpha_star, best_response_capacity,
                            best_response_general, best_response_shannon, brute_force_pareto,
-                           debt_equity_split, decompose, evaluate_profile,
-                           first_best_frontier, gamma_from_duals,
-                           gamma_risk_averse, marginal,
+                           decompose, evaluate_profile,
+                           first_best_frontier, gamma_from_duals, marginal,
                            second_best_solve, solve_for_reservation)
 from conftest import comparative_advantage_instance
 
@@ -348,9 +347,6 @@ def test_the_distortion_refuses_a_table(example):
     with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
         gamma_from_duals(p, table.prior, table.cost_model, lam)
     with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
-        gamma_risk_averse(p, table.prior, table.cost_model, lam, sol.contract,
-                          u_prime=lambda w: np.ones_like(w))
-    with pytest.raises(NoPatternFoundError, match="logit rule of the mutual-information"):
         decompose(sol.contract, table, p, alpha=1.0)
 
 
@@ -570,46 +566,7 @@ def test_capacity_substitution_inequality_chains(example):
     assert nontrivial >= 1
 
 
-def test_gamma_risk_neutral_limit(example):
-    sol = second_best_solve(example, 0.0, 1.0)
-    gamma_rn = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                                 sol.duals.lam, sol.contract,
-                                 u_prime=lambda w: np.ones_like(w))
-    gamma = gamma_from_duals(sol.experiment, example.prior, example.cost_model,
-                             sol.duals.lam)
-    assert np.max(np.abs(gamma_rn - gamma)) < 1e-9
-
-
-def test_gamma_risk_averse_log_utility(example):
-    sol = second_best_solve(example, 0.0, 1.0)
-    gamma = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                              sol.duals.lam, sol.contract,
-                              u_prime=lambda w: 1.0 / (1.0 + w))
-    assert np.all(np.isfinite(gamma))
-
-
-def _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime):
-    """The risk-averse distortion H ((p - lam / pi) / u' - xi p) / pi as a
-    sum over cell pairs, weighing each pair by the marginal utility of the
-    row's own decision; xi drops out, since H p = 0."""
-    cond = p.conditionals
-    n_d, n_s = cond.shape
-    hess = model.hessian(p, pi)
-    up = u_prime(b.payments)
-    gamma = np.zeros((n_d, n_s))
-    for d in range(n_d):
-        for s in range(n_s):
-            block = hess[d * n_s + s].reshape(n_d, n_s)
-            total = 0.0
-            for dp in range(n_d):
-                for sp in range(n_s):
-                    inner = cond[dp, sp] * (1.0 - up[d, sp] * xi) - lam[dp, sp] / pi[sp]
-                    total += inner * block[dp, sp] / up[d, sp]
-            gamma[d, s] = total / pi[s]
-    return gamma
-
-
-def _risk_averse_draws(seed, n=30):
+def _distortion_draws(seed, n=30):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         n_d, n_s = rng.integers(2, 5), rng.integers(2, 4)
@@ -618,81 +575,23 @@ def _risk_averse_draws(seed, n=30):
         pi = rng.dirichlet(np.ones(n_s))
         model = ShannonCost(float(rng.uniform(0.2, 3.0)))
         lam = rng.uniform(-0.5, 0.5, size=(n_d, n_s))
-        b = Contract(rng.uniform(0.0, 3.0, size=(n_d, n_s)))
-        yield p, pi, model, lam, float(rng.uniform()), b
+        yield p, pi, model, lam
 
 
-def test_gamma_risk_averse_matches_the_sum_over_cell_pairs():
-    def u_prime(w):
-        return 1.0 / (1.0 + w)
-
-    for p, pi, model, lam, xi, b in _risk_averse_draws(11):
-        want = _gamma_risk_averse_loop(p, pi, model, lam, xi, b, u_prime)
-        got = gamma_risk_averse(p, pi, model, lam, b, u_prime)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_gamma_risk_averse_is_the_information_cost_matrix_form_over_p_d():
+def test_gamma_is_the_information_cost_matrix_form_over_p_d():
     # Hebert and Woodford's form: k(q_d) / (q_d q_d^T), read off block d of
-    # the Hessian times p(d) / (pi pi^T), contracted with (joint -
-    # lambda) / u', is p(d) times the distortion
-    def u_prime(w):
-        return np.sqrt(1.0 + w)
-
-    for p, pi, model, lam, _, b in _risk_averse_draws(12):
+    # the Hessian times p(d) / (pi pi^T), contracted with joint - lambda, is
+    # p(d) times the distortion; the joint term drops out (H p = 0)
+    for p, pi, model, lam in _distortion_draws(12):
         cond = p.conditionals
         n_d, n_s = cond.shape
         hess = model.hessian(p, pi).reshape(n_d, n_s, n_d, n_s)
         blocks = hess[np.arange(n_d), :, np.arange(n_d), :]
         k_qq = blocks * marginal(p, pi)[:, None, None] / np.outer(pi, pi)
-        weight = (cond * pi[None, :] - lam) / u_prime(b.payments)
+        weight = cond * pi[None, :] - lam
         want = (k_qq @ weight[:, :, None])[:, :, 0]
-        got = marginal(p, pi)[:, None] * gamma_risk_averse(p, pi, model, lam, b, u_prime)
+        got = marginal(p, pi)[:, None] * gamma_from_duals(p, pi, model, lam)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_gamma_risk_averse_scaling_identity(example):
-    sol = second_best_solve(example, 0.3, 1.0)
-    c = 2.0
-    base = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                             sol.duals.lam, sol.contract,
-                             u_prime=lambda w: 1.0 + 0.2 * w)
-    scaled = gamma_risk_averse(sol.experiment, example.prior, example.cost_model,
-                               sol.duals.lam, sol.contract,
-                               u_prime=lambda w: c * (1.0 + 0.2 * w))
-    assert np.max(np.abs(scaled - base / c)) < 1e-10
-
-
-def test_debt_equity_boundary_numbers(example):
-    ap = 0.692
-    split = debt_equity_split(example.output, ap, beta=ap * np.array([0.0, 5.0]),
-                              gamma_hat=np.zeros(2))
-    # face value beta/alpha*: state 2 debt claim is 5, capped by output
-    assert split.debt[1, 0] == 0.0
-    assert abs(split.debt[0, 1] - 5.0) < 1e-12
-    total = split.debt + split.outside_equity + split.inside_equity
-    assert np.max(np.abs(total - example.output)) < 1e-12
-
-
-def test_debt_equity_pure_inside_equity(example):
-    split = debt_equity_split(example.output, 1.0, np.zeros(2), np.zeros(2))
-    assert np.max(np.abs(split.inside_equity - example.output)) < 1e-15
-    assert np.max(np.abs(split.debt)) == 0.0
-
-
-def test_debt_equity_reconstructs_second_best(example):
-    sol = second_best_solve(example, 0.0, 1.0)
-    split = debt_equity_split(example.output, 1.0, sol.decomposition.beta,
-                              sol.decomposition.gamma_hat)
-    # investor side: y - b = debt + outside equity; agent side: b = inside
-    investor = split.debt + split.outside_equity
-    assert np.max(np.abs(investor - (example.output - sol.contract.payments))) < 1e-8
-    assert np.max(np.abs(split.inside_equity - sol.contract.payments)) < 1e-8
-
-
-def test_debt_equity_zero_alpha_rejected(example):
-    with pytest.raises(ValueError):
-        debt_equity_split(example.output, 0.0, np.zeros(2), np.zeros(2))
 
 
 def test_dominant_decision_instance_pays_nothing_for_the_good_decision():

@@ -8,16 +8,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infocontracts import geometry
 from infocontracts import (Contract, DegeneratePriorError, EnvelopeCurve,
                            PosteriorSeparableCost, ProblemInstance,
                            ShannonCost, best_response_capacity,
-                           best_response_shannon, concavify, default_grid,
-                           emit_figure_data, entropy, net_utility_curve,
-                           posterior_matrix, reduced_form, reduced_form_curve,
+                           best_response_shannon, concavify,
+                           emit_figure_data, entropy, posterior_matrix,
                            second_best_solve)
 
 FIG1_CONTRACT = Contract([[0.0, 2.0], [1.0, 1.0]])
 FIG1_PRIOR = 0.45
+
+
+def grid_of(n):
+    """n posteriors on [1e-6, 1 - 1e-6], clear of the log singularities."""
+    return np.linspace(1e-6, 1.0 - 1e-6, n)
+
+
+def reduced_form(b: Contract, q):
+    """Best expected payment at posterior q and the set of maximizing
+    decisions, the reference for each row of a figure file.
+
+    `q` is either a scalar (two states: probability of the second state) or
+    a full posterior vector.  Ties are returned as a tuple of decision
+    indices, lowest first.
+    """
+    qv = np.array([1.0 - float(q), float(q)]) if np.ndim(q) == 0 else np.asarray(q, float)
+    vals = b.payments @ qv
+    best = float(np.max(vals))
+    ties = tuple(int(i) for i in np.flatnonzero(vals >= best - 1e-12))
+    return best, ties
 
 
 def fig1_instance():
@@ -50,7 +70,7 @@ def test_reduced_form_vector_posterior():
 
 
 def test_concavify_binary_example_contacts():
-    curve = net_utility_curve(FIG1_CONTRACT, ShannonCost())
+    curve = geometry._net_utility_curve(FIG1_CONTRACT, ShannonCost(), None, 0.0)
     conc = concavify(curve, FIG1_PRIOR)
     assert len(conc.contacts) == 2
     assert abs(conc.contacts[0] - 0.268941) < 2e-4
@@ -62,7 +82,7 @@ def test_concavify_binary_example_contacts():
 
 
 def test_concavify_concave_curve_single_contact():
-    grid = default_grid(501)
+    grid = grid_of(501)
     vals = -(grid - 0.4) ** 2
     conc = concavify(EnvelopeCurve(grid, vals, np.zeros(len(grid), dtype=int)), 0.37)
     assert len(conc.contacts) == 1
@@ -102,8 +122,8 @@ def test_concavify_matches_pairwise_oracle():
 
 def test_envelope_properties():
     rng = np.random.default_rng(1)
-    curve = net_utility_curve(Contract(rng.uniform(0, 2, (3, 2))), ShannonCost(),
-                              grid=default_grid(2001))
+    curve = geometry._net_utility_curve(Contract(rng.uniform(0, 2, (3, 2))), ShannonCost(),
+                                        grid_of(2001), 0.0)
     conc = concavify(curve, 0.4)
     # dominates the curve and is concave on the grid
     assert np.all(conc.envelope >= curve.values - 1e-12)
@@ -120,7 +140,7 @@ def test_envelope_properties():
 
 
 def test_envelope_idempotent():
-    curve = net_utility_curve(FIG1_CONTRACT, ShannonCost(), grid=default_grid(1001))
+    curve = geometry._net_utility_curve(FIG1_CONTRACT, ShannonCost(), grid_of(1001), 0.0)
     conc1 = concavify(curve, 0.45)
     curve2 = EnvelopeCurve(curve.grid, conc1.envelope, curve.pieces)
     conc2 = concavify(curve2, 0.45)
@@ -128,7 +148,7 @@ def test_envelope_idempotent():
 
 
 def test_envelope_affine_invariance():
-    grid = default_grid(801)
+    grid = grid_of(801)
     base = np.array([entropy(np.array([1 - q, q])) for q in grid])
     base += np.maximum(1 - 3 * grid, 2 * grid - 1)
     affine = 0.7 * grid - 0.3
@@ -138,7 +158,7 @@ def test_envelope_affine_invariance():
 
 
 def test_concavify_prior_outside_grid_raises():
-    curve = reduced_form_curve(FIG1_CONTRACT, default_grid(101))
+    curve = geometry._net_utility_curve(FIG1_CONTRACT, ShannonCost(), grid_of(101), 0.0)
     with pytest.raises(DegeneratePriorError):
         concavify(curve, 1.0 - 1e-9)
 
@@ -171,9 +191,9 @@ def test_binding_capacity_pulls_contacts_toward_prior(tmp_path):
     pi = inst.prior
     cap = best_response_capacity(FIG1_CONTRACT, pi, 0.05, inst.cost_model)
     assert cap.mu > 0
-    free_conc = concavify(net_utility_curve(FIG1_CONTRACT, inst.cost_model), FIG1_PRIOR)
-    tight_conc = concavify(net_utility_curve(FIG1_CONTRACT, inst.cost_model,
-                                             mu=cap.mu), FIG1_PRIOR)
+    free = geometry._net_utility_curve(FIG1_CONTRACT, inst.cost_model, None, 0.0)
+    tight = geometry._net_utility_curve(FIG1_CONTRACT, inst.cost_model, None, cap.mu)
+    free_conc, tight_conc = concavify(free, FIG1_PRIOR), concavify(tight, FIG1_PRIOR)
     spread_free = max(abs(q - FIG1_PRIOR) for q in free_conc.contacts)
     spread_tight = max(abs(q - FIG1_PRIOR) for q in tight_conc.contacts)
     assert spread_tight < spread_free
@@ -209,11 +229,12 @@ def test_optimal_contract_chords_coincide(example):
 ])
 def test_net_utility_curve_matches_pointwise_upsilon(model):
     # one call on the whole grid replaced a call per grid point
-    grid = default_grid(501)
-    curve = net_utility_curve(FIG1_CONTRACT, model, grid=grid, mu=0.4)
+    grid = grid_of(501)
+    curve = geometry._net_utility_curve(FIG1_CONTRACT, model, grid, 0.4)
     loop = np.array([model.upsilon(np.array([1.0 - q, q])) for q in grid])
-    base = reduced_form_curve(FIG1_CONTRACT, grid)
-    assert np.array_equal(curve.values, base.values + 1.4 * loop)
+    pay = FIG1_CONTRACT.payments
+    base = (np.outer(pay[:, 1] - pay[:, 0], grid) + pay[:, 0][:, None]).max(axis=0)
+    assert np.array_equal(curve.values, base + 1.4 * loop)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +245,7 @@ def _emit_figure_data_per_row(inst, b, out_dir, tag, mu=0.0, grid=None):
     """The per-row export that `emit_figure_data` replaced: one
     `reduced_form` and one `upsilon` call per row."""
     model = inst.cost_model
-    curve = net_utility_curve(b, model, grid=grid, mu=mu)
+    curve = geometry._net_utility_curve(b, model, grid, mu)
     prior_q = float(inst.prior[1])
     conc = concavify(curve, prior_q)
 

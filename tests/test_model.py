@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from infocontracts import (Contract, DimensionMismatchError, Experiment,
-                           Garbling, MalformedProblemError, ProblemInstance, ShannonCost,
+                           MalformedProblemError, ProblemInstance, ShannonCost,
                            ZeroMarginalError, best_response_general,
-                           evaluate_profile, garble, is_feasible, marginal,
-                           posterior)
-from conftest import random_experiment, random_prior
+                           evaluate_profile, marginal, posterior)
+from conftest import garbled, random_experiment, random_prior
 
 # experiment published for the second-best contract (conditionals)
 TABLE2_EXPERIMENT = np.array([[0.160, 0.514], [0.840, 0.486]])
@@ -141,22 +140,7 @@ def test_scaled_transferred_output_is_boundary_contract(example):
     b = Contract(alpha_p * shifted.payments)
     assert np.allclose(b.payments, alpha_p * np.array([[0.0, 5.0], [5.0, 0.0]]))
     assert np.allclose(b.payments.min(axis=0), 0.0)
-    assert is_feasible(b, example.output)
-
-
-def test_garble_identity():
-    p = Experiment(random_experiment(np.random.default_rng(2), 3, 2))
-    g = Garbling(np.eye(3))
-    assert np.allclose(garble(p, g).conditionals, p.conditionals, atol=1e-15)
-
-
-def test_total_garbling_is_uninformative():
-    p = Experiment(random_experiment(np.random.default_rng(2), 3, 2))
-    row = np.array([0.2, 0.5, 0.3])
-    g = Garbling(np.tile(row, (3, 1)))
-    out = garble(p, g)
-    for s in range(2):
-        assert np.allclose(out.conditionals[:, s], row, atol=1e-12)
+    assert np.all(b.payments >= 0.0) and np.all(b.payments <= example.output)
 
 
 def test_garbling_never_raises_shannon_cost():
@@ -164,19 +148,9 @@ def test_garbling_never_raises_shannon_cost():
     for _ in range(50):
         p = Experiment(random_experiment(rng, 3, 3))
         pi = random_prior(rng, 3)
-        g = Garbling(random_experiment(rng, 3, 3).T)
+        g = random_experiment(rng, 3, 3).T
         cost = ShannonCost()
-        assert cost.value(garble(p, g), pi) <= cost.value(p, pi) + 1e-10
-
-
-def test_garble_composition_is_matrix_product():
-    rng = np.random.default_rng(9)
-    p = Experiment(random_experiment(rng, 3, 2))
-    g1 = Garbling(random_experiment(rng, 3, 3).T)
-    g2 = Garbling(random_experiment(rng, 3, 3).T)
-    twice = garble(garble(p, g1), g2)
-    combined = garble(p, Garbling(g1.matrix @ g2.matrix))
-    assert np.max(np.abs(twice.conditionals - combined.conditionals)) < 1e-15
+        assert cost.value(garbled(p, g), pi) <= cost.value(p, pi) + 1e-10
 
 
 def test_values_are_immutable(example):
@@ -190,15 +164,14 @@ def test_values_are_immutable(example):
 def test_infeasible_contracts_are_representable(example):
     # y - beta has negative cells before truncation; still a valid value
     b = Contract(example.output - np.array([3.836, 6.596]))
-    assert not is_feasible(b, example.output)
-    assert is_feasible(Contract(np.maximum(b.payments, 0.0)), example.output)
+    assert np.any(b.payments < 0.0)
+    truncated = Contract(np.maximum(b.payments, 0.0)).payments
+    assert np.all(truncated >= 0.0) and np.all(truncated <= example.output)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
         Experiment([[0.5, 0.5], [0.4, 0.5]])
-    with pytest.raises(ValueError):
-        Garbling([[0.5, 0.4], [1.0, 0.0]])
     with pytest.raises(ValueError):
         ProblemInstance(("d",), ("s",), [[np.inf]], [1.0], 1.0, ShannonCost())
     with pytest.raises(ValueError):
@@ -216,17 +189,24 @@ def test_a_prior_not_finite_is_malformed():
                         [np.nan, np.nan], 0.5, ShannonCost())
 
 
+@pytest.mark.parametrize("capacity", [0.0, -1.0, np.nan])
+def test_a_capacity_not_positive_is_malformed(example, capacity):
+    # capacity 0 was accepted, and every capacity solver then raised a plain
+    # ValueError when called
+    with pytest.raises(MalformedProblemError, match="^/capacity: must be positive"):
+        ProblemInstance(example.decisions, example.states, example.output,
+                        example.prior, capacity, example.cost_model)
+
+
 @pytest.mark.parametrize("entries", [
     [[np.nan, 0.5], [0.5, 0.5]],
     [[np.nan, np.nan], [np.nan, np.nan]],
     [[0.5, 0.5], [0.5, np.nan]],
 ])
 def test_nan_entries_are_refused(entries):
-    # every comparison with NaN is false: both types once accepted these
+    # every comparison with NaN is false: the type once accepted these
     with pytest.raises(ValueError, match=r"experiment entries must lie in \[0, 1\]"):
         Experiment(entries)
-    with pytest.raises(ValueError, match="garbling entries must be nonnegative"):
-        Garbling(entries)
 
 
 def test_validation_messages():
@@ -234,10 +214,5 @@ def test_validation_messages():
         Experiment([[1.5, 0.5], [-0.5, 0.5]])
     with pytest.raises(ValueError, match=r"experiment columns must sum to 1, got \[0.9 1. \]"):
         Experiment([[0.5, 0.5], [0.4, 0.5]])
-    with pytest.raises(ValueError, match="garbling entries must be nonnegative"):
-        Garbling([[1.5, -0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match=r"garbling rows must sum to 1, got \[0.9 1. \]"):
-        Garbling([[0.5, 0.4], [1.0, 0.0]])
-    # entries within the tolerances pass
+    # entries within the tolerance pass
     assert Experiment([[1.0 + 1e-13, 0.5], [-1e-13, 0.5]]).n_states == 2
-    assert Garbling([[1.0 + 1e-10, 0.0], [0.0, 1.0]]).matrix.shape == (2, 2)
