@@ -17,12 +17,11 @@ from .costs import (BregmanMatrixCost, CostModel, PosteriorSeparableCost,
 from .errors import (BoundaryPointError, DegeneratePriorError,
                      DimensionMismatchError, InconsistentProfileError,
                      MalformedProblemError, NoConvergenceError,
-                     NoPatternFoundError, OutOfRangeError, TooLargeError,
-                     ZeroMarginalError)
+                     NoPatternFoundError, OutOfRangeError, TooLargeError)
 from .geometry import (ConcavifiedCurve, EnvelopeCurve, concavify,
                        emit_figure_data)
 from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
-                    evaluate_profile, marginal, posterior, posterior_matrix)
+                    evaluate_profile, marginal, posterior_matrix)
 from .problem_io import (canonical_json, load_contract, load_problem,
                          parse_cost, problem_from_dict, write_matrix_csv)
 
@@ -43,12 +42,11 @@ __all__ = [
     "BoundaryPointError", "DegeneratePriorError", "DimensionMismatchError",
     "InconsistentProfileError", "MalformedProblemError", "NoConvergenceError",
     "NoPatternFoundError", "OutOfRangeError", "TooLargeError",
-    "ZeroMarginalError",
     # geometry
     "ConcavifiedCurve", "EnvelopeCurve", "concavify", "emit_figure_data",
     # model
     "Contract", "Experiment", "PayoffReport", "ProblemInstance",
-    "evaluate_profile", "marginal", "posterior", "posterior_matrix",
+    "evaluate_profile", "marginal", "posterior_matrix",
     # problem_io
     "canonical_json", "load_contract", "load_problem", "parse_cost",
     "problem_from_dict", "write_matrix_csv",

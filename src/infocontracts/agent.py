@@ -577,7 +577,9 @@ def _table_two_state(b, pi, model):
     rise = pay[:, 1] - pay[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cross = (pay[None, :, 0] - pay[:, None, 0]) / (rise[:, None] - rise[None, :])
-    x = np.union1d(np.concatenate([[0.0, 1.0], model.knots]), cross)
+    # sorted and deduplicated as np.union1d would, without its numpy.ma import
+    x = np.sort(np.concatenate([[0.0, 1.0], model.knots, cross.ravel()]))
+    x = x[np.concatenate([[True], x[1:] != x[:-1]])]
     x = x[(x >= 0.0) & (x <= 1.0)]
     net = pay[:, :1] + rise[:, None] * x + model.upsilon(np.column_stack([1.0 - x, x]))
     contacts, weights, labels, env = _spanning(x, net, net.argmax(axis=0), q)

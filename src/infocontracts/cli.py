@@ -19,7 +19,7 @@ codes:
   utility of the full-output contract under the capacity;
 * 4 a problem the contract solvers cannot take (`NoPatternFoundError`,
   before any solve): a contract or `oracle` request under a tabulated
-  uncertainty function or on an output below 0;
+  uncertainty function;
 * 5 an iterative solver did not converge (`NoConvergenceError`), which
   includes an `--xi` request whose reduced solve fails other than by
   ending at one decision, and a reservation request for which neither
@@ -28,7 +28,8 @@ codes:
   paying a single decision gives a certified answer;
 * 6 problem too large for the grid oracle (`TooLargeError`);
 * 65 malformed problem/contract file, including a NaN or infinite prior
-  entry, cost scale or payment, and a boolean capacity;
+  entry, cost scale or payment, a boolean capacity, and an output below
+  0, which leaves no payment within both liability limits;
 * 66 missing file.
 
 Every nonzero code but 1 and argparse's own usage errors comes with a

@@ -35,7 +35,6 @@ from .model import (Contract, Experiment, PayoffReport, ProblemInstance,
 FRONTIER_SLACK = 5e-3   # first-best targets this close outside the range clamp
 V_TOL = 1e-4            # how near a reservation answer's agent utility is to r
 _ORACLE_SLICE = 1 << 14  # grid contracts the oracle holds at once
-_NEGATIVE_OUTPUT = "an output below 0 leaves no payment within both liability limits"
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,6 @@ class Decomposition:
     beta: np.ndarray
     gamma: np.ndarray
     gamma_hat: np.ndarray
-
-    def reconstruct(self, output) -> np.ndarray:
-        return self.alpha * np.asarray(output, float) - self.beta[None, :] - self.gamma
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,8 @@ def first_best_frontier(inst: ProblemInstance, r):
     then raising beta toward the per-state output minima (so that at the
     lower endpoint the minimum payment in each state touches zero).
     Targets within FRONTIER_SLACK of the achievable range clamp to the
-    endpoint; a NaN target raises ValueError.
+    endpoint; a NaN target raises ValueError.  An output of 0 everywhere
+    has one point, r = 0 at the zero contract.
     alpha' is read off the capacity solve at y (`best_response_capacity`,
     as in `alpha_prime`): the best response to alpha y is the one to y at
     cost scale 1/alpha, so the capacity binds from alpha' = 1/(1 + mu) on.
@@ -135,7 +132,8 @@ def _frontier(inst, base, r, slack):
         )
     r = min(max(r, v_bottom), v_top)
     if r >= v_mid:
-        alpha = min(max((r + base.cost) / e_y, ap), 1.0)
+        # e_y = 0 only for an output of 0 everywhere
+        alpha = min(max((r + base.cost) / e_y, ap), 1.0) if e_y > 0.0 else 1.0
         beta = np.zeros(inst.n_states)
     else:
         # e_min > 0 here; t = 1 exactly at the bottom pays each state's lowest cell 0
@@ -404,16 +402,14 @@ def second_best_solve(inst: ProblemInstance, xi, alpha) -> ContractSolution:
     decision of the highest expected output and lambda = (1 - xi) pi on its
     cells; so it is at alpha = 0, where every experiment is worth 0 to the
     principal.  Raises NoPatternFoundError for a model without a logit
-    scale (a tabulated uncertainty function) or an output below 0, and
-    NoConvergenceError when the reduced solve fails otherwise.
+    scale (a tabulated uncertainty function) and NoConvergenceError when
+    the reduced solve fails otherwise.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
     if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     _logit_scale(inst.cost_model, "the second-best problem")
-    if np.any(inst.output < 0.0):
-        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     top = replace(inst, output=alpha * inst.output, capacity=np.inf)
     base = best_response_capacity(top.output_contract, top.prior, np.inf, top.cost_model)
     best = int(np.argmax(inst.output @ inst.prior))
@@ -457,15 +453,13 @@ def solve_for_reservation(inst: ProblemInstance, r, alpha=1.0) -> ContractSoluti
     alpha y without capacity).  Below it the answer is the better, by
     alpha E_p y - E_p b, of the reduced problem's and the contracts that
     pay a single decision.  Raises OutOfRangeError above the first-best
-    range, NoPatternFoundError for a model without a logit scale or an
-    output below 0, NoConvergenceError when no candidate is certified, and
-    ValueError for a NaN r.
+    range, NoPatternFoundError for a model without a logit scale,
+    NoConvergenceError when no candidate is certified, and ValueError for
+    a NaN r.
     """
     if np.isnan(r):
         raise ValueError("reservation utility must not be NaN")
     _logit_scale(inst.cost_model, "the reservation problem")
-    if np.any(inst.output < 0.0):
-        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     if alpha is not None and not alpha > 0.0:
         raise ValueError("alpha must be positive")
     piece, capacity = (1.0, inst.capacity) if alpha is None else (float(alpha), np.inf)
@@ -510,8 +504,7 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     independently of the agent's solvers (`_grid_response`); the best grid
     contract maximizes the principal's payoff subject to the agent clearing
     utility r.  Only for at most 4 payment cells.  A cost other than
-    mutual information, or an output below 0, with no payment within both
-    liability limits, raises NoPatternFoundError.
+    mutual information raises NoPatternFoundError.
     """
     if grid_n < 2:
         raise ValueError("oracle grid needs at least 2 points per payment")
@@ -523,8 +516,6 @@ def brute_force_pareto(inst: ProblemInstance, r=-np.inf, grid_n=21):
     if grid_n > 41:
         raise TooLargeError("oracle grid is capped at 41 points per payment")
     s = _logit_scale(inst.cost_model, "the grid oracle")
-    if np.any(inst.output < 0):
-        raise NoPatternFoundError(_NEGATIVE_OUTPUT)
     pi = inst.prior
 
     axes = [np.linspace(0.0, top, grid_n) if top > 0 else np.array([0.0])

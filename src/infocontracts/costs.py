@@ -31,11 +31,14 @@ condition uses).
 from __future__ import annotations
 
 import copy
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BoundaryPointError
-from .model import Experiment
+
+if TYPE_CHECKING:  # model imports this module to check a problem's cost
+    from .model import Experiment
 
 INTERIOR_EPS = 1e-12   # derivatives need every experiment entry above this
 CONCAVITY_TOL = 1e-12  # how far a table may dip below a chord, per unit of its values

@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Shapes of contracts, experiments, priors, or garblings disagree."""
 
 
-class ZeroMarginalError(ValueError):
-    """A posterior was requested for a decision that is never taken."""
-
-
 class BoundaryPointError(ValueError):
     """Derivatives requested at an experiment with (near-)zero entries."""
 
@@ -23,8 +19,7 @@ class DegeneratePriorError(ValueError):
 
 class NoPatternFoundError(RuntimeError):
     """The contract solvers cannot take the problem: its cost has no logit
-    rule (a tabulated uncertainty function), or an output below 0 leaves no
-    payment within both liability limits."""
+    rule (a tabulated uncertainty function)."""
 
 
 class InconsistentProfileError(ValueError):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedProblemError, ZeroMarginalError
+from .costs import CostModel
+from .errors import DimensionMismatchError, MalformedProblemError
 
 SIMPLEX_TOL = 1e-12
 
@@ -21,14 +22,6 @@ def _frozen(a, dtype=float):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _check_shapes(name_a, a, name_b, b, axis_a=0, axis_b=0):
-    if a.shape[axis_a] != b.shape[axis_b]:
-        raise DimensionMismatchError(
-            f"{name_a} has {a.shape[axis_a]} entries on axis {axis_a}, "
-            f"{name_b} has {b.shape[axis_b]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -56,12 +49,6 @@ class Experiment:
     @property
     def n_states(self):
         return self.conditionals.shape[1]
-
-    @staticmethod
-    def uninformative(n_decisions, n_states, weights=None):
-        """Experiment whose columns all equal `weights` (uniform by default)."""
-        w = np.full(n_decisions, 1.0 / n_decisions) if weights is None else np.asarray(weights, float)
-        return Experiment(np.tile(w[:, None], (1, n_states)))
 
 
 @dataclass(frozen=True)
@@ -94,30 +81,43 @@ class Contract:
 @dataclass(frozen=True)
 class ProblemInstance:
     """Output matrix, prior, capacity bound, and cost model for one problem.
-    An output, prior or capacity that fails its checks raises
-    MalformedProblemError at `/output`, `/prior` or `/capacity`, its key in
-    a problem file.  The capacity must be positive; it may be infinite."""
+
+    Every rule of the problem is checked here, and a problem that breaks
+    one raises MalformedProblemError at its key in a problem file:
+    `/decisions` and `/states`, nonempty lists of distinct strings;
+    `/output`, a finite matrix of one row per decision and one column per
+    state, with no entry below 0 (no payment then lies within both
+    liability limits 0 <= b <= y); `/prior`, a finite, strictly positive
+    distribution over the states; `/capacity`, positive, possibly
+    infinite; `/cost`, a `CostModel`, where a table needs two states."""
 
     decisions: tuple
     states: tuple
     output: np.ndarray
     prior: np.ndarray
     capacity: float
-    cost_model: object = None
+    cost_model: CostModel
 
     def __post_init__(self):
-        y = _frozen(self.output)
-        pi = _frozen(self.prior)
+        for pointer, labels in (("/decisions", self.decisions), ("/states", self.states)):
+            if (not isinstance(labels, (list, tuple)) or not labels
+                    or not all(isinstance(label, str) for label in labels)):
+                raise MalformedProblemError(pointer, "must be a nonempty list of strings")
+            if len(set(labels)) != len(labels):
+                raise MalformedProblemError(pointer, "labels must be unique")
         object.__setattr__(self, "decisions", tuple(self.decisions))
         object.__setattr__(self, "states", tuple(self.states))
-        if len(self.decisions) < 1 or len(self.states) < 1:
-            raise ValueError("need at least one decision and one state")
-        if y.shape != (len(self.decisions), len(self.states)):
+        output = _frozen(self.output)
+        pi = _frozen(self.prior)
+        if output.shape != (len(self.decisions), len(self.states)):
             raise MalformedProblemError(
-                "/output", f"shape {y.shape} does not match "
+                "/output", f"shape {output.shape} does not match "
                            f"{len(self.decisions)} decisions x {len(self.states)} states")
-        if not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(output)):
             raise MalformedProblemError("/output", "entries must be finite")
+        if np.any(output < 0):
+            raise MalformedProblemError(
+                "/output", "an output below 0 leaves no payment within both liability limits")
         if pi.shape != (len(self.states),):
             raise MalformedProblemError("/prior", "length must match the states")
         if not np.all(np.isfinite(pi)):
@@ -128,7 +128,12 @@ class ProblemInstance:
             raise MalformedProblemError("/prior", f"must sum to 1, got {pi.sum()!r}")
         if not self.capacity > 0:
             raise MalformedProblemError("/capacity", "must be positive")
-        object.__setattr__(self, "output", y)
+        if not isinstance(self.cost_model, CostModel):
+            raise MalformedProblemError("/cost", f"must be a CostModel, got {self.cost_model!r}")
+        if self.cost_model.knots is not None and len(self.states) != 2:
+            raise MalformedProblemError("/cost", "a gridded uncertainty function needs two "
+                                                 f"states, got {len(self.states)}")
+        object.__setattr__(self, "output", output)
         object.__setattr__(self, "prior", pi)
 
     @property
@@ -160,18 +165,9 @@ class PayoffReport:
 def marginal(p: Experiment, prior) -> np.ndarray:
     """Total decision probabilities p(d) = sum_theta pi(theta) p(d|theta)."""
     pi = np.asarray(prior, float)
-    _check_shapes("experiment states", p.conditionals, "prior", pi, axis_a=1)
+    if p.n_states != pi.shape[0]:
+        raise DimensionMismatchError(f"experiment has {p.n_states} states, prior {pi.shape[0]}")
     return p.conditionals @ pi
-
-
-def posterior(p: Experiment, prior, d) -> np.ndarray:
-    """Bayes posterior over states after observing decision index `d`."""
-    pi = np.asarray(prior, float)
-    _check_shapes("experiment states", p.conditionals, "prior", pi, axis_a=1)
-    m = float(p.conditionals[d] @ pi)
-    if m <= 0.0:
-        raise ZeroMarginalError(f"decision {d} is never taken; posterior undefined")
-    return p.conditionals[d] * pi / m
 
 
 def posterior_matrix(p: Experiment, prior) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 Problem files are JSON objects with keys `decisions`, `states`, `output`
 (row-major by decision), `prior`, `capacity`, and `cost` (a tagged union
-selecting the cost model).  Validation failures carry a JSON-pointer to
-the offending key.  Matrices echo as CSV with header decision,state,value;
-JSON output is canonical: sorted keys, floats printed at 17 significant
-digits so every value round-trips losslessly.
+selecting the cost model).  The reader checks JSON types only, and that
+the capacity and the cost scale are positive finite numbers (a file holds
+no infinite capacity); `ProblemInstance` checks every rule of the
+problem.  Validation failures carry a JSON-pointer to the offending key.
+Matrices echo as CSV with header decision,state,value; JSON output is
+canonical: sorted keys, floats printed at 17 significant digits so every
+value round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -49,25 +52,12 @@ def parse_cost(spec):
 
 def problem_from_dict(data) -> ProblemInstance:
     """Validated ProblemInstance from a decoded JSON object: the JSON types
-    are checked here, the output and prior values by `ProblemInstance`."""
+    are checked here, every rule of the problem by `ProblemInstance`."""
     if not isinstance(data, dict):
         raise MalformedProblemError("", "problem file must hold a JSON object")
     for key in ("decisions", "states", "output", "prior", "capacity", "cost"):
         if key not in data:
             raise MalformedProblemError(f"/{key}", "missing required key")
-
-    decisions = data["decisions"]
-    states = data["states"]
-    if (not isinstance(decisions, list) or not decisions
-            or not all(isinstance(d, str) for d in decisions)):
-        raise MalformedProblemError("/decisions", "must be a nonempty list of strings")
-    if (not isinstance(states, list) or not states
-            or not all(isinstance(s, str) for s in states)):
-        raise MalformedProblemError("/states", "must be a nonempty list of strings")
-    if len(set(decisions)) != len(decisions):
-        raise MalformedProblemError("/decisions", "labels must be unique")
-    if len(set(states)) != len(states):
-        raise MalformedProblemError("/states", "labels must be unique")
 
     try:
         output = np.asarray(data["output"], float)
@@ -80,10 +70,7 @@ def problem_from_dict(data) -> ProblemInstance:
 
     capacity = _positive_number(data["capacity"], "/capacity")
     model = parse_cost(data["cost"])
-    if model.knots is not None and len(states) != 2:
-        raise MalformedProblemError(
-            "/cost", f"a gridded uncertainty function needs two states, got {len(states)}")
-    return ProblemInstance(decisions=tuple(decisions), states=tuple(states),
+    return ProblemInstance(decisions=data["decisions"], states=data["states"],
                            output=output, prior=prior,
                            capacity=capacity, cost_model=model)
 

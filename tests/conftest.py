@@ -28,6 +28,12 @@ def random_experiment(rng, n_d, n_s, interior=0.0):
     return cond / cond.sum(axis=0, keepdims=True)
 
 
+def uninformative(n_d, n_s, weights=None):
+    """Experiment whose columns all equal `weights` (uniform by default)."""
+    w = np.full(n_d, 1.0 / n_d) if weights is None else np.asarray(weights, float)
+    return Experiment(np.tile(w[:, None], (1, n_s)))
+
+
 def garbled(p, g):
     """The experiment `p` post-processed by the row-stochastic matrix g(d'|d):
     p'(d'|theta) = sum_d p(d|theta) g(d'|d)."""

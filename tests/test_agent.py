@@ -14,7 +14,7 @@ from infocontracts import (BoundaryPointError,
                            best_response_capacity, best_response_general,
                            best_response_shannon, entropy, evaluate_profile,
                            marginal, posterior_matrix)
-from conftest import random_prior
+from conftest import random_prior, uninformative
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
 Y = Contract([[0.0, 10.0], [5.0, 5.0]])
@@ -142,7 +142,7 @@ def test_kkt_residual_at_solver_output():
 
 def test_kkt_residual_detects_suboptimality():
     b = Contract([[2.0, 2.0], [0.0, 0.0]])
-    res, _ = agent_kkt_residual(b, PI, ShannonCost(), Experiment.uninformative(2, 2))
+    res, _ = agent_kkt_residual(b, PI, ShannonCost(), uninformative(2, 2))
     assert res > 0.5
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from infocontracts import cli, contracts, reduced
 from infocontracts import (BregmanMatrixCost, Contract, Experiment,
-                           InconsistentProfileError,
+                           InconsistentProfileError, MalformedProblemError,
                            NoConvergenceError, NoPatternFoundError,
                            OutOfRangeError,
                            PosteriorSeparableCost, ProblemInstance,
@@ -24,6 +24,11 @@ from infocontracts import (BregmanMatrixCost, Contract, Experiment,
 from conftest import comparative_advantage_instance
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
+
+
+def _reconstructed(deco, output):
+    """alpha y - beta - gamma of a decomposition."""
+    return deco.alpha * output - deco.beta[None, :] - deco.gamma
 
 
 def test_alpha_prime_example(example):
@@ -102,7 +107,7 @@ def test_second_best_dual_identities(example):
         assert np.all(sol.contract.payments >= -1e-10)
         assert np.all(sol.contract.payments <= example.output + 1e-10)
         # reconstruction b = alpha y - beta - gamma
-        recon = sol.decomposition.reconstruct(example.output)
+        recon = _reconstructed(sol.decomposition, example.output)
         assert np.max(np.abs(recon - sol.contract.payments)) < 1e-8
 
 
@@ -229,7 +234,7 @@ def test_decompose_oracle_point_within_grid_tolerance(example):
     bc, bp = brute_force_pareto(example, r=sol.report.agent_utility, grid_n=21)
     step = np.max(example.output) / 20
     deco, duals = decompose(bc, example, bp, alpha=1.0, residual_tol=step)
-    recon = deco.reconstruct(example.output)
+    recon = _reconstructed(deco, example.output)
     assert np.max(np.abs(recon - bc.payments)) < step
 
 
@@ -254,7 +259,7 @@ def test_decompose_takes_every_second_best_answer():
     for inst, sol in _seeded_second_best_answers():
         answered += 1
         deco, duals = decompose(sol.contract, inst, sol.experiment, alpha=1.0)
-        assert np.max(np.abs(deco.reconstruct(inst.output) - sol.contract.payments)) <= 1e-12
+        assert np.max(np.abs(_reconstructed(deco, inst.output) - sol.contract.payments)) <= 1e-12
         if sol.experiment.conditionals.any(axis=1).sum() < 2:
             # one decision taken does not pin xi down: the fit is xi = 1, lam = 0
             assert duals.xi == 1.0 and not duals.lam.any()
@@ -410,20 +415,78 @@ def test_oracle_memory_is_bounded_by_its_slice(monkeypatch):
     assert np.array_equal(sliced[1].conditionals, whole[1].conditionals)
 
 
-def test_oracle_refuses_an_output_below_zero(monkeypatch):
+def test_oracle_refuses_an_output_below_zero():
     # it paid 0 in the -1 cell, outside the limit b <= y; second_best_solve
     # searched first and then raised "no root" (xi = 0) or "interior payment
-    # escaped the liability limits" (xi = 0.5, 1)
-    inst = ProblemInstance(("d1", "d2"), ("s", "t"), [[-1.0, 10.0], [5.0, 5.0]], PI, 0.5,
-                           ShannonCost())
-    message = "an output below 0 leaves no payment within both liability limits"
-    with pytest.raises(NoPatternFoundError, match=message):
-        brute_force_pareto(inst)
-    monkeypatch.setattr(contracts, "best_response_capacity", None)
-    monkeypatch.setattr(reduced, "interior_point", None)
-    for xi in (0.0, 0.5, 1.0):
-        with pytest.raises(NoPatternFoundError, match=message):
-            second_best_solve(inst, xi, 1.0)
+    # escaped the liability limits" (xi = 0.5, 1).  No problem holds such an
+    # output, so neither the oracle nor any other solver sees one
+    message = "^/output: an output below 0 leaves no payment within both liability limits$"
+    with pytest.raises(MalformedProblemError, match=message):
+        ProblemInstance(("d1", "d2"), ("s", "t"), [[-1.0, 10.0], [5.0, 5.0]], PI, 0.5,
+                        ShannonCost())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 2)])
+def test_a_zero_output_has_one_first_best_point(shape):
+    # each answer divided by E_p y = 0 on the frontier: ZeroDivisionError
+    inst = ProblemInstance(tuple(f"d{d}" for d in range(shape[0])),
+                           tuple(f"s{s}" for s in range(shape[1])), np.zeros(shape),
+                           np.full(shape[1], 1.0 / shape[1]), 0.5, ShannonCost())
+    assert alpha_prime(inst) == 1.0
+    answers = [second_best_solve(inst, 1.0, 1.0), solve_for_reservation(inst, 0.0, None)]
+    for sol in answers:
+        assert not sol.contract.payments.any()
+        assert sol.report.agent_utility == 0.0
+    assert not first_best_frontier(inst, 0.0)[0].payments.any()
+    for r in (-1.0, 1.0):
+        with pytest.raises(OutOfRangeError):
+            first_best_frontier(inst, r)
+    with pytest.raises(OutOfRangeError):
+        solve_for_reservation(inst, 1.0, None)
+
+
+def _probe_instance(rng):
+    """A 1x1 to 3x3 problem whose output may have a row, a column or every
+    entry at 0, or two equal rows, under a cost scale in [0.01, 30] and a
+    capacity in [1e-4, 3], both log-uniform."""
+    n_d, n_s = rng.integers(1, 4, size=2)
+    y = rng.uniform(0.0, 10.0, (n_d, n_s))
+    kind = rng.integers(5)
+    if kind == 1:
+        y[rng.integers(n_d)] = 0.0
+    elif kind == 2:
+        y[:, rng.integers(n_s)] = 0.0
+    elif kind == 3:
+        y[:] = 0.0
+    elif kind == 4:
+        y[rng.integers(n_d)] = y[rng.integers(n_d)]
+    scale, capacity = np.exp(rng.uniform(np.log([0.01, 1e-4]), np.log([30.0, 3.0])))
+    return ProblemInstance(tuple(f"d{d}" for d in range(n_d)), tuple(f"s{s}" for s in range(n_s)),
+                           y, rng.dirichlet(np.ones(n_s)), capacity, ShannonCost(scale))
+
+
+def test_every_solver_answers_or_raises_a_typed_error():
+    # the typed errors are those with an exit code of their own (3 to 6); an
+    # all-zero output raised ZeroDivisionError in alpha_star,
+    # first_best_frontier, solve_for_reservation and second_best_solve
+    rng = np.random.default_rng(0)
+    for _ in range(120):
+        inst = _probe_instance(rng)
+        pi, b, model = inst.prior, inst.output_contract, inst.cost_model
+        r = rng.uniform(-0.2, 1.2) * (pi @ inst.output.max(axis=0))
+        xi = rng.choice([0.0, 1.0, rng.uniform()])
+        alpha, mu = rng.uniform(0.0, 1.5), rng.uniform(0.0, 3.0)
+        calls = [lambda: alpha_prime(inst), lambda: alpha_star(inst, r),
+                 lambda: first_best_frontier(inst, r),
+                 lambda: second_best_solve(inst, xi, alpha),
+                 lambda: solve_for_reservation(inst, r, max(alpha, 0.1)),
+                 lambda: brute_force_pareto(inst, r, grid_n=5),
+                 lambda: best_response_shannon(b, pi, mu, model.logit_scale),
+                 lambda: best_response_capacity(b, pi, inst.capacity, model),
+                 lambda: best_response_general(b, pi, model, mu)]
+        for call in calls:
+            with contextlib.suppress(*cli.SOLVER_EXITS):
+                call()
 
 
 def test_one_decision_pattern_has_no_free_cell():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from infocontracts import (BoundaryPointError, BregmanMatrixCost, Experiment,
                            PosteriorSeparableCost, ShannonCost, entropy,
                            posterior_matrix)
-from conftest import garbled, random_experiment, random_prior
+from conftest import garbled, random_experiment, random_prior, uninformative
 
 PI = np.array([2.0 / 3.0, 1.0 / 3.0])
 # unconstrained optimum for the worked example (posteriors 0.007/0.993)
@@ -16,7 +16,7 @@ TRUNCATED = np.array([[0.211, 0.963], [0.789, 0.037]])
 
 
 def test_uninformative_costs_nothing():
-    p = Experiment.uninformative(2, 2)
+    p = uninformative(2, 2)
     assert ShannonCost().value(p, PI) == 0.0
 
 
@@ -59,7 +59,7 @@ def test_bregman_inverse_fisher_equals_shannon():
 
 def test_bregman_cost_zero_at_uninformative():
     pi = np.array([0.3, 0.7])
-    p = Experiment.uninformative(3, 2)
+    p = uninformative(3, 2)
     assert abs(BregmanMatrixCost().value(p, pi)) < 1e-14
 
 
@@ -207,7 +207,7 @@ def test_cost_convexity(model):
 def test_mixture_posterior_identity():
     # the posterior of a mixture is the marginal-weighted mixture of posteriors
     rng = np.random.default_rng(10)
-    from infocontracts import marginal, posterior
+    from infocontracts import marginal
 
     for _ in range(20):
         p1 = Experiment(random_experiment(rng, 2, 3))
@@ -216,10 +216,9 @@ def test_mixture_posterior_identity():
         t = rng.uniform()
         mix = Experiment(t * p1.conditionals + (1 - t) * p2.conditionals)
         m1, m2 = marginal(p1, pi), marginal(p2, pi)
-        for d in range(2):
-            w1 = t * m1[d] / (t * m1[d] + (1 - t) * m2[d])
-            expected = w1 * posterior(p1, pi, d) + (1 - w1) * posterior(p2, pi, d)
-            assert np.allclose(posterior(mix, pi, d), expected, atol=1e-12)
+        w1 = (t * m1 / (t * m1 + (1 - t) * m2))[:, None]
+        expected = w1 * posterior_matrix(p1, pi) + (1 - w1) * posterior_matrix(p2, pi)
+        assert np.allclose(posterior_matrix(mix, pi), expected, atol=1e-12)
 
 
 def test_gridded_upsilon_approximates_entropy():

@@ -358,7 +358,10 @@ def _figure_cases(draw):
     offset = draw(st.sampled_from([None, 0.0, 4e-16, -4e-16]))
     if offset is not None:
         grid = np.unique(np.append(grid, prior + offset))
-    inst = ProblemInstance(labels, ("t1", "t2"), payments, [1.0 - prior, prior], 10.0, model)
+    # the export reads the contract, not the output, which no problem holds
+    # below 0
+    inst = ProblemInstance(labels, ("t1", "t2"), np.abs(payments), [1.0 - prior, prior], 10.0,
+                           model)
     return inst, Contract(payments), draw(st.floats(0.0, 2.0)), grid
 
 

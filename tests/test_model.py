@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from infocontracts import (Contract, DimensionMismatchError, Experiment,
-                           MalformedProblemError, ProblemInstance, ShannonCost,
-                           ZeroMarginalError, best_response_general,
-                           evaluate_profile, marginal, posterior)
-from conftest import garbled, random_experiment, random_prior
+                           MalformedProblemError, PosteriorSeparableCost,
+                           ProblemInstance, ShannonCost,
+                           best_response_general, evaluate_profile, marginal,
+                           posterior_matrix)
+from conftest import garbled, random_experiment, random_prior, uninformative
 
 # experiment published for the second-best contract (conditionals)
 TABLE2_EXPERIMENT = np.array([[0.160, 0.514], [0.840, 0.486]])
@@ -21,7 +24,7 @@ def test_marginal_of_second_best_experiment():
 
 
 def test_marginal_uniform_experiment():
-    p = Experiment.uninformative(3, 4)
+    p = uninformative(3, 4)
     m = marginal(p, random_prior(np.random.default_rng(0), 4))
     assert np.allclose(m, 1.0 / 3.0, atol=1e-12)
 
@@ -42,9 +45,9 @@ def test_marginal_matches_loop_oracle():
 def test_posterior_of_uninformative_is_prior():
     rng = np.random.default_rng(1)
     pi = random_prior(rng, 3)
-    p = Experiment.uninformative(2, 3, weights=np.array([0.3, 0.7]))
-    for d in range(2):
-        assert np.allclose(posterior(p, pi, d), pi, atol=1e-12)
+    p = uninformative(2, 3, weights=np.array([0.3, 0.7]))
+    for row in posterior_matrix(p, pi):
+        assert np.allclose(row, pi, atol=1e-12)
 
 
 def test_posterior_of_binary_example_optimum():
@@ -52,16 +55,16 @@ def test_posterior_of_binary_example_optimum():
     b = Contract([[0.0, 2.0], [1.0, 1.0]])
     pi = np.array([0.55, 0.45])
     sol = best_response_general(b, pi, ShannonCost())
-    q1 = posterior(sol.experiment, pi, 0)[1]
-    q2 = posterior(sol.experiment, pi, 1)[1]
+    q1, q2 = posterior_matrix(sol.experiment, pi)[:, 1]
     assert abs(q2 - 0.268941) < 1e-4
     assert abs(q1 - 0.731059) < 1e-4
 
 
-def test_posterior_zero_marginal_raises():
+def test_posterior_of_a_decision_never_taken_is_nan():
     p = Experiment([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ZeroMarginalError):
-        posterior(p, PI, 1)
+    post = posterior_matrix(p, PI)
+    assert np.array_equal(post[0], PI)
+    assert np.isnan(post[1]).all()
 
 
 def test_posterior_matches_bayes_loop():
@@ -73,7 +76,7 @@ def test_posterior_matches_bayes_loop():
         for d in range(n_d):
             denom = sum(pi[s] * p.conditionals[d, s] for s in range(n_s))
             expected = [pi[s] * p.conditionals[d, s] / denom for s in range(n_s)]
-            assert np.allclose(posterior(p, pi, d), expected, atol=1e-13)
+            assert np.allclose(posterior_matrix(p, pi)[d], expected, atol=1e-13)
 
 
 def test_posteriors_average_to_prior():
@@ -82,7 +85,7 @@ def test_posteriors_average_to_prior():
         p = Experiment(random_experiment(rng, 4, 3))
         pi = random_prior(rng, 3)
         m = marginal(p, pi)
-        avg = sum(m[d] * posterior(p, pi, d) for d in range(4))
+        avg = m @ posterior_matrix(p, pi)
         assert np.allclose(avg, pi, atol=1e-12)
 
 
@@ -196,6 +199,40 @@ def test_a_capacity_not_positive_is_malformed(example, capacity):
     with pytest.raises(MalformedProblemError, match="^/capacity: must be positive"):
         ProblemInstance(example.decisions, example.states, example.output,
                         example.prior, capacity, example.cost_model)
+
+
+@pytest.mark.parametrize("cost_model", [None, "shannon"])
+def test_a_problem_without_a_cost_model_is_malformed(example, cost_model):
+    # it was built, and every solver then raised AttributeError on
+    # `cost_model.value` or `cost_model.logit_scale`
+    with pytest.raises(MalformedProblemError, match="^/cost: must be a CostModel"):
+        ProblemInstance(example.decisions, example.states, example.output,
+                        example.prior, example.capacity, cost_model)
+
+
+@pytest.mark.parametrize("field, labels, message", [
+    ("decisions", (), "must be a nonempty list of strings"),
+    ("states", [], "must be a nonempty list of strings"),
+    ("decisions", "ab", "must be a nonempty list of strings"),
+    ("states", ("t", 2), "must be a nonempty list of strings"),
+    ("decisions", ["d1", "d1"], "labels must be unique"),
+    ("states", ("t", "t"), "labels must be unique"),
+])
+def test_bad_labels_are_malformed(example, field, labels, message):
+    # an empty tuple raised a plain ValueError; a string, a number and a
+    # repeated label were accepted, and only problem files refused them
+    with pytest.raises(MalformedProblemError, match=f"^/{field}: {message}$"):
+        dataclasses.replace(example, **{field: labels})
+
+
+def test_a_table_on_three_states_is_malformed():
+    # only problem files refused it; a ProblemInstance was built, and the
+    # table's solvers then raised on the number of states
+    table = PosteriorSeparableCost({"grid": [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]})
+    with pytest.raises(MalformedProblemError,
+                       match="^/cost: a gridded uncertainty function needs two states, got 3$"):
+        ProblemInstance(("d1", "d2"), ("a", "b", "c"), np.ones((2, 3)),
+                        [0.5, 0.25, 0.25], 0.5, table)
 
 
 @pytest.mark.parametrize("entries", [
